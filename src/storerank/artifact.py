@@ -1,0 +1,85 @@
+"""The one binary container behind every storerank artifact.
+
+A magic line; a header line, the CRC32 of the JSON header as 8 hex
+digits, a space, then the JSON; then each array's raw bytes.  The header
+holds the caller's fields plus ``arrays``: ``[name, dtype, shape, byte
+length, CRC32]`` per array.  Writes are atomic (``<path>.tmp``, then a
+rename).  A read fails with a ``ValueError`` that starts with the path
+and names the case: bad magic, truncated, corrupt or trailing bytes.
+"""
+
+import contextlib
+import itertools
+import json
+import os
+import zlib
+
+import numpy as np
+
+
+def write(path, magic, header, arrays):
+    """Write ``(name, ndarray)`` pairs, each from its own buffer, and the
+    JSON-able ``header`` dict under ``magic``."""
+    arrays = [(name, np.ascontiguousarray(a)) for name, a in arrays]
+    meta = dict(header, arrays=[[name, a.dtype.str, list(a.shape), a.nbytes,
+                                 zlib.crc32(a)] for name, a in arrays])
+    text = json.dumps(meta, sort_keys=True).encode()
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(magic + b"\n")
+            f.write(b"%08x " % zlib.crc32(text) + text + b"\n")
+            for _, a in arrays:
+                f.write(a)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def read(path, magic):
+    """``(header, arrays)`` of a file ``write`` made under ``magic``;
+    ``arrays`` maps names to read-only arrays, in file order."""
+    with open(path, "rb") as f:
+        want = magic + b"\n"
+        head = f.read(len(want))
+        if head != want:
+            if want.startswith(head):
+                raise ValueError(f"{path}: truncated magic line")
+            raise ValueError(f"{path}: bad magic {head!r}, expected {magic!r}")
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError(f"{path}: truncated header")
+        crc, _, text = line[:-1].partition(b" ")
+        if crc != b"%08x" % zlib.crc32(text):
+            raise ValueError(f"{path}: corrupt header (CRC mismatch)")
+        try:
+            header = json.loads(text)
+        except ValueError as e:
+            raise ValueError(f"{path}: corrupt header ({e})") from None
+        arrays = {}
+        for name, dtype, shape, nbytes, crc in header.pop("arrays"):
+            raw = f.read(nbytes)
+            if len(raw) < nbytes:
+                raise ValueError(f"{path}: truncated in array {name!r} "
+                                 f"({len(raw)} of {nbytes} bytes)")
+            if zlib.crc32(raw) != crc:
+                raise ValueError(f"{path}: corrupt array {name!r} (CRC mismatch)")
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after arrays")
+    return header, arrays
+
+
+def restore(path, arrays, tensors):
+    """Copy ``arrays`` into a rebuilt model's ``(name, Tensor)`` pairs,
+    which must have the same names and shapes in the same order."""
+    got = [(name, a.shape) for name, a in arrays.items()]
+    want = [(name, t.values.shape) for name, t in tensors]
+    for g, w in itertools.zip_longest(got, want):
+        if g != w:
+            raise ValueError(f"{path}: file holds array {g} where the model "
+                             f"layout has {w}")
+    for name, t in tensors:
+        t.values[...] = arrays[name]

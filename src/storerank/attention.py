@@ -241,7 +241,8 @@ def _scratch(name, shape):
     Zero-filled only on allocation: panel pad slots may later hold stale
     values from earlier calls of any shape, which is fine because they
     are finite and never gathered.  Never returned to the caller; every
-    kernel's result is freshly allocated.
+    kernel's result is freshly allocated.  ``bench_attention`` empties
+    the pool when it is done.
     """
     size = math.prod(shape)
     buf = _SCRATCH.get(name)
@@ -363,13 +364,16 @@ def bench_attention(h, d_model=256, n_heads=4, block_size=32, rho=0.5,
     calls = {"dense": lambda: dense_core(q, k, v),
              "sparse": lambda: sparse_core(q, k, v, block_size, kb),
              "full": lambda: sparse_core(q, k, v, block_size, n_blocks)}
-    warm = {name: fn() for name, fn in calls.items()}
-    times = {name: [] for name in calls}
-    for _ in range(repeats):
-        for name, fn in calls.items():
-            t0 = time.perf_counter()
-            fn()
-            times[name].append(time.perf_counter() - t0)
+    try:
+        warm = {name: fn() for name, fn in calls.items()}
+        times = {name: [] for name in calls}
+        for _ in range(repeats):
+            for name, fn in calls.items():
+                t0 = time.perf_counter()
+                fn()
+                times[name].append(time.perf_counter() - t0)
+    finally:
+        _SCRATCH.clear()    # the buffers are only worth keeping across repeats
     best = {name: min(ts) * 1e3 for name, ts in times.items()}
     diff = float(np.max(np.abs(warm["full"] - warm["dense"])))
     return {

@@ -16,15 +16,15 @@ supposed to close.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tokenizer import EmbeddingTable, read_embeddings  # noqa: F401  (shared format)
+from . import artifact
+from .tokenizer import EmbeddingTable
 
 ROLES = ("high_cardinality_item", "static", "group_key", "label")
-CACHE_MAGIC = b"STRD1"
+CACHE_MAGIC = b"STRD2"
 
 
 class DatasetSchema:
@@ -358,48 +358,36 @@ def gen_synthetic(spec):
 # ---------------------------------------------------------------------------
 
 def save_dataset_cache(path, dataset):
-    """Versioned container: magic, JSON header echoing the schema, then
-    newline-joined utf-8 column blobs and raw int8 labels."""
-    blobs = []
+    """Write the dataset as an ``artifact`` container: the schema in the
+    header, then one newline-joined utf-8 ``uint8`` blob per feature
+    column and the ``<i1`` labels, each named by its schema column."""
+    arrays = []
     for name in dataset.schema.feature_cols:
         vals = dataset.column(name)
         if any("\n" in str(v) for v in vals):
             raise ValueError(f"column {name!r} contains newline values")
-        blobs.append("\n".join(str(v) for v in vals).encode("utf-8"))
+        blob = "\n".join(str(v) for v in vals).encode("utf-8")
+        arrays.append((name, np.frombuffer(blob, dtype=np.uint8)))
+    arrays.append((dataset.schema.label_col,
+                   np.asarray(dataset.labels, dtype="<i1")))
     header = {
         "schema": [[n, r] for n, r in dataset.schema.columns],
-        "n": len(dataset),
         "chronological": dataset.chronological,
-        "columns": dataset.schema.feature_cols,
-        "blob_bytes": [len(b) for b in blobs],
     }
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC + b"\n")
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for b in blobs:
-            f.write(b)
-        f.write(dataset.labels.astype("<i1").tobytes())
+    artifact.write(path, CACHE_MAGIC, header, arrays)
 
 
 def load_dataset_cache(path):
-    with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n")
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-        header = json.loads(f.readline())
-        schema = DatasetSchema([(n, r) for n, r in header["schema"]])
-        n = header["n"]
-        cols = {}
-        for name, nbytes in zip(header["columns"], header["blob_bytes"]):
-            blob = f.read(nbytes).decode("utf-8")
-            vals = blob.split("\n") if n else []
-            if len(vals) != n:
-                raise ValueError(f"{path}: column {name!r} has {len(vals)} "
-                                 f"values, expected {n}")
-            cols[name] = np.asarray(vals, dtype=object)
-        labels = np.frombuffer(f.read(n), dtype="<i1")
-        if labels.size != n:
-            raise ValueError(f"{path}: truncated label block")
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after labels")
+    header, arrays = artifact.read(path, CACHE_MAGIC)
+    schema = DatasetSchema([(n, r) for n, r in header["schema"]])
+    labels = arrays[schema.label_col]
+    n = labels.size
+    cols = {}
+    for name in schema.feature_cols:
+        blob = arrays[name].tobytes().decode("utf-8")
+        vals = blob.split("\n") if n else []
+        if len(vals) != n:
+            raise ValueError(f"{path}: column {name!r} has {len(vals)} "
+                             f"values, expected {n}")
+        cols[name] = np.asarray(vals, dtype=object)
     return Dataset(schema, cols, labels, header["chronological"])

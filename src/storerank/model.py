@@ -21,12 +21,12 @@ polar re-projection back onto the orthogonal manifold.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import artifact
 from . import tensor as T
 from .attention import AttentionParams, attention_flops, dense_attention, \
     efficient_attention, k_blocks_for
@@ -291,15 +291,21 @@ def total_loss(model, inputs, labels, plans=None):
 def prepare_inputs(model, data):
     """Integer index arrays for one encoded partition.
 
-    SID mode looks every raw item id up in the code table and fails
-    loudly on misses; raw mode hashes ids into the bucket table.  The
-    result is sliced per batch by ``slice_inputs``.
+    Static indices must fit the model's tables, which a partition
+    encoded from another dataset's vocabularies need not.  SID mode
+    looks every raw item id up in the code table and fails loudly on
+    misses; raw mode hashes ids into the bucket table.  The result is
+    sliced per batch by ``slice_inputs``.
     """
     feats = {}
-    for f in model.static_tables:
+    for f, table in model.static_tables.items():
         if f not in data.features:
             raise ValueError(f"partition is missing feature {f!r}")
         feats[f] = data.features[f]
+        if feats[f].size and feats[f].max() >= table.shape[0]:
+            raise ValueError(f"feature {f!r} is encoded with "
+                             f"{int(feats[f].max()) + 1} values, but the "
+                             f"model's table has {table.shape[0]} rows")
     out = {"static": feats, "labels": data.labels}
     items = data.raw_items
     if model.sid_tables is not None:
@@ -429,7 +435,7 @@ def evaluate(model, data, batch_size=1024):
 # persistence
 # ---------------------------------------------------------------------------
 
-STORE_MAGIC = b"STRM1"
+STORE_MAGIC = b"STRM2"
 
 
 def _store_arrays(model):
@@ -460,10 +466,9 @@ def _store_arrays(model):
 
 
 def save_store(path, model):
-    """Versioned binary artifact: magic line, JSON header line, the SID
-    code rows as raw int64 (when present), then the parameter arrays as
-    raw little-endian float64 in header order."""
-    arrays = _store_arrays(model)
+    """Write the model as an ``artifact`` container: config, groups,
+    vocabulary sizes and SID item ids in the header; the SID codes as
+    ``<i8`` (when present), then the parameters in layout order."""
     header = {
         "config": asdict(model.config),
         "d_g": model.groups.d_g,
@@ -472,48 +477,27 @@ def save_store(path, model):
         "vocab_sizes": {f: int(t.shape[0])
                         for f, t in model.static_tables.items()},
         "sid_ids": None if model.sid_table is None else model.sid_table.ids,
-        "arrays": [[name, list(t.values.shape)] for name, t in arrays],
     }
-    with open(path, "wb") as f:
-        f.write(STORE_MAGIC + b"\n")
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        if model.sid_table is not None:
-            f.write(np.ascontiguousarray(model.sid_table.codes,
-                                         dtype="<i8").tobytes())
-        for _, t in arrays:
-            f.write(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
+    arrays = [(name, t.values) for name, t in _store_arrays(model)]
+    if model.sid_table is not None:
+        arrays.insert(0, ("sid_codes", np.asarray(model.sid_table.codes,
+                                                  dtype="<i8")))
+    artifact.write(path, STORE_MAGIC, header, arrays)
 
 
 def load_store(path):
-    with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n")
-        if magic != STORE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected "
-                             f"{STORE_MAGIC!r}")
-        header = json.loads(f.readline())
-        config = StoreConfig(**header["config"])
-        groups = GroupConfig(tuple(
-            FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
-            for g in header["groups"]), header["d_g"])
-        sid_table = None
-        if header["sid_ids"] is not None:
-            ids = header["sid_ids"]
-            raw = f.read(8 * len(ids) * config.h)
-            codes = np.frombuffer(raw, dtype="<i8").reshape(len(ids), config.h)
-            sid_table = SidTable(ids, codes, config.v)
-        model = StoreModel(config, groups, header["vocab_sizes"],
-                           sid_table=sid_table)
-        arrays = _store_arrays(model)
-        if [name for name, _ in arrays] != [a[0] for a in header["arrays"]]:
-            raise ValueError(f"{path}: array list does not match model layout")
-        for (name, t), (_, shape) in zip(arrays, header["arrays"]):
-            if list(t.values.shape) != shape:
-                raise ValueError(f"{path}: {name} has shape {shape}, expected "
-                                 f"{list(t.values.shape)}")
-            raw = f.read(8 * int(np.prod(shape, dtype=np.int64)) if shape else 8)
-            t.values[...] = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape)
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after arrays")
+    header, arrays = artifact.read(path, STORE_MAGIC)
+    config = StoreConfig(**header["config"])
+    groups = GroupConfig(tuple(
+        FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
+        for g in header["groups"]), header["d_g"])
+    sid_table = None
+    if header["sid_ids"] is not None:
+        sid_table = SidTable(header["sid_ids"], arrays.pop("sid_codes"),
+                             config.v)
+    model = StoreModel(config, groups, header["vocab_sizes"],
+                       sid_table=sid_table)
+    artifact.restore(path, arrays, _store_arrays(model))
     return model
 
 

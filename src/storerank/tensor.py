@@ -22,10 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Flipped on by tests / debugging sessions: validates that every op
-# result is finite, at the cost of a full scan per op.
-CHECK_FINITE = False
-
 
 class Tensor:
     """A dense float64 array plus its place in the autodiff graph.
@@ -42,8 +38,6 @@ class Tensor:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"rank {arr.ndim} tensor not supported (max rank 3)")
-        if CHECK_FINITE and not np.all(np.isfinite(arr)):
-            raise FloatingPointError("non-finite values in tensor")
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -543,7 +537,7 @@ class Adam:
 
 def glorot(rng, shape):
     """Glorot-uniform leaf parameter."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)

@@ -21,15 +21,15 @@ reconstruction residuals) is included for ablation comparisons.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from . import tensor as T
 
-OPMQ_MAGIC = b"OPMQ1"
+OPMQ_MAGIC = b"OPMQ2"
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +534,8 @@ def _model_arrays(model):
 
 
 def save_opmq(path, model):
-    """Versioned binary artifact: magic line, JSON header line, then the
-    arrays as raw little-endian float64 in header order."""
-    arrays = _model_arrays(model)
+    """Write the quantizer as an ``artifact`` container: its config in
+    the header, then the expert, codebook and decoder arrays."""
     header = {
         "d_p": model.d_p,
         "k": model.k,
@@ -545,36 +544,17 @@ def save_opmq(path, model):
         "activation": model.activation,
         "orth_weights": model.orth_weights,
         "beta": model.beta,
-        "arrays": [[name, list(t.values.shape)] for name, t in arrays],
     }
-    with open(path, "wb") as f:
-        f.write(OPMQ_MAGIC + b"\n")
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for _, t in arrays:
-            f.write(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
+    artifact.write(path, OPMQ_MAGIC, header,
+                   [(name, t.values) for name, t in _model_arrays(model)])
 
 
 def load_opmq(path):
-    with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n")
-        if magic != OPMQ_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {OPMQ_MAGIC!r}")
-        header = json.loads(f.readline())
-        cfg = OpmqConfig(k=header["k"], v=header["v"], d_z=header["d_z"],
-                         activation=header["activation"],
-                         orth_weights=header["orth_weights"],
-                         beta=header["beta"])
-        model = OpmqModel(header["d_p"], cfg, np.random.default_rng(0))
-        arrays = _model_arrays(model)
-        if [name for name, _ in arrays] != [a[0] for a in header["arrays"]]:
-            raise ValueError(f"{path}: array list does not match model layout")
-        for (name, t), (_, shape) in zip(arrays, header["arrays"]):
-            if list(t.values.shape) != shape:
-                raise ValueError(f"{path}: {name} has shape {shape}, "
-                                 f"expected {list(t.values.shape)}")
-            raw = f.read(8 * int(np.prod(shape, dtype=np.int64)) if shape else 8)
-            t.values[...] = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape)
-        extra = f.read(1)
-        if extra:
-            raise ValueError(f"{path}: trailing bytes after arrays")
+    header, arrays = artifact.read(path, OPMQ_MAGIC)
+    cfg = OpmqConfig(k=header["k"], v=header["v"], d_z=header["d_z"],
+                     activation=header["activation"],
+                     orth_weights=header["orth_weights"],
+                     beta=header["beta"])
+    model = OpmqModel(header["d_p"], cfg, np.random.default_rng(0))
+    artifact.restore(path, arrays, _model_arrays(model))
     return model

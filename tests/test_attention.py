@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from storerank import attention
 from storerank import tensor as T
 from storerank.attention import (
     AttentionParams,
@@ -381,3 +382,8 @@ class TestKernels:
         assert r["wall_time_dense_ms"] > 0
         assert r["wall_time_sparse_ms"] > 0
         assert r["wall_time_full_ms"] > 0
+
+    def test_bench_releases_its_scratch_buffers(self):
+        bench_attention(64, d_model=32, n_heads=2, block_size=32, rho=0.5,
+                        repeats=1, seed=1)
+        assert attention._SCRATCH == {}

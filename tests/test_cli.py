@@ -188,6 +188,40 @@ class TestTrainEval:
         assert metrics["auc"] == last["val_auc"]
         assert metrics["logloss"] == last["val_logloss"]
 
+    def test_eval_names_a_damaged_model(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(*self.train_args(workspace, out)) == 0
+        model = out / "model.strm"
+        blob = model.read_bytes()
+        mid = len(blob) // 2
+        flipped = blob[:mid] + bytes([blob[mid] ^ 4]) + blob[mid + 1:]
+        for damaged, case in ((blob[:-9], "truncated"), (flipped, "corrupt")):
+            model.write_bytes(damaged)
+            capsys.readouterr()
+            assert run("eval", "--model", str(model),
+                       "--data", str(workspace / "data" / "data.strd"),
+                       "--out", str(tmp_path / "ev")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {model}: {case} ")
+            assert err.count("\n") == 1
+
+    def test_eval_rejects_a_foreign_dataset(self, workspace, tmp_path, capsys):
+        # same items, wider static vocabularies than the model was built for
+        out = tmp_path / "run"
+        assert run(*self.train_args(workspace, out)) == 0
+        foreign = tmp_path / "foreign"
+        assert run("gen-synthetic", "--out", str(foreign), "--n-instances",
+                   "3000", "--n-items", "120", "--n-users", "40",
+                   "--n-clusters", "6", "--seed", "6",
+                   "--static-cards", "30,40") == 0
+        capsys.readouterr()
+        assert run("eval", "--model", str(out / "model.strm"),
+                   "--data", str(foreign / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature 'f0' ") and "rows" in err
+        assert err.count("\n") == 1
+
     def test_ablation_flags_reach_the_model(self, workspace, tmp_path):
         out = tmp_path / "ablate"
         assert run(*self.train_args(workspace, out, "--no-rotation",
