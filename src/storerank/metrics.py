@@ -57,26 +57,37 @@ def gauc(labels, scores, groups):
     """Impression-weighted mean of per-group AUC.
 
     Groups lacking either class contribute nothing (neither weight nor
-    value).  Raises when no group has both classes.
+    value).  Raises when no group has both classes.  One sort on
+    (group, score) gives every row its tied rank within its group, so
+    the cost is O(n log n) however many groups there are.
     """
     labels, scores = _as_arrays(labels, scores)
     groups = np.asarray(groups)
     if groups.shape != labels.shape:
         raise ValueError("groups must align with labels")
-    num = 0.0
-    den = 0.0
-    for g in np.unique(groups):
-        mask = groups == g
-        sub = labels[mask]
-        n_pos = int((sub == 1).sum())
-        if n_pos == 0 or n_pos == len(sub):
-            continue
-        w = float(mask.sum())
-        num += w * auc(sub, scores[mask])
-        den += w
-    if den == 0.0:
+    order = np.lexsort((scores, groups))
+    g, s, y = groups[order], scores[order], labels[order].astype(np.float64)
+    n = g.size
+    group_first = np.ones(n, dtype=bool)
+    group_first[1:] = g[1:] != g[:-1]
+    run_first = group_first.copy()
+    run_first[1:] |= s[1:] != s[:-1]
+    group_id = np.cumsum(group_first) - 1
+    run_start = np.flatnonzero(run_first)
+    run_end = np.append(run_start[1:], n)
+    # mean 1-based position of each tied run, less its group's offset
+    ranks = ((run_start + run_end + 1) / 2.0)[np.cumsum(run_first) - 1]
+    ranks -= np.flatnonzero(group_first)[group_id]
+    size = np.bincount(group_id).astype(np.float64)
+    n_pos = np.bincount(group_id, weights=y)
+    rank_pos = np.bincount(group_id, weights=ranks * y)
+    both = (n_pos > 0) & (n_pos < size)
+    if not both.any():
         raise ValueError("gauc undefined: no group has both classes")
-    return num / den
+    w, n_pos = size[both], n_pos[both]
+    per_group = (rank_pos[both] - n_pos * (n_pos + 1) / 2.0) / (n_pos * (w - n_pos))
+    # cumsum adds left to right, the sorted-key order of a running sum
+    return float(np.cumsum(w * per_group)[-1] / np.cumsum(w)[-1])
 
 
 def logloss(labels, scores):

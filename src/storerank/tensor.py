@@ -6,6 +6,13 @@ There is no implicit broadcasting: elementwise ops require identical
 shapes, and the explicit ``broadcast_to`` / ``reshape`` ops cover the
 few places (bias rows, layer-norm affine) where shapes must be lifted.
 
+The one gradient that is not a dense array is that of an embedding
+table (a leaf) with more rows than a batch looks up: ``embedding``
+hands it back as a ``RowSparse`` (sorted distinct rows plus their
+summed values), and ``SGD`` and ``Adam`` update only the rows that can
+move.  Both give bit for bit what the dense gradient would give, and
+``np.asarray`` turns a ``RowSparse`` into exactly that dense gradient.
+
 The graph is held alive by ordinary Python references: every op result
 keeps a tuple of its parents and a backward closure.  ``grad`` (and
 ``backward``) may therefore be called repeatedly on the same graph;
@@ -57,7 +64,8 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = g if isinstance(g, RowSparse) else np.array(
+                g, dtype=np.float64, copy=True)
         else:
             self.grad = self.grad + g
 
@@ -98,6 +106,38 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
+
+
+class RowSparse:
+    """Gradient of a table that is exactly zero outside some of its rows.
+
+    ``rows`` holds distinct row indices in ascending order and
+    ``values[i]`` is the gradient of row ``rows[i]``.  ``np.asarray``
+    gives the dense gradient.  Adding another ``RowSparse`` keeps the
+    result row-sparse; adding a dense array gives a dense array.  Both
+    round exactly as the sum of the dense gradients would.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows, values, shape):
+        self.rows, self.values, self.shape = rows, values, tuple(shape)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype)
+        dense[self.rows] = self.values
+        return dense
+
+    def __add__(self, other):
+        if not isinstance(other, RowSparse):
+            return np.asarray(self) + other
+        if np.array_equal(self.rows, other.rows):
+            return RowSparse(self.rows, self.values + other.values, self.shape)
+        rows = np.union1d(self.rows, other.rows)
+        values = np.zeros((rows.size,) + self.shape[1:])
+        values[np.searchsorted(rows, self.rows)] += self.values
+        values[np.searchsorted(rows, other.rows)] += other.values
+        return RowSparse(rows, values, self.shape)
 
 
 def _result(values, parents, backward):
@@ -309,17 +349,33 @@ def concat(tensors, axis=0):
 
 
 def embedding(table, indices):
-    """Gather rows of a (V, d) table; indices is an integer ndarray (any shape)."""
+    """Gather rows of a (V, d) table; indices is an integer ndarray (any shape).
+
+    A leaf table with more rows than there are lookups gets a
+    ``RowSparse`` gradient over the rows looked up.  Any other table gets
+    a dense one: it is no larger than the lookups' gradient, or the table
+    is an op result, whose backward takes dense gradients.
+    """
     indices = np.asarray(indices)
     if not np.issubdtype(indices.dtype, np.integer):
         raise ValueError("embedding indices must be integers")
     out_vals = np.take(table.values, indices, axis=0)
 
     def bwd(g):
-        if table.requires_grad:
+        if not table.requires_grad:
+            return
+        n_rows = len(table.values)
+        if n_rows <= indices.size or table._backward is not None:
             full = np.zeros_like(table.values)
             np.add.at(full, indices, g)
             table.accumulate_grad(full)
+            return
+        # % folds negative indices onto the rows np.take read them from
+        rows, inv = np.unique(indices % n_rows, return_inverse=True)
+        # each row sums its lookups in lookup order, as the dense add.at does
+        summed = np.zeros((rows.size,) + table.values.shape[1:])
+        np.add.at(summed, inv.reshape(indices.shape), g)
+        table.accumulate_grad(RowSparse(rows, summed, table.values.shape))
     return _result(out_vals, (table,), bwd)
 
 
@@ -467,6 +523,9 @@ def grad(loss, params):
     A parameter that is not reachable in the loss graph is an error, not a
     silent zero.  A parameter that is reachable but receives no gradient
     (e.g. it only enters under ``stop_gradient``) gets an explicit zero.
+    A table reached only through ``embedding`` lookups, fewer of them than
+    it has rows, gets a ``RowSparse``; ``np.asarray`` of it is the dense
+    gradient, bit for bit.  Every other gradient is a dense array.
     """
     for i, p in enumerate(params):
         if not p.requires_grad:
@@ -499,12 +558,24 @@ class SGD:
         for p, g in zip(self.params, grads):
             if g.shape != p.values.shape:
                 raise ValueError(f"SGD.step: grad shape {g.shape} vs param {p.shape}")
-            p.values -= self.lr * g
+            if isinstance(g, RowSparse):
+                p.values[g.rows] -= self.lr * g.values
+            else:
+                p.values -= self.lr * g
         self.step_count += 1
 
 
 class Adam:
-    """Adam with bias correction; deterministic given the step counter."""
+    """Adam with bias correction; deterministic given the step counter.
+
+    A row whose moments and gradient are zero moves by exactly 0.0 and
+    keeps zero moments.  So while a parameter has had only ``RowSparse``
+    gradients, ``step`` updates just the rows that any of them touched,
+    giving a row absent this step a zero gradient (its moments keep
+    decaying and it keeps moving): bit for bit the dense update.  Once
+    every row has been touched, or a dense gradient arrives, the
+    parameter takes the dense update for good.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -512,23 +583,43 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
+        # per parameter, the rows whose moments may be nonzero; None once
+        # that can be any row
+        self.touched = [np.zeros(len(p.values), dtype=bool) if p.ndim else None
+                        for p in self.params]
         self.step_count = 0
+
+    def _advance(self, m, v, g, t):
+        """Update the moments m, v in place; return the parameter decrement."""
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1 ** t)
+        v_hat = v / (1 - self.beta2 ** t)
+        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def step(self, grads):
         if len(grads) != len(self.params):
             raise ValueError("Adam.step: grads/params length mismatch")
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for i, (p, g, m, v) in enumerate(zip(self.params, grads, self.m, self.v)):
             if g.shape != p.values.shape:
                 raise ValueError(f"Adam.step: grad shape {g.shape} vs param {p.shape}")
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            touched = self.touched[i]
+            if isinstance(g, RowSparse) and touched is not None:
+                touched[g.rows] = True
+                rows = np.flatnonzero(touched)
+                if rows.size < touched.size:
+                    g_rows = np.zeros((rows.size,) + g.shape[1:])
+                    g_rows[np.searchsorted(rows, g.rows)] = g.values
+                    m_rows, v_rows = m[rows], v[rows]
+                    p.values[rows] -= self._advance(m_rows, v_rows, g_rows, t)
+                    m[rows], v[rows] = m_rows, v_rows
+                    continue
+            self.touched[i] = None
+            p.values -= self._advance(m, v, np.asarray(g), t)
 
 
 # ---------------------------------------------------------------------------

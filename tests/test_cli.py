@@ -230,15 +230,26 @@ class TestTrainEval:
         assert resolved["use_rotation"] is False
         assert resolved["attention"] == "vanilla"
 
-    def test_raw_id_path_trains(self, workspace, tmp_path):
-        out = tmp_path / "raw"
-        args = ["train", "--data", str(workspace / "data" / "data.strd"),
+    def raw_id_args(self, workspace, out, buckets=256):
+        return ["train", "--data", str(workspace / "data" / "data.strd"),
                 "--raw-id", "--out", str(out), "--epochs", "1",
                 "--batch-size", "500", "--d", "16", "--d-s", "8",
-                "--d-g", "8", "--emb-dim", "4", "--hash-buckets", "256",
+                "--d-g", "8", "--emb-dim", "4", "--hash-buckets", str(buckets),
                 "--seed", "0"]
-        assert run(*args) == 0
+
+    def test_raw_id_path_trains(self, workspace, tmp_path):
+        out = tmp_path / "raw"
+        assert run(*self.raw_id_args(workspace, out)) == 0
         assert np.isfinite(read_lines(out / "epoch_log.jsonl")[0]["train_loss"])
+
+    def test_raw_id_rerun_is_byte_identical(self, workspace, tmp_path):
+        # more buckets than a batch has rows: the row-sparse gradient path
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(*self.raw_id_args(workspace, a, buckets=4096)) == 0
+        assert run(*self.raw_id_args(workspace, b, buckets=4096)) == 0
+        assert (a / "epoch_log.jsonl").read_bytes() == \
+            (b / "epoch_log.jsonl").read_bytes()
+        assert (a / "model.strm").read_bytes() == (b / "model.strm").read_bytes()
 
 
 class TestSweep:

@@ -76,6 +76,16 @@ class TestGauc:
             groups = rng.integers(0, 12, size=n)
             assert M.gauc(labels, scores, groups) == grouped_gauc(labels, scores, groups)
 
+    def test_many_groups_sum_in_sorted_order(self, rng):
+        # with hundreds of groups, any other summation order than the
+        # oracle's running sum would round differently
+        for trial in range(3):
+            n = 3000
+            labels = rng.integers(0, 2, size=n)
+            scores = rng.uniform(size=n)
+            groups = rng.integers(0, 500, size=n)
+            assert M.gauc(labels, scores, groups) == grouped_gauc(labels, scores, groups)
+
 
 class TestLogloss:
     def test_uninformative_score(self):

@@ -1,0 +1,247 @@
+"""Row-sparse embedding gradients and the touched-row Adam, bit for bit.
+
+The references below are the dense embedding backward (a full zero
+table filled by ``np.add.at``) and the dense Adam update that the
+row-sparse path replaces.  Every case compares the two with exact
+equality: the row-sparse path claims to be the same arithmetic, not an
+approximation of it.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from storerank import model as M
+from storerank import tensor as T
+from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random_split
+
+
+def dense_embedding(table, indices):
+    """Embedding lookup whose backward adds into a full zero table."""
+    indices = np.asarray(indices)
+    out_vals = np.take(table.values, indices, axis=0)
+
+    def bwd(g):
+        if table.requires_grad:
+            full = np.zeros_like(table.values)
+            np.add.at(full, indices, g)
+            table.accumulate_grad(full)
+    return T._result(out_vals, (table,), bwd)
+
+
+class DenseAdam:
+    """Adam updating every entry of every parameter on every step."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = float(lr)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.values) for p in self.params]
+        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.step_count = 0
+
+    def step(self, grads):
+        self.step_count += 1
+        t = self.step_count
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** t)
+            v_hat = v / (1 - self.beta2 ** t)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def grads_both_ways(build, values):
+    """Gradient of ``build(table, embed)`` through the library's
+    ``embedding`` and through the dense reference, on equal tables."""
+    out = []
+    for embed in (T.embedding, dense_embedding):
+        table = T.Tensor(values.copy(), requires_grad=True)
+        (g,) = T.grad(build(table, embed), [table])
+        out.append(g)
+    return out
+
+
+def weighted(rng, shape):
+    return T.Tensor(rng.normal(size=shape))
+
+
+class TestBackward:
+    def test_repeated_indices(self, rng):
+        idx = np.array([[4, 0, 4], [7, 4, 0]])
+        w = weighted(rng, idx.shape + (3,))
+        sparse, dense = grads_both_ways(
+            lambda t, emb: T.tsum(T.mul(emb(t, idx), w)), rng.normal(size=(9, 3)))
+        assert isinstance(sparse, T.RowSparse)
+        assert sparse.rows.tolist() == [0, 4, 7]
+        assert same_bits(sparse, dense)
+
+    def test_one_dimensional_table(self, rng):
+        idx = rng.integers(0, 40, size=64)
+        w = weighted(rng, (64,))
+        sparse, dense = grads_both_ways(
+            lambda t, emb: T.tsum(T.mul(emb(t, idx), w)), np.zeros(100))
+        assert isinstance(sparse, T.RowSparse)
+        assert same_bits(sparse, dense)
+
+    @pytest.mark.parametrize("second", [[1, 2, 2, 9], [5, 6, 6]])
+    def test_one_table_embedded_twice(self, rng, second):
+        # overlapping ([1, 2, 2, 9] shares rows 1, 2 with the first lookup)
+        # and disjoint ([5, 6, 6]) index sets
+        first, second = np.array([2, 1, 3, 1]), np.array(second)
+        w1 = weighted(rng, (first.size, 2))
+        w2 = weighted(rng, (second.size, 2))
+        sparse, dense = grads_both_ways(
+            lambda t, emb: T.add(T.tsum(T.mul(emb(t, first), w1)),
+                                 T.tsum(T.mul(emb(t, second), w2))),
+            rng.normal(size=(12, 2)))
+        assert isinstance(sparse, T.RowSparse)
+        assert same_bits(sparse, dense)
+
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_table_with_a_dense_gradient_too(self, rng, dense_first):
+        idx = np.array([3, 3, 0])
+        w = weighted(rng, (3, 4))
+        w_all = weighted(rng, (6, 4))
+
+        def build(t, emb):
+            parts = [T.tsum(T.mul(t, w_all)), T.tsum(T.mul(emb(t, idx), w))]
+            return T.add(*(parts if dense_first else parts[::-1]))
+
+        sparse, dense = grads_both_ways(build, rng.normal(size=(6, 4)))
+        assert isinstance(sparse, np.ndarray)
+        assert same_bits(sparse, dense)
+
+    def test_table_no_larger_than_its_lookups_is_dense(self, rng):
+        # four lookups into four rows, one of them never looked up
+        idx = np.array([0, 1, 2, 1])
+        got, want = grads_both_ways(lambda t, emb: T.tsum(emb(t, idx)),
+                                    rng.normal(size=(4, 2)))
+        assert isinstance(got, np.ndarray)
+        assert same_bits(got, want)
+
+    def test_negative_indices_fold_onto_their_rows(self, rng):
+        idx = np.array([-1, 4, 0, -5])
+        w = weighted(rng, (4, 2))
+        sparse, dense = grads_both_ways(
+            lambda t, emb: T.tsum(T.mul(emb(t, idx), w)), rng.normal(size=(6, 2)))
+        assert sparse.rows.tolist() == [0, 1, 4, 5]
+        assert same_bits(sparse, dense)
+
+    def test_interior_table_gets_a_dense_gradient(self, rng):
+        idx = np.array([1, 1])
+        w = weighted(rng, (2, 3))
+        got = []
+        for embed in (T.embedding, dense_embedding):
+            leaf = T.Tensor(np.arange(15.0).reshape(5, 3), requires_grad=True)
+            loss = T.tsum(T.mul(embed(T.mul(leaf, 2.0), idx), w))
+            got.append(T.grad(loss, [leaf])[0])
+        assert same_bits(got[0], got[1])
+
+
+def sparse_batches():
+    """Per-step index sets into an 8-row table: rows {0, 2} at step 1
+    only, row 5 at steps 2-5, then the other rows over two sparse steps,
+    then eight lookups (a dense gradient), then a few rows again."""
+    return ([np.array([0, 2, 2])] + [np.array([5])] * 4
+            + [np.array([1, 3, 4]), np.array([6, 7, 7])]
+            + [np.arange(8)] + [np.array([1, 6])] * 2)
+
+
+def run_optimizer(make_opt, embed, steps, seed=3):
+    rng = np.random.default_rng(seed)
+    table = T.Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    other = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    opt = make_opt([table, other])
+    history = []
+    for idx in steps:
+        w = T.Tensor(rng.normal(size=(idx.size, 3)))
+        loss = T.add(T.tsum(T.mul(embed(table, idx), w)), T.tsum(T.mul(other, other)))
+        opt.step(T.grad(loss, [table, other]))
+        history.append(table.values.copy())
+    return table, other, opt, history
+
+
+class TestOptimizers:
+    def test_adam_matches_dense_adam(self):
+        steps = sparse_batches()
+        new = run_optimizer(lambda p: T.Adam(p, lr=0.05), T.embedding, steps)
+        ref = run_optimizer(lambda p: DenseAdam(p, lr=0.05), dense_embedding, steps)
+        for got, want in zip(new[3], ref[3]):
+            assert same_bits(got, want)
+        assert same_bits(new[1].values, ref[1].values)
+        for got, want in zip(new[2].m + new[2].v, ref[2].m + ref[2].v):
+            assert same_bits(got, want)
+
+    def test_absent_rows_keep_moving_and_untouched_rows_stay(self):
+        steps = sparse_batches()[:5]
+        start = run_optimizer(lambda p: T.Adam(p, lr=0.05), T.embedding, [])[0].values
+        table, _, opt, history = run_optimizer(
+            lambda p: T.Adam(p, lr=0.05), T.embedding, steps)
+        m = opt.m[0]
+        # rows 0 and 2 were touched at step 1 only: they still move and
+        # their first moment decays by beta1 each later step
+        for a, b in zip(history, history[1:]):
+            assert np.all(a[[0, 2]] != b[[0, 2]])
+        ref_m = run_optimizer(lambda p: DenseAdam(p, lr=0.05), dense_embedding,
+                              steps[:1])[2].m[0]
+        decayed = ref_m[[0, 2]]
+        for _ in range(4):
+            decayed = decayed * 0.9
+        assert same_bits(m[[0, 2]], decayed)
+        # rows never looked up are bit-identical to their initial values
+        never = [1, 3, 4, 6, 7]
+        assert same_bits(table.values[never], start[never])
+        assert not np.any(opt.v[0][never])
+
+    def test_sgd_matches_dense_sgd(self):
+        steps = sparse_batches()
+        new = run_optimizer(lambda p: T.SGD(p, lr=0.1), T.embedding, steps)
+        ref = run_optimizer(lambda p: T.SGD(p, lr=0.1), dense_embedding, steps)
+        for got, want in zip(new[3], ref[3]):
+            assert same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def small_data():
+    spec = SyntheticSpec(n_instances=1200, n_items=300, n_users=150, seed=4)
+    ds, _ = gen_synthetic(spec)
+    train, val = random_split(ds, val_fraction=0.25, seed=1)
+    tr, va, _ = encode_features(train, val, ds.schema)
+    return tr, va, M.default_groups(ds.schema)
+
+
+def test_raw_id_fit_matches_the_dense_reference(small_data, tmp_path, monkeypatch):
+    """A raw-id fit (sparse hashed-id and user tables) saves the same
+    bytes and logs the same floats under the dense reference."""
+    tr, va, groups = small_data
+    cfg = replace(M.StoreConfig(), use_raw_ids=True, hash_buckets=512, d=16,
+                  batch_size=128, epochs=2, lr=1e-2, seed=0)
+    blobs, logs = [], []
+    for dense in (False, True):
+        with monkeypatch.context() as mp:
+            if dense:
+                mp.setattr(T, "embedding", dense_embedding)
+                mp.setattr(T, "Adam", DenseAdam)
+            fitted, log = M.fit(tr, va, cfg, groups)
+            lr_scores, lr_log = M.train_lr_baseline(tr, va, batch_size=128)
+        path = tmp_path / f"{dense}.strm"
+        M.save_store(path, fitted)
+        blobs.append(path.read_bytes())
+        logs.append(json.dumps([log, lr_log, lr_scores.tolist()]))
+    assert blobs[0] == blobs[1]
+    assert logs[0] == logs[1]
