@@ -8,15 +8,22 @@ only to its top k_blocks blocks, with its own block always included and
 score ties broken toward the lower block index.  Routing is computed
 outside the autodiff graph and is therefore constant during backward.
 
-Two implementations exist on purpose:
+Training and scoring run one autodiff node per layer
+(``dense_attention`` / ``efficient_attention``): it projects Q/K/V,
+routes every head at once with one ``moba_route``, masks the scores of
+unselected blocks with one additive -inf mask, and has an analytic
+backward that reuses the saved probabilities.  The mask is numerically
+identical to gathering the selected keys and, at the few tokens per
+instance this model attends over, faster than gathering them.
 
-* graph paths (``dense_attention`` / ``efficient_attention``) build the
-  full score matrix and apply additive -inf masks, which keeps the
-  autodiff core simple while being numerically identical to gathering
-  the selected keys;
-* ``dense_core`` / ``sparse_core`` are graph-free numpy kernels for the
-  wall-clock benchmark; the sparse one gathers the selected (query,
-  block) pairs into per-block panels so all contractions stay batched.
+``dense_core`` / ``sparse_core`` are graph-free numpy kernels for the
+wall-clock race at long sequences (``bench_attention``, asserted by
+``test_08c``).  The sparse one gathers the selected (query, block)
+pairs into per-block panels so all contractions stay batched; its time
+at full selection is the fair comparator for its time at rho < 1.
+They stay beside the node because a CPU does not reward gathering at
+any H measured so far: short sequences pay for the gather, and long
+ones run faster as two dense BLAS GEMMs than gathered or masked.
 
 Scores are scaled by 1/sqrt(d_head).  Attention here is non-causal: the
 tokens are features of one instance, not a temporal sequence.
@@ -86,6 +93,8 @@ class RoutingPlan:
 def _block_means(k, block_size):
     """Mean key per block, (n, n_blocks, d_head); short last block uses its
     true member count."""
+    if block_size == 1:
+        return np.ascontiguousarray(k)     # a one-key mean is the key
     n, h, _ = k.shape
     starts = np.arange(0, h, block_size)
     sums = np.add.reduceat(k, starts, axis=1)
@@ -146,29 +155,91 @@ def _lift(x):
     raise ValueError(f"attention input must be rank 2 or 3, got {x.ndim}")
 
 
-def _project_heads(x3, params):
-    q = T.matmul(x3, params.wq)
-    k = T.matmul(x3, params.wk)
-    v = T.matmul(x3, params.wv)
-    dh = params.d_head
-    heads = []
-    for i in range(params.n_heads):
-        heads.append((T.narrow(q, 2, i * dh, dh),
-                      T.narrow(k, 2, i * dh, dh),
-                      T.narrow(v, 2, i * dh, dh)))
-    return heads
+def _split_heads(a, n_heads):
+    """(n, H, d_model) -> (n * n_heads, H, d_head), the heads of one
+    instance adjacent; a fresh contiguous array."""
+    n, h, d = a.shape
+    a = a.reshape(n, h, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    return a.reshape(n * n_heads, h, d // n_heads)
+
+
+def _merge_heads(a, n):
+    """Inverse of ``_split_heads``: (n * n_heads, H, d_head) -> (n, H, d_model),
+    C-contiguous whatever the layout of ``a`` (a strided operand can take
+    another matmul path and round differently)."""
+    nh, h, dh = a.shape
+    a = a.reshape(n, nh // n, h, dh).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(a).reshape(n, h, -1)
+
+
+def _attention(x, params, routed, plans=None):
+    """(output, per-head plans) of one layer, one autodiff node with
+    parents (x, wq, wk, wv, wo) for all heads, the projections and the
+    softmax (a rank-2 x is lifted to a batch of one and back).
+
+    ``routed`` masks each query's softmax to its routed blocks, taken
+    from ``plans`` (one RoutingPlan per head) or else from one
+    ``moba_route`` over every head; the plans used come back per head.
+    The backward is analytic and reuses the saved probabilities.  It
+    runs the same products, in the same shapes and order, as the graph
+    of per-head matmul / softmax ops it replaces, so values and
+    gradients are bit for bit those of that graph.
+    """
+    x3, squeeze = _lift(x)
+    n, h, d = x3.shape
+    heads = params.n_heads
+    wq, wk, wv, wo = params.params()
+    xv = x3.values
+    q, k, v = (_split_heads(xv @ w.values, heads) for w in (wq, wk, wv))
+    scale = 1.0 / math.sqrt(params.d_head)
+    s = q @ np.swapaxes(k, 1, 2)
+    s *= scale
+    used = []
+    if routed:
+        if plans is None:
+            kb = k_blocks_for(h, params.block_size, params.rho)
+            plan = moba_route(q, k, params.block_size, kb,
+                              force_own=params.force_own)
+        else:
+            plan = RoutingPlan(
+                np.stack([r.block_ids for r in plans], axis=1).reshape(n * heads, h, -1),
+                np.stack([r.gates for r in plans], axis=1).reshape(n * heads, h, -1),
+                params.block_size)
+        s += plan_to_mask(plan, h)
+        ids = plan.block_ids.reshape(n, heads, h, -1)
+        gates = plan.gates.reshape(n, heads, h, -1)
+        used = [RoutingPlan(ids[:, e], gates[:, e], plan.block_size)
+                for e in range(heads)]
+    p = T.softmax_values(s)
+    merged = _merge_heads(p @ v, n)
+
+    def bwd(g):
+        if wo.requires_grad:
+            wo.accumulate_grad(merged.reshape(-1, d).T @ g.reshape(-1, d))
+        go = _split_heads(g @ np.swapaxes(wo.values, -1, -2), heads)
+        gp = go @ np.swapaxes(v, 1, 2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        # k's part as the graph formed it, the gradient of k^T transposed
+        # back: a product of other shapes need not round the same
+        grads = (gs @ k,
+                 np.swapaxes(np.swapaxes(q, 1, 2) @ gs, 1, 2),
+                 np.swapaxes(p, 1, 2) @ go)
+        # x3 takes the q, k, v parts in that order, one addition each, as
+        # from the graph's three projection nodes: float sums depend on order
+        for w, gw in zip((wq, wk, wv), grads):
+            gw = _merge_heads(gw, n)
+            if x3.requires_grad:
+                x3.accumulate_grad(gw @ np.swapaxes(w.values, -1, -2))
+            if w.requires_grad:
+                w.accumulate_grad(xv.reshape(-1, d).T @ gw.reshape(-1, d))
+    out = T._result(merged @ wo.values, (x3, wq, wk, wv, wo), bwd)
+    return (T.reshape(out, out.shape[1:]) if squeeze else out), used
 
 
 def dense_attention(x, params):
     """Full softmax attention over all H tokens, multi-head, output projection."""
-    x3, squeeze = _lift(x)
-    scale = 1.0 / math.sqrt(params.d_head)
-    outs = []
-    for qh, kh, vh in _project_heads(x3, params):
-        scores = T.mul(T.matmul(qh, T.transpose_last(kh)), scale)
-        outs.append(T.matmul(T.softmax(scores, axis=-1), vh))
-    out = T.matmul(T.concat(outs, axis=2), params.wo)
-    return T.reshape(out, out.shape[1:]) if squeeze else out
+    return _attention(x, params, routed=False)[0]
 
 
 def efficient_attention(x, params, plans=None, return_plans=False):
@@ -179,25 +250,7 @@ def efficient_attention(x, params, plans=None, return_plans=False):
     is what gradient checks need; otherwise routing is derived from the
     current Q/K values, outside the graph.
     """
-    x3, squeeze = _lift(x)
-    n, h, _ = x3.shape
-    kb = k_blocks_for(h, params.block_size, params.rho)
-    scale = 1.0 / math.sqrt(params.d_head)
-    outs = []
-    used = []
-    for i, (qh, kh, vh) in enumerate(_project_heads(x3, params)):
-        if plans is None:
-            plan = moba_route(qh.values, kh.values, params.block_size, kb,
-                              force_own=params.force_own)
-        else:
-            plan = plans[i]
-        used.append(plan)
-        scores = T.mul(T.matmul(qh, T.transpose_last(kh)), scale)
-        scores = T.add(scores, T.Tensor(plan_to_mask(plan, h)))
-        outs.append(T.matmul(T.softmax(scores, axis=-1), vh))
-    out = T.matmul(T.concat(outs, axis=2), params.wo)
-    if squeeze:
-        out = T.reshape(out, out.shape[1:])
+    out, used = _attention(x, params, routed=True, plans=plans)
     return (out, used) if return_plans else out
 
 

@@ -432,18 +432,22 @@ def softmax(a, axis=-1):
 
     -inf entries (additive masks) produce exactly-zero probabilities.
     """
-    x = a.values
-    m = np.max(x, axis=axis, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise FloatingPointError("softmax: a full slice is masked to -inf")
-    e = np.exp(x - m)
-    out_vals = e / e.sum(axis=axis, keepdims=True)
+    out_vals = softmax_values(a.values, axis)
 
     def bwd(g):
         if a.requires_grad:
             dot = (g * out_vals).sum(axis=axis, keepdims=True)
             a.accumulate_grad(out_vals * (g - dot))
     return _result(out_vals, (a,), bwd)
+
+
+def softmax_values(x, axis=-1):
+    """``softmax``'s forward on a plain array, for fused nodes."""
+    m = np.max(x, axis=axis, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise FloatingPointError("softmax: a full slice is masked to -inf")
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def stop_gradient(a):

@@ -141,6 +141,22 @@ class TestMobaRoute:
         got = plan.gates[0][0]
         assert np.allclose(got, q[0] @ expect.T, atol=1e-12)
 
+    def test_single_key_blocks_match_reduceat_means(self):
+        # at B=1 the block means are the keys themselves, taken without
+        # np.add.reduceat; routing must not notice
+        rng = np.random.default_rng(20)
+        for n, h, dh, kb in ((512, 3, 16, 2), (4, 9, 5, 3), (3, 6, 2, 6)):
+            q = rng.normal(size=(n, h, dh))
+            k = rng.normal(size=(n, h, dh))
+            sums = np.add.reduceat(k, np.arange(h), axis=1)
+            gates = q @ np.swapaxes(sums / np.ones(h)[None, :, None], 1, 2)
+            aug = gates.copy()
+            aug[:, np.arange(h), np.arange(h)] = np.inf
+            want = np.sort(np.argsort(-aug, axis=-1, kind="stable")[..., :kb], axis=-1)
+            plan = moba_route(q, k, 1, kb)
+            assert np.array_equal(plan.gates, gates)
+            assert np.array_equal(plan.block_ids, want)
+
     def test_k_blocks_bounds(self):
         q = np.zeros((4, 2))
         with pytest.raises(ValueError):
