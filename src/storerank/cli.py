@@ -21,9 +21,17 @@ nonzero.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller set a count: the model's products are
+# small enough that threads cost more than they save.  Set before numpy
+# loads BLAS, so it holds for the script and ``python -m storerank.cli``.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, fields, replace
 

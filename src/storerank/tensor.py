@@ -10,8 +10,18 @@ The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
 hands it back as a ``RowSparse`` (sorted distinct rows plus their
 summed values), and ``SGD`` and ``Adam`` update only the rows that can
-move.  Both give bit for bit what the dense gradient would give, and
-``np.asarray`` turns a ``RowSparse`` into exactly that dense gradient.
+move.  ``Adam`` keeps the moments of such a table for just the rows
+touched so far, in one compact array in first-touch order, and turns
+them into dense moments once every row is touched or a dense gradient
+arrives.  Both optimizers give bit for bit what the dense gradient would
+give, and ``np.asarray`` turns a ``RowSparse`` into exactly that dense
+gradient.
+
+A node keeps the first gradient a backward closure hands it without a
+copy when it is a fresh array (writeable float64, owning its memory);
+a view, a read-only or another-dtype array is copied.  No gradient is
+ever summed onto in place, so one array may reach two nodes, and
+``grad`` gives each parameter an array of its own.
 
 The graph is held alive by ordinary Python references: every op result
 keeps a tuple of its parents and a backward closure.  ``grad`` (and
@@ -64,8 +74,13 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = g if isinstance(g, RowSparse) else np.array(
-                g, dtype=np.float64, copy=True)
+            # keep a RowSparse or a fresh array (writeable float64 owning
+            # its memory) as handed over, since no gradient is summed onto
+            # in place; copy a view, a read-only or another-dtype array
+            owned = isinstance(g, RowSparse) or (
+                type(g) is np.ndarray and g.base is None
+                and g.dtype == np.float64 and g.flags.writeable)
+            self.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad = self.grad + g
 
@@ -529,7 +544,9 @@ def grad(loss, params):
     (e.g. it only enters under ``stop_gradient``) gets an explicit zero.
     A table reached only through ``embedding`` lookups, fewer of them than
     it has rows, gets a ``RowSparse``; ``np.asarray`` of it is the dense
-    gradient, bit for bit.  Every other gradient is a dense array.
+    gradient, bit for bit.  Every other gradient is a dense array.  Each
+    parameter gets its own array: one the backward handed to two
+    parameters (``add`` does) is copied for the second.
     """
     for i, p in enumerate(params):
         if not p.requires_grad:
@@ -540,7 +557,10 @@ def grad(loss, params):
     for i, p in enumerate(params):
         if id(p) not in in_graph:
             raise ValueError(f"grad: params[{i}] is not part of the loss graph")
-        out.append(p.grad if p.grad is not None else np.zeros_like(p.values))
+        g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        if any(g is h for h in out):
+            g = np.copy(g)
+        out.append(g)
     return out
 
 
@@ -569,61 +589,127 @@ class SGD:
         self.step_count += 1
 
 
+class _RowMoments:
+    """Adam moments of the rows of a table that gradients have touched.
+
+    Slot s holds the moments of row ``rows[s]``, for the first ``n``
+    slots, in first-touch order; ``slot[r]`` is row r's slot, -1 while r
+    is untouched.  The arrays grow geometrically and are zero past ``n``.
+    """
+
+    __slots__ = ("slot", "rows", "m", "v", "n")
+
+    def __init__(self, shape):
+        self.slot = np.full(shape[0], -1, dtype=np.int64)
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.m = np.zeros((0,) + shape[1:])
+        self.v = np.zeros((0,) + shape[1:])
+        self.n = 0
+
+    def touch(self, rows):
+        """Give slots to the untouched of ``rows`` (distinct, ascending);
+        return the touched rows by slot."""
+        new = rows[self.slot[rows] < 0]
+        n = self.n + new.size
+        if n > self.rows.size:
+            cap = max(n, 2 * self.rows.size)
+            grown = []
+            for a in (self.rows, self.m, self.v):
+                b = np.zeros((cap,) + a.shape[1:], dtype=a.dtype)
+                b[:self.n] = a[:self.n]
+                grown.append(b)
+            self.rows, self.m, self.v = grown
+        self.slot[new] = np.arange(self.n, n)
+        self.rows[self.n:n] = new
+        self.n = n
+        return self.rows[:n]
+
+    def dense(self, shape):
+        """The moments as dense arrays of the table's ``shape``."""
+        m, v = np.zeros(shape), np.zeros(shape)
+        rows = self.rows[:self.n]
+        m[rows], v[rows] = self.m[:self.n], self.v[:self.n]
+        return m, v
+
+
 class Adam:
     """Adam with bias correction; deterministic given the step counter.
 
     A row whose moments and gradient are zero moves by exactly 0.0 and
     keeps zero moments.  So while a parameter has had only ``RowSparse``
-    gradients, ``step`` updates just the rows that any of them touched,
-    giving a row absent this step a zero gradient (its moments keep
-    decaying and it keeps moving): bit for bit the dense update.  Once
-    every row has been touched, or a dense gradient arrives, the
-    parameter takes the dense update for good.
+    gradients, its moments are kept for just the rows those touched
+    (``_RowMoments``), and ``step`` updates just those rows, giving a row
+    absent this step a zero gradient: its moments keep decaying and it
+    keeps moving, bit for bit the dense update (unlike a lazy Adam, which
+    leaves absent rows alone).  Once every row has been touched, or a
+    dense gradient arrives, the moments are scattered into dense arrays
+    and the parameter takes the dense update for good.  ``moments(i)``
+    gives parameter i's moments as dense arrays, in either form.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
-        # per parameter, the rows whose moments may be nonzero; None once
-        # that can be any row
-        self.touched = [np.zeros(len(p.values), dtype=bool) if p.ndim else None
-                        for p in self.params]
+        # per parameter, its moments of touched rows, or None once they
+        # are the dense arrays in self._m and self._v
+        self._rows = [_RowMoments(p.values.shape) if p.ndim else None
+                      for p in self.params]
+        self._m = [None if p.ndim else np.zeros(()) for p in self.params]
+        self._v = [None if p.ndim else np.zeros(()) for p in self.params]
         self.step_count = 0
 
+    def moments(self, i):
+        """Copies of parameter i's first and second moments, dense."""
+        rows = self._rows[i]
+        if rows is not None:
+            return rows.dense(self.params[i].values.shape)
+        return self._m[i].copy(), self._v[i].copy()
+
     def _advance(self, m, v, g, t):
-        """Update the moments m, v in place; return the parameter decrement."""
+        """Update the moments m, v in place; return the parameter decrement.
+
+        Operation by operation, ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + ((1-b2)*g)*g`` and ``(lr*(m/c1)) / (sqrt(v/c2)+eps)``
+        with ``c = 1-b**t``, computed into two scratch arrays.
+        """
+        a, b = np.empty_like(g), np.empty_like(g)
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        m += np.multiply(g, 1 - self.beta1, out=a)
         v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        m_hat = m / (1 - self.beta1 ** t)
-        v_hat = v / (1 - self.beta2 ** t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(g, 1 - self.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(v, 1 - self.beta2 ** t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, 1 - self.beta1 ** t, out=b)
+        b *= self.lr
+        b /= a
+        return b
 
     def step(self, grads):
         if len(grads) != len(self.params):
             raise ValueError("Adam.step: grads/params length mismatch")
         self.step_count += 1
         t = self.step_count
-        for i, (p, g, m, v) in enumerate(zip(self.params, grads, self.m, self.v)):
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             if g.shape != p.values.shape:
                 raise ValueError(f"Adam.step: grad shape {g.shape} vs param {p.shape}")
-            touched = self.touched[i]
-            if isinstance(g, RowSparse) and touched is not None:
-                touched[g.rows] = True
-                rows = np.flatnonzero(touched)
-                if rows.size < touched.size:
-                    g_rows = np.zeros((rows.size,) + g.shape[1:])
-                    g_rows[np.searchsorted(rows, g.rows)] = g.values
-                    m_rows, v_rows = m[rows], v[rows]
-                    p.values[rows] -= self._advance(m_rows, v_rows, g_rows, t)
-                    m[rows], v[rows] = m_rows, v_rows
-                    continue
-            self.touched[i] = None
-            p.values -= self._advance(m, v, np.asarray(g), t)
+            rows = self._rows[i]
+            if rows is not None:
+                if isinstance(g, RowSparse):
+                    touched = rows.touch(g.rows)
+                    n = touched.size
+                    if n < len(p.values):
+                        g_rows = np.zeros((n,) + g.shape[1:])
+                        g_rows[rows.slot[g.rows]] = g.values
+                        p.values[touched] -= self._advance(
+                            rows.m[:n], rows.v[:n], g_rows, t)
+                        continue
+                self._m[i], self._v[i] = rows.dense(p.values.shape)
+                self._rows[i] = None
+            p.values -= self._advance(self._m[i], self._v[i], np.asarray(g), t)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import storerank
 from storerank.cli import main
 from storerank.data import load_dataset_cache
 from storerank.tokenizer import read_sids
@@ -292,3 +295,22 @@ class TestBench:
             row = dict(zip(header, line.split(",")))
             assert float(row["max_abs_diff_at_rho1"]) < 1e-6
             assert int(row["sparse_flops"]) < int(row["dense_flops"])
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_entry_point_pins_blas_to_one_thread_unless_set(preset):
+    """Importing the CLI sets each BLAS thread count to 1 before numpy
+    loads, and keeps a value the caller set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, preset))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(storerank.__file__))
+    code = ("import os, sys, storerank; assert 'numpy' not in sys.modules; "
+            "import storerank.cli; "
+            f"print(*(os.environ[k] for k in {BLAS_THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == [preset or "1"] * len(BLAS_THREAD_VARS)

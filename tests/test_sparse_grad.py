@@ -31,6 +31,17 @@ def dense_embedding(table, indices):
     return T._result(out_vals, (table,), bwd)
 
 
+def dense_advance(m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam's moment update and parameter decrement, out of place."""
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    return lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class DenseAdam:
     """Adam updating every entry of every parameter on every step."""
 
@@ -46,13 +57,8 @@ class DenseAdam:
         self.step_count += 1
         t = self.step_count
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values -= dense_advance(m, v, g, t, self.lr, self.beta1,
+                                      self.beta2, self.eps)
 
 
 @pytest.fixture
@@ -176,6 +182,9 @@ def run_optimizer(make_opt, embed, steps, seed=3):
     return table, other, opt, history
 
 
+ORDER = np.random.default_rng(1).permutation(64)
+
+
 class TestOptimizers:
     def test_adam_matches_dense_adam(self):
         steps = sparse_batches()
@@ -184,15 +193,17 @@ class TestOptimizers:
         for got, want in zip(new[3], ref[3]):
             assert same_bits(got, want)
         assert same_bits(new[1].values, ref[1].values)
-        for got, want in zip(new[2].m + new[2].v, ref[2].m + ref[2].v):
-            assert same_bits(got, want)
+        for i in range(2):
+            m, v = new[2].moments(i)
+            assert same_bits(m, ref[2].m[i])
+            assert same_bits(v, ref[2].v[i])
 
     def test_absent_rows_keep_moving_and_untouched_rows_stay(self):
         steps = sparse_batches()[:5]
         start = run_optimizer(lambda p: T.Adam(p, lr=0.05), T.embedding, [])[0].values
         table, _, opt, history = run_optimizer(
             lambda p: T.Adam(p, lr=0.05), T.embedding, steps)
-        m = opt.m[0]
+        m, v = opt.moments(0)
         # rows 0 and 2 were touched at step 1 only: they still move and
         # their first moment decays by beta1 each later step
         for a, b in zip(history, history[1:]):
@@ -206,7 +217,58 @@ class TestOptimizers:
         # rows never looked up are bit-identical to their initial values
         never = [1, 3, 4, 6, 7]
         assert same_bits(table.values[never], start[never])
-        assert not np.any(opt.v[0][never])
+        assert not np.any(v[never])
+
+    @pytest.mark.parametrize("t", [1, 50])
+    def test_in_place_advance_matches_the_out_of_place_one(self, rng, t):
+        m, v, g = rng.normal(size=(3, 300, 16)) * [[[1e-3]], [[1.0]], [[1e2]]]
+        v = np.abs(v)
+        m[:40] = v[:40] = g[:40] = 0.0
+        g[40:60] = 0.0
+        want_m, want_v = m.copy(), v.copy()
+        want = dense_advance(want_m, want_v, g, t, 3e-3)
+        got = T.Adam([], lr=3e-3)._advance(m, v, g, t)
+        assert same_bits(got, want)
+        assert same_bits(m, want_m) and same_bits(v, want_v)
+        assert not np.any(got[:40])
+
+    @pytest.mark.parametrize("shape, steps", [
+        # slots in first-touch order 9, 2, 7, 11, 0, 5, 4: not ascending
+        ((12, 3), [[9], [2, 7, 7], [11, 0], [5], [7, 2], [4], [9]]),
+        # 1, 2, 4, 8, 16, 32 new rows a step, each step outgrowing the slots
+        ((64, 2), [ORDER[2 ** k - 1:2 ** (k + 1) - 1] for k in range(6)]
+         + [ORDER[:1], ORDER[40:43]]),
+        # step 3 touches the last rows: the dense update from then on
+        ((6, 2), [[4], [1, 5], [0, 2, 3], [5], [2]]),
+        # ten lookups of row 3 give a dense gradient at step 3, while
+        # rows 0, 2-6 and 9 are untouched
+        ((10, 2), [[7], [1, 8], [3] * 10, [2], [7, 8]]),
+        ((20,), [[13], [2, 2, 19], [5], [13, 0]]),
+    ], ids=["out_of_order", "slot_growth", "all_rows_touched",
+            "dense_after_sparse", "one_dimensional"])
+    def test_compact_moments_match_dense_adam(self, shape, steps):
+        """A table, and a rank-0 parameter beside it, under Adam and under
+        the dense reference: equal bits at every step, equal moments."""
+        runs = []
+        for make, embed in ((T.Adam, T.embedding), (DenseAdam, dense_embedding)):
+            rng = np.random.default_rng(5)
+            table = T.Tensor(rng.normal(size=shape), requires_grad=True)
+            scalar = T.Tensor(rng.normal(), requires_grad=True)
+            opt = make([table, scalar], lr=0.05)
+            history = []
+            for idx in map(np.asarray, steps):
+                w = T.Tensor(rng.normal(size=idx.shape + shape[1:]))
+                loss = T.add(T.tsum(T.mul(embed(table, idx), w)),
+                             T.mul(T.mul(scalar, scalar), 0.5))
+                opt.step(T.grad(loss, [table, scalar]))
+                history.append([table.values.copy(), scalar.values.copy()])
+            runs.append((opt, history))
+        (new, got), (ref, want) = runs
+        for a, b in zip(got, want):
+            assert same_bits(a[0], b[0]) and same_bits(a[1], b[1])
+        for i in range(2):
+            m, v = new.moments(i)
+            assert same_bits(m, ref.m[i]) and same_bits(v, ref.v[i])
 
     def test_sgd_matches_dense_sgd(self):
         steps = sparse_batches()
@@ -225,12 +287,13 @@ def small_data():
     return tr, va, M.default_groups(ds.schema)
 
 
-def test_raw_id_fit_matches_the_dense_reference(small_data, tmp_path, monkeypatch):
-    """A raw-id fit (sparse hashed-id and user tables) saves the same
-    bytes and logs the same floats under the dense reference."""
-    tr, va, groups = small_data
-    cfg = replace(M.StoreConfig(), use_raw_ids=True, hash_buckets=512, d=16,
-                  batch_size=128, epochs=2, lr=1e-2, seed=0)
+def fits_both_ways(data, path, monkeypatch, hash_buckets):
+    """``save_store`` bytes and logs of a raw-id fit (sparse hashed-id and
+    user tables) and of the LR baseline, under the library and under the
+    dense references."""
+    tr, va, groups = data
+    cfg = replace(M.StoreConfig(), use_raw_ids=True, hash_buckets=hash_buckets,
+                  d=16, batch_size=128, epochs=2, lr=1e-2, seed=0)
     blobs, logs = [], []
     for dense in (False, True):
         with monkeypatch.context() as mp:
@@ -239,9 +302,25 @@ def test_raw_id_fit_matches_the_dense_reference(small_data, tmp_path, monkeypatc
                 mp.setattr(T, "Adam", DenseAdam)
             fitted, log = M.fit(tr, va, cfg, groups)
             lr_scores, lr_log = M.train_lr_baseline(tr, va, batch_size=128)
-        path = tmp_path / f"{dense}.strm"
-        M.save_store(path, fitted)
-        blobs.append(path.read_bytes())
+        out = path / f"{dense}.strm"
+        M.save_store(out, fitted)
+        blobs.append(out.read_bytes())
         logs.append(json.dumps([log, lr_log, lr_scores.tolist()]))
+    return blobs, logs
+
+
+def test_raw_id_fit_matches_the_dense_reference(small_data, tmp_path, monkeypatch):
+    """A raw-id fit saves the same bytes and logs the same floats under
+    the dense reference."""
+    blobs, logs = fits_both_ways(small_data, tmp_path, monkeypatch, 512)
+    assert blobs[0] == blobs[1]
+    assert logs[0] == logs[1]
+
+
+def test_raw_id_fit_on_a_never_filled_table_matches_the_dense_reference(
+        small_data, tmp_path, monkeypatch):
+    """2^14 buckets for 300 items: the hashed-id table's moments stay
+    compact for the whole fit, and it still matches the dense reference."""
+    blobs, logs = fits_both_ways(small_data, tmp_path, monkeypatch, 1 << 14)
     assert blobs[0] == blobs[1]
     assert logs[0] == logs[1]

@@ -265,6 +265,23 @@ class TestGradApi:
         second = T.grad(loss, [a])[0]
         assert np.array_equal(first, second)
 
+    def test_one_array_handed_to_two_parameters_is_returned_twice_apart(self, rng):
+        # add's backward hands one array to both parents
+        a, b = leaf(rng, (3, 2)), leaf(rng, (3, 2))
+        w = T.Tensor(rng.normal(size=(3, 2)))
+        grads = T.grad(T.tsum(T.mul(T.add(a, b), w)), [a, b])
+        assert grads[0] is not grads[1]
+        assert np.array_equal(grads[0], w.values)
+        grads[0] *= 2.0
+        assert np.array_equal(grads[1], w.values)
+
+    def test_a_view_handed_over_is_returned_as_an_array_of_its_own(self, rng):
+        # tsum's backward hands over a read-only broadcast of one scalar
+        a = leaf(rng, (3, 2))
+        (g,) = T.grad(T.tsum(a), [a])
+        g[0, 0] = 5.0
+        assert g.tolist() == [[5.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+
 
 class TestOptimizers:
     def test_sgd_rule(self):
