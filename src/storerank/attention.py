@@ -280,35 +280,32 @@ def attention_flops(h, d_model, n_heads, block_size, k_blocks, include_projectio
 # graph-free kernels for the wall-clock benchmark
 # ---------------------------------------------------------------------------
 
-_SCRATCH: dict = {}
-
-
-def _scratch(name, shape):
-    """Reusable uninitialized work buffer, a view of the front of a flat
-    buffer that only grows.
+def _scratch(pool, name, shape):
+    """Work buffer ``name`` of ``shape``, a view of the front of a flat
+    buffer in the dict ``pool`` that only grows.
 
     Freshly mmapped pages cost more to fault in than these kernels spend
     computing, so repeated calls (the benchmark takes a min over repeats)
-    must not reallocate their large temporaries, even when calls of two
-    shapes alternate (the benchmark interleaves half and full selection).
-    Zero-filled only on allocation: panel pad slots may later hold stale
-    values from earlier calls of any shape, which is fine because they
-    are finite and never gathered.  Never returned to the caller; every
-    kernel's result is freshly allocated.  ``bench_attention`` empties
-    the pool when it is done.
+    pass one pool and do not reallocate their large temporaries, even
+    when calls of two shapes alternate (the benchmark interleaves half
+    and full selection).  Zero-filled only on allocation: panel pad slots
+    may later hold stale values from earlier calls of any shape, which
+    is fine because they are finite and never gathered.  Never returned
+    to the caller; every kernel's result is freshly allocated.
     """
     size = math.prod(shape)
-    buf = _SCRATCH.get(name)
+    buf = pool.get(name)
     if buf is None or buf.size < size:
-        buf = np.zeros(size)
-        _SCRATCH[name] = buf
+        buf = pool[name] = np.zeros(size)
     return buf[:size].reshape(shape)
 
 
-def dense_core(q, k, v):
-    """Stable softmax attention on raw (n_heads, H, d_head) arrays."""
+def dense_core(q, k, v, pool=None):
+    """Stable softmax attention on raw (n_heads, H, d_head) arrays;
+    ``pool`` (a dict) keeps the work buffers across calls."""
+    pool = {} if pool is None else pool
     n_heads, h, dh = q.shape
-    s = _scratch("dense.scores", (n_heads, h, h))
+    s = _scratch(pool, "dense.scores", (n_heads, h, h))
     np.matmul(q, np.swapaxes(k, 1, 2), out=s)
     s *= 1.0 / math.sqrt(dh)
     s -= s.max(axis=-1, keepdims=True)
@@ -318,7 +315,7 @@ def dense_core(q, k, v):
     return out
 
 
-def sparse_core(q, k, v, block_size, k_blocks, force_own=True):
+def sparse_core(q, k, v, block_size, k_blocks, force_own=True, pool=None):
     """Routed block-sparse attention on raw (n_heads, H, d_head) arrays.
 
     The selected (query, block) pairs of all heads are grouped by block
@@ -328,7 +325,9 @@ def sparse_core(q, k, v, block_size, k_blocks, force_own=True):
     query (plus panel-padding slack), not with H.  Panel pad rows hold
     stale values from previous calls; they are computed over but never
     gathered back.  Agrees with dense_core at full selection to ~1e-12.
+    ``pool`` (a dict) keeps the work buffers across calls.
     """
+    pool = {} if pool is None else pool
     n_heads, h, dh = q.shape
     nb = -(-h // block_size)
     plan = moba_route(q, k, block_size, k_blocks, force_own=force_own)
@@ -347,22 +346,21 @@ def sparse_core(q, k, v, block_size, k_blocks, force_own=True):
     slot = groups * rows + pos                          # flat pair position
 
     pq_key = ("pair_query", n_heads * h, k_blocks)
-    pair_query = _SCRATCH.get(pq_key)
+    pair_query = pool.get(pq_key)
     if pair_query is None:
-        pair_query = np.repeat(np.arange(n_heads * h), k_blocks)
-        _SCRATCH[pq_key] = pair_query
+        pair_query = pool[pq_key] = np.repeat(np.arange(n_heads * h), k_blocks)
 
-    qpairs = _scratch("sparse.qpairs", (total, dh))
+    qpairs = _scratch(pool, "sparse.qpairs", (total, dh))
     np.take(q.reshape(-1, dh), pair_query, axis=0, out=qpairs, mode="clip")
     qpairs *= 1.0 / math.sqrt(dh)
-    qbuf = _scratch("sparse.qbuf", (n_heads * nb, rows, dh))
+    qbuf = _scratch(pool, "sparse.qbuf", (n_heads * nb, rows, dh))
     qbuf.reshape(-1, dh)[slot] = qpairs
 
     # keys/values by block, zero-padded when the last block is short
     pad = nb * block_size - h
     if pad:
-        kb = _scratch("sparse.kpad", (n_heads, nb * block_size, dh))
-        vb = _scratch("sparse.vpad", (n_heads, nb * block_size, dh))
+        kb = _scratch(pool, "sparse.kpad", (n_heads, nb * block_size, dh))
+        vb = _scratch(pool, "sparse.vpad", (n_heads, nb * block_size, dh))
         kb[:, :h], kb[:, h:] = k, 0.0
         vb[:, :h], vb[:, h:] = v, 0.0
     else:
@@ -370,11 +368,11 @@ def sparse_core(q, k, v, block_size, k_blocks, force_own=True):
     kb = kb.reshape(n_heads * nb, block_size, dh)
     vb = vb.reshape(n_heads * nb, block_size, dh)
 
-    scores = _scratch("sparse.scores", (n_heads * nb, rows, block_size))
+    scores = _scratch(pool, "sparse.scores", (n_heads * nb, rows, block_size))
     np.matmul(qbuf, np.swapaxes(kb, 1, 2), out=scores)
 
     # softmax in compact query layout (heads * h, k_blocks * B)
-    sq = _scratch("sparse.probs", (total, block_size))
+    sq = _scratch(pool, "sparse.probs", (total, block_size))
     np.take(scores.reshape(-1, block_size), slot, axis=0, out=sq, mode="clip")
     if pad:
         sq[(sel == nb - 1).ravel(), -pad:] = -np.inf    # pad keys are not real
@@ -384,10 +382,10 @@ def sparse_core(q, k, v, block_size, k_blocks, force_own=True):
     denom = compact.sum(axis=-1)
 
     scores.reshape(-1, block_size)[slot] = sq
-    contrib = _scratch("sparse.contrib", (n_heads * nb, rows, dh))
+    contrib = _scratch(pool, "sparse.contrib", (n_heads * nb, rows, dh))
     for g in range(n_heads * nb):                       # 2-d gemms beat batched here
         np.matmul(scores[g], vb[g], out=contrib[g])
-    opairs = _scratch("sparse.opairs", (total, dh))
+    opairs = _scratch(pool, "sparse.opairs", (total, dh))
     np.take(contrib.reshape(-1, dh), slot, axis=0, out=opairs, mode="clip")
     out = opairs.reshape(n_heads * h, k_blocks, dh).sum(axis=1)
     out /= denom[:, None]
@@ -414,19 +412,17 @@ def bench_attention(h, d_model=256, n_heads=4, block_size=32, rho=0.5,
     q, k, v = (rng.normal(size=(n_heads, h, dh)) for _ in range(3))
     kb = k_blocks_for(h, block_size, rho)
     n_blocks = -(-h // block_size)
-    calls = {"dense": lambda: dense_core(q, k, v),
-             "sparse": lambda: sparse_core(q, k, v, block_size, kb),
-             "full": lambda: sparse_core(q, k, v, block_size, n_blocks)}
-    try:
-        warm = {name: fn() for name, fn in calls.items()}
-        times = {name: [] for name in calls}
-        for _ in range(repeats):
-            for name, fn in calls.items():
-                t0 = time.perf_counter()
-                fn()
-                times[name].append(time.perf_counter() - t0)
-    finally:
-        _SCRATCH.clear()    # the buffers are only worth keeping across repeats
+    pool = {}       # the buffers are only worth keeping across repeats
+    calls = {"dense": lambda: dense_core(q, k, v, pool),
+             "sparse": lambda: sparse_core(q, k, v, block_size, kb, pool=pool),
+             "full": lambda: sparse_core(q, k, v, block_size, n_blocks, pool=pool)}
+    warm = {name: fn() for name, fn in calls.items()}
+    times = {name: [] for name in calls}
+    for _ in range(repeats):
+        for name, fn in calls.items():
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
     best = {name: min(ts) * 1e3 for name, ts in times.items()}
     diff = float(np.max(np.abs(warm["full"] - warm["dense"])))
     return {

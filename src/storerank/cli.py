@@ -85,11 +85,24 @@ def _load_config_file(path):
     return cfg
 
 
+def _fits(value, like):
+    """Whether a config-file value has the type of ``like``: a bool is
+    not a number, an int is a valid float, and a list holds values of
+    the type of ``like``'s first."""
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_fits(x, like[0]) for x in value)
+    if isinstance(value, bool) != isinstance(like, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(like, float) else type(like))
+
+
 def resolve(defaults, args, extra_keys=()):
     """Merge defaults <- config file <- explicit flags <- STORE_SEED.
 
     ``defaults`` maps every legal key to its default; unknown config-file
-    keys are an error so typos do not silently vanish.
+    keys are an error so typos do not silently vanish.  A config-file
+    value must have its default's type; a key whose default is None
+    takes its flag's type, or stays None.
     """
     merged = dict(defaults)
     for k in extra_keys:
@@ -98,6 +111,11 @@ def resolve(defaults, args, extra_keys=()):
     unknown = set(from_file) - set(merged)
     if unknown:
         raise CliError(f"config file: unknown keys {sorted(unknown)}")
+    for k, v in from_file.items():
+        like = args.flag_types[k]() if merged[k] is None else merged[k]
+        if not (v is None and merged[k] is None or _fits(v, like)):
+            raise CliError(f"config file: {k} must be of type "
+                           f"{type(like).__name__}, got {v!r}")
     merged.update(from_file)
     for k in merged:
         v = getattr(args, k, None)
@@ -130,24 +148,27 @@ def _write_jsonl(path, records):
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _write_csv(path, columns, rows):
+    """A header line, then one line per row dict; floats in repr form."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(repr(row[c]) if isinstance(row[c], float)
+                             else str(row[c]) for c in columns) + "\n")
+
+
 def _require(path, what):
     if not os.path.exists(path):
         raise CliError(f"{what} not found: {path}")
     return path
 
 
-def _ints(text):
+def _numbers(text, cast=int):
+    """Comma-separated numbers, each parsed by ``cast``."""
     try:
-        return [int(x) for x in str(text).split(",") if x != ""]
+        return [cast(x) for x in str(text).split(",") if x != ""]
     except ValueError:
-        raise CliError(f"expected comma-separated integers, got {text!r}")
-
-
-def _floats(text):
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError:
-        raise CliError(f"expected comma-separated numbers, got {text!r}")
+        raise CliError(f"expected comma-separated {cast.__name__}s, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +180,7 @@ def cmd_gen_synthetic(args):
     defaults["static_cards"] = list(SyntheticSpec.static_cards)
     resolved = resolve(defaults, args)
     if getattr(args, "static_cards", None) is not None:
-        resolved["static_cards"] = _ints(args.static_cards)
+        resolved["static_cards"] = _numbers(args.static_cards)
     out = _out_dir(args.out)
     spec = SyntheticSpec(**{**resolved,
                             "static_cards": tuple(resolved["static_cards"])})
@@ -187,13 +208,12 @@ def cmd_train_tokenizer(args):
     defaults.update(backend="opmq", preset=None)
     resolved = resolve(defaults, args)
     _apply_preset(resolved, "k", "v")
-    if resolved["backend"] not in ("opmq", "rq"):
-        raise CliError(f"unknown backend {resolved['backend']!r}")
+    backend = resolved["backend"]
+    if backend not in ("opmq", "rq"):
+        raise CliError(f"unknown backend {backend!r}")
+    cfg = _config(OpmqConfig, resolved)
     table = read_embeddings(_require(args.embeddings, "embeddings file"))
     out = _out_dir(args.out)
-    backend = resolved.pop("backend")
-    preset = resolved.pop("preset")
-    cfg = OpmqConfig(**resolved)
     if backend == "opmq":
         model, log = train_opmq(table, cfg)
         save_opmq(os.path.join(out, "tokenizer.opmq"), model)
@@ -204,7 +224,6 @@ def cmd_train_tokenizer(args):
         _write_jsonl(os.path.join(out, "tokenizer_log.jsonl"),
                      [{"stage": i + 1, "rms": r}
                       for i, r in enumerate(stage_rms)])
-    resolved.update(backend=backend, preset=preset)
     _write_resolved(out, "train-tokenizer", resolved)
     print(f"trained {backend} tokenizer on {len(table.ids)} items -> {out}")
     return 0
@@ -242,35 +261,36 @@ def _split_encode(data_path, resolved):
     return ds, tr, va
 
 
-def _resolve_train(args):
-    resolved = resolve(_train_defaults(), args,
-                       extra_keys=("data", "sids"))
+def _resolve_train(args, defaults):
+    """Resolve the flags ``train`` and ``sweep`` share: the preset,
+    ``--raw-id`` and ``--no-rotation``."""
+    resolved = resolve(defaults, args, extra_keys=("data", "sids"))
     _apply_preset(resolved, "h", "v")
-    if getattr(args, "raw_id", False):
+    if args.raw_id:
         resolved["use_raw_ids"] = True
-    if getattr(args, "no_rotation", False):
+    if args.no_rotation:
         resolved["use_rotation"] = False
     # the flag contract: the raw-id ablation and a tokenizer artifact are
     # mutually exclusive, and this must fail before any data is touched
     if resolved["use_raw_ids"] and resolved["sids"]:
         raise CliError("--raw-id forbids --sids; pick one item pathway")
-    if not resolved["use_raw_ids"] and not resolved["sids"]:
-        raise CliError("need --sids <file> (or --raw-id for the ablation)")
     return resolved
 
 
-def _store_config(resolved):
-    kw = {f.name: resolved[f.name] for f in fields(StoreConfig)}
-    return StoreConfig(**kw)
+def _config(cls, resolved):
+    """The ``cls`` dataclass from the resolved keys that are its fields."""
+    return cls(**{f.name: resolved[f.name] for f in fields(cls)})
 
 
 def cmd_train(args):
-    resolved = _resolve_train(args)
+    resolved = _resolve_train(args, _train_defaults())
+    if not resolved["use_raw_ids"] and not resolved["sids"]:
+        raise CliError("need --sids <file> (or --raw-id for the ablation)")
+    config = _config(StoreConfig, resolved)
     sid_table = None
     if resolved["sids"]:
         sid_table = read_sids(_require(resolved["sids"], "SID file"))
     ds, tr, va = _split_encode(resolved["data"], resolved)
-    config = _store_config(resolved)
     groups = default_groups(ds.schema, emb_dim=resolved["emb_dim"],
                             d_g=resolved["d_g"])
     out = _out_dir(args.out)
@@ -311,7 +331,7 @@ def cmd_bench_attention(args):
                 "block_size": 32, "rho": 0.5, "repeats": 7, "seed": 0}
     resolved = resolve(defaults, args)
     if getattr(args, "h_values", None) is not None:
-        resolved["h_values"] = _ints(args.h_values)
+        resolved["h_values"] = _numbers(args.h_values)
     out = _out_dir(args.out)
     rows = []
     for h in resolved["h_values"]:
@@ -321,11 +341,7 @@ def cmd_bench_attention(args):
                                     rho=resolved["rho"],
                                     repeats=resolved["repeats"],
                                     seed=resolved["seed"]))
-    with open(os.path.join(out, "bench.csv"), "w") as f:
-        f.write(",".join(BENCH_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                             else str(row[c]) for c in BENCH_COLUMNS) + "\n")
+    _write_csv(os.path.join(out, "bench.csv"), BENCH_COLUMNS, rows)
     _write_resolved(out, "bench-attention", resolved)
     for row in rows:
         sparse = row["wall_time_sparse_ms"]
@@ -341,23 +357,16 @@ def cmd_sweep(args):
     defaults = _train_defaults()
     defaults.update(epochs_grid=[1], k_grid=None, layers_grid=None,
                     rho_grid=None, embeddings=None, tok_epochs=30)
-    resolved = resolve(defaults, args, extra_keys=("data", "sids"))
-    for key, cast in (("epochs_grid", _ints), ("k_grid", _ints),
-                      ("layers_grid", _ints), ("rho_grid", _floats)):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = cast(flag)
-    _apply_preset(resolved, "h", "v")
-    if getattr(args, "raw_id", False):
-        resolved["use_raw_ids"] = True
-    if getattr(args, "no_rotation", False):
-        resolved["use_rotation"] = False
-    if resolved["use_raw_ids"] and resolved["sids"]:
-        raise CliError("--raw-id forbids --sids; pick one item pathway")
+    resolved = _resolve_train(args, defaults)
+    for key, cast in (("epochs_grid", int), ("k_grid", int),
+                      ("layers_grid", int), ("rho_grid", float)):
+        if isinstance(resolved[key], str):      # a flag, or the file's text
+            resolved[key] = _numbers(resolved[key], cast)
     k_grid = resolved["k_grid"] or [resolved["h"]]
     layers_grid = resolved["layers_grid"] or [resolved["n_layers"]]
     rho_grid = resolved["rho_grid"] or [resolved["rho"]]
-    if len(k_grid) > 1 and not resolved["embeddings"]:
+    if (len(k_grid) > 1 and not resolved["use_raw_ids"]
+            and not resolved["embeddings"]):
         raise CliError("sweeping k_sid needs --embeddings to retrain the "
                        "tokenizer per K")
     if not resolved["use_raw_ids"] and not (resolved["sids"] or
@@ -396,7 +405,7 @@ def cmd_sweep(args):
                     setting = dict(resolved)
                     setting.update(epochs=epochs, h=k, n_layers=n_layers,
                                    rho=rho)
-                    config = _store_config(setting)
+                    config = _config(StoreConfig, setting)
                     _, log = fit(tr, va, config, groups,
                                  sid_table=sid_table_for(k))
                     tag = f"epochs{epochs}_k{k}_L{n_layers}_rho{rho:g}"
@@ -412,13 +421,9 @@ def cmd_sweep(args):
                     })
                     print(f"{tag}: val_auc={last['val_auc']:.4f} "
                           f"flops/batch={last['flops_per_batch']}")
-    cols = ["epochs", "k_sid", "layers", "rho", "val_auc", "val_gauc",
-            "val_logloss", "train_loss", "flops_per_batch"]
-    with open(os.path.join(out, "sweep.csv"), "w") as f:
-        f.write(",".join(cols) + "\n")
-        for row in summary:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                             else str(row[c]) for c in cols) + "\n")
+    _write_csv(os.path.join(out, "sweep.csv"),
+               ["epochs", "k_sid", "layers", "rho", "val_auc", "val_gauc",
+                "val_logloss", "train_loss", "flops_per_batch"], summary)
     _write_resolved(out, "sweep", resolved)
     return 0
 
@@ -520,6 +525,9 @@ def build_parser():
     p.add_argument("--tok-epochs", dest="tok_epochs", type=int)
     p.set_defaults(func=cmd_sweep)
 
+    # argparse parses an untyped flag as text
+    for p in sub.choices.values():
+        p.set_defaults(flag_types={a.dest: a.type or str for a in p._actions})
     return parser
 
 

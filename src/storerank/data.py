@@ -287,8 +287,13 @@ class SyntheticSpec:
             raise ValueError(f"n_clusters {self.n_clusters} > n_items {self.n_items}")
         if not 0.0 <= self.noise_rate < 0.5:
             raise ValueError(f"noise_rate must be in [0, 0.5), got {self.noise_rate}")
-        if self.n_instances < 1 or self.n_users < 1 or self.d_p < 1:
-            raise ValueError("n_instances, n_users and d_p must be positive")
+        if min(self.n_instances, self.n_users, self.d_p, self.n_clusters,
+               self.n_user_tastes) < 1:
+            raise ValueError("n_instances, n_users, d_p, n_clusters and "
+                             "n_user_tastes must be positive")
+        if not self.static_cards or min(self.static_cards) < 1:
+            raise ValueError(f"need at least one static card, each >= 1, "
+                             f"got {list(self.static_cards)}")
 
 
 def synthetic_schema(spec):

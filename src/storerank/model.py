@@ -155,22 +155,10 @@ class StoreModel:
         self.head_b = T.zeros((1,))
 
     def params(self):
-        """Dense parameters, the ones Adam owns.  Rotations are excluded;
-        they take the projected step in ``fit``."""
-        out = list(self.static_tables.values()) + self.fuser.params()
-        out += self.sid_tables if self.sid_tables is not None else [self.raw_table]
-        out += [self.proj_w, self.proj_b]
-        for layer in self.layers:
-            out += layer.params()
-        for g, b in self.norms:
-            out += [g, b]
-        if self.ffns is not None:
-            for w1, b1, w2, b2 in self.ffns:
-                out += [w1, b1, w2, b2]
-            for g, b in self.ffn_norms:
-                out += [g, b]
-        out += [self.head_w, self.head_b]
-        return out
+        """Dense parameters, the ones Adam owns, in artifact layout order.
+        Rotations are excluded; they take the projected step in ``fit``."""
+        return [t for name, t in _store_arrays(self)
+                if not name.startswith("rot.")]
 
     def static_block(self, inputs):
         """Fused static block C, shape (n, d_c)."""
@@ -200,9 +188,7 @@ class StoreModel:
             else:
                 s = T.embedding(self.raw_table, raw)
             view = rotate(c, self.bank, i) if cfg.use_rotation else c
-            pre = T.concat([s, view], axis=1)
-            t = T.add(T.matmul(pre, self.proj_w),
-                      T.broadcast_to(T.reshape(self.proj_b, (1, cfg.d)), (n, cfg.d)))
+            t = T.affine(T.concat([s, view], axis=1), self.proj_w, self.proj_b)
             toks.append(T.reshape(t, (n, 1, cfg.d)))
         return T.concat(toks, axis=1)
 
@@ -230,21 +216,13 @@ class StoreModel:
                 x = self._ffn(x, li)
             if not np.all(np.isfinite(x.values)):
                 raise FloatingPointError(f"non-finite activation after layer {li}")
-        pooled = T.tmean(x, axis=1)
-        n = pooled.shape[0]
-        logits = T.add(T.matmul(pooled, self.head_w),
-                       T.broadcast_to(T.reshape(self.head_b, (1, 1)), (n, 1)))
-        probs = T.sigmoid(T.reshape(logits, (n,)))
+        logits = T.affine(T.tmean(x, axis=1), self.head_w, self.head_b)
+        probs = T.sigmoid(T.reshape(logits, (logits.shape[0],)))
         return (probs, used) if return_plans else probs
 
     def _ffn(self, x, li):
         n, h, d = x.shape
-        w1, b1, w2, b2 = self.ffns[li]
-        flat = T.reshape(x, (n * h, d))
-        hid = T.tanh(T.add(T.matmul(flat, w1),
-                           T.broadcast_to(T.reshape(b1, (1, 2 * d)), (n * h, 2 * d))))
-        ff = T.add(T.matmul(hid, w2),
-                   T.broadcast_to(T.reshape(b2, (1, d)), (n * h, d)))
+        ff = T.mlp(T.reshape(x, (n * h, d)), self.ffns[li], "tanh")
         g, b = self.ffn_norms[li]
         return T.layer_norm(T.add(T.reshape(ff, (n, h, d)), x), g, b)
 

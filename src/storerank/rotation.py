@@ -1,11 +1,11 @@
 """Fused static-feature blocks and their orthogonal rotated views.
 
 Low-cardinality static features are partitioned by hand into semantic
-groups.  Each group's embedded features pass through a small MLP and
-the per-group outputs concatenate into an instance-wise block C of
-dimension d_c = K_grp * d_g.  A bank of K square orthogonal matrices
-then produces K views O_i = C @ R_i (row-vector convention), one per
-downstream attention head.
+groups.  Each group's embedded features pass through a small MLP (one
+``T.mlp``: dense, tanh, dense) and the per-group outputs concatenate
+into an instance-wise block C of dimension d_c = K_grp * d_g.  A bank
+of K square orthogonal matrices then produces K views O_i = C @ R_i
+(row-vector convention), one per downstream attention head.
 
 The bank stays on the orthogonal manifold by polar projection: after a
 plain gradient step on R_i, the nearest orthogonal matrix (in Frobenius
@@ -79,15 +79,13 @@ class GroupConfig:
 
 
 class GroupFuser:
-    """Per-group shallow MLPs (one hidden layer, width 2*d_g) producing C.
+    """Per-group ``T.mlp``s (one hidden layer, width 2*d_g) producing C.
 
     ``activation`` may be "tanh" (default) or "linear"; the linear option
     exists so tests can pin exact identity behaviour.
     """
 
     def __init__(self, config, rng, activation="tanh"):
-        if activation not in ("tanh", "linear"):
-            raise ValueError(f"unknown activation {activation!r}")
         self.config = config
         self.activation = activation
         self.layers = []
@@ -111,21 +109,14 @@ class GroupFuser:
         values.  Output is (n, d_c).
         """
         outs = []
-        for grp, (w1, b1, w2, b2) in zip(self.config.groups, self.layers):
+        for grp, layer in zip(self.config.groups, self.layers):
             cols = []
             for f in grp.features:
                 if f not in features:
                     raise ValueError(f"group {grp.name!r}: missing feature {f!r}")
                 cols.append(features[f])
             x = cols[0] if len(cols) == 1 else T.concat(cols, axis=1)
-            n = x.shape[0]
-            h = T.add(T.matmul(x, w1),
-                      T.broadcast_to(T.reshape(b1, (1, b1.shape[0])), (n, b1.shape[0])))
-            if self.activation == "tanh":
-                h = T.tanh(h)
-            out = T.add(T.matmul(h, w2),
-                        T.broadcast_to(T.reshape(b2, (1, b2.shape[0])), (n, b2.shape[0])))
-            outs.append(out)
+            outs.append(T.mlp(x, layer, self.activation))
         return outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
 
 

@@ -4,7 +4,9 @@ Define-by-run reverse-mode differentiation over numpy float64 arrays,
 restricted to rank 1/2/3 tensors (vectors, matrices, batched matrices).
 There is no implicit broadcasting: elementwise ops require identical
 shapes, and the explicit ``broadcast_to`` / ``reshape`` ops cover the
-few places (bias rows, layer-norm affine) where shapes must be lifted.
+few places (layer-norm affine, normalizing rows) where shapes must be
+lifted.  A dense layer's bias row is added inside ``affine``, one node
+for ``x @ w + b``; ``mlp`` chains two of them around an activation.
 
 The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
@@ -420,6 +422,45 @@ def matmul(a, b):
                 gb = np.swapaxes(a.values, -1, -2) @ g
             b.accumulate_grad(gb)
     return _result(out_vals, (a, b), bwd)
+
+
+def affine(x, w, b):
+    """Dense layer ``x @ w + b`` on a (n, d_in) x, as one node.
+
+    Bit for bit ``add(matmul(x, w), broadcast_to(reshape(b, (1, d)),
+    (n, d)))``, forward and backward, with one node in place of four.
+    """
+    if ((x.ndim, w.ndim, b.ndim) != (2, 2, 1) or x.shape[1] != w.shape[0]
+            or b.shape[0] != w.shape[1]):
+        raise ValueError(f"affine: expected x (n, d_in), w (d_in, d), b (d,); "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
+    out_vals = x.values @ w.values + b.values
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.values.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.values.T @ g)
+        if b.requires_grad:
+            # one row passes as is, as in the four ops: a sum over one row
+            # would turn -0.0 into 0.0
+            b.accumulate_grad(g.sum(axis=0) if len(g) != 1 else g[0])
+    return _result(out_vals, (x, w, b), bwd)
+
+
+ACTIVATIONS = ("tanh", "linear")
+
+
+def mlp(x, layer, activation):
+    """One-hidden-layer MLP: ``affine``, then tanh (or nothing for
+    "linear"), then ``affine``; ``layer`` is (w1, b1, w2, b2)."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    w1, b1, w2, b2 = layer
+    h = affine(x, w1, b1)
+    if activation == "tanh":
+        h = tanh(h)
+    return affine(h, w2, b2)
 
 
 def tsum(a, axis=None, keepdims=False):

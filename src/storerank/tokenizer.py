@@ -1,9 +1,10 @@
 """Multi-expert semantic tokenization of pretrained item embeddings.
 
-K parallel expert networks each encode an item embedding into a latent,
-each latent snaps to the nearest codeword of that expert's private
-codebook, and a decoder reconstructs the embedding from the SUM of the
-quantized latents.  The K codeword indices are the item's semantic ids
+K parallel expert networks (each a one-hidden-layer ``T.mlp``) encode
+an item embedding into K latents, each latent snaps to the nearest
+codeword of that expert's private codebook, and a decoder (one more
+``T.mlp``) reconstructs the embedding from the SUM of the quantized
+latents.  The K codeword indices are the item's semantic ids
 (SIDs), which replace the raw item id downstream.
 
 Quantization is non-differentiable, so the decoder input uses the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -183,43 +185,30 @@ class OpmqConfig:
     activation: str = "tanh"     # "linear" exists for identity-map tests
     orth_weights: str = "hidden"  # or "all": include both expert layers
 
-
-def _act(x, kind):
-    if kind == "tanh":
-        return T.tanh(x)
-    if kind == "linear":
-        return x
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _mlp(x, layer, kind):
-    w1, b1, w2, b2 = layer
-    n = x.shape[0]
-    h = T.add(T.matmul(x, w1), T.broadcast_to(T.reshape(b1, (1, b1.shape[0])), (n, b1.shape[0])))
-    h = _act(h, kind)
-    return T.add(T.matmul(h, w2), T.broadcast_to(T.reshape(b2, (1, b2.shape[0])), (n, b2.shape[0])))
-
-
-def _mlp_values(x, layer, kind):
-    w1, b1, w2, b2 = layer
-    h = x @ w1.values + b1.values
-    if kind == "tanh":
-        h = np.tanh(h)
-    return h @ w2.values + b2.values
+    def __post_init__(self):
+        d_z = 1 if self.d_z is None else self.d_z
+        if min(self.k, self.v, d_z, self.batch_size, self.epochs,
+               self.reinit_every) < 1:
+            raise ValueError("k, v, d_z, batch_size, epochs and reinit_every "
+                             "must be >= 1")
+        if self.lr <= 0.0 or min(self.beta, self.w_orth) < 0.0:
+            raise ValueError("lr must be positive, beta and w_orth >= 0")
+        if self.activation not in T.ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.orth_weights not in ("hidden", "all"):
+            raise ValueError(f"unknown orth_weights {self.orth_weights!r}")
 
 
 class OpmqModel:
     """K expert encoders, K codebooks, one decoder on the latent sum.
 
-    Each expert is a single-hidden-layer map d_p -> d_z with hidden
-    width d_p; the decoder mirrors it (d_z -> d_p).  The weight matrix
-    entering the orthogonality penalty is the expert's hidden layer
-    (or both layers concatenated when orth_weights="all").
+    Each expert is a ``T.mlp`` d_p -> d_z with hidden width d_p; the
+    decoder is one d_z -> d_p.  The weight matrix entering the
+    orthogonality penalty is the expert's hidden layer (or both layers
+    concatenated when orth_weights="all").
     """
 
     def __init__(self, d_p, cfg, rng):
-        if cfg.k < 1 or cfg.v < 1:
-            raise ValueError(f"K and V must be >= 1, got K={cfg.k} V={cfg.v}")
         self.d_p = d_p
         self.k = cfg.k
         self.v = cfg.v
@@ -227,11 +216,9 @@ class OpmqModel:
         self.activation = cfg.activation
         self.orth_weights = cfg.orth_weights
         self.beta = cfg.beta
-        _act(T.Tensor(0.0), cfg.activation)  # validate the name early
-        self.experts = []
-        for _ in range(cfg.k):
-            self.experts.append((T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)),
-                                 T.glorot(rng, (d_p, self.d_z)), T.zeros((self.d_z,))))
+        self.experts = [(T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)),
+                         T.glorot(rng, (d_p, self.d_z)), T.zeros((self.d_z,)))
+                        for _ in range(cfg.k)]
         self.codebooks = [
             T.Tensor(rng.normal(size=(cfg.v, self.d_z)) / np.sqrt(self.d_z),
                      requires_grad=True)
@@ -241,27 +228,23 @@ class OpmqModel:
                         T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)))
 
     def params(self):
-        out = []
-        for layer in self.experts:
-            out.extend(layer)
-        out.extend(self.codebooks)
-        out.extend(self.decoder)
-        return out
+        """Every parameter, in artifact layout order."""
+        return [t for _, t in _model_arrays(self)]
 
     def encode_values(self, e):
-        """Graph-free expert latents, (K, n, d_z); for bulk tokenization."""
+        """Expert latents, (K, n, d_z), for bulk tokenization.  The MLPs
+        run on constant views of the weights, so no graph is kept."""
         e = np.asarray(e, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != self.d_p:
             raise ValueError(f"expected (n, {self.d_p}) embeddings, got {e.shape}")
-        return np.stack([_mlp_values(e, layer, self.activation)
-                         for layer in self.experts])
+        x = T.Tensor(e)
+        return np.stack([
+            T.mlp(x, [T.Tensor(t.values) for t in layer], self.activation).values
+            for layer in self.experts])
 
 
 def _lift_embedding(e_p, d_p):
-    if isinstance(e_p, T.Tensor):
-        x = e_p
-    else:
-        x = T.Tensor(np.asarray(e_p, dtype=np.float64))
+    x = e_p if isinstance(e_p, T.Tensor) else T.Tensor(e_p)
     single = len(x.shape) == 1
     if single:
         x = T.reshape(x, (1, x.shape[0]))
@@ -273,7 +256,7 @@ def _lift_embedding(e_p, d_p):
 def encode_experts(e_p, model):
     """K expert latents for one embedding (d_p,) or a batch (n, d_p)."""
     x, single = _lift_embedding(e_p, model.d_p)
-    outs = [_mlp(x, layer, model.activation) for layer in model.experts]
+    outs = [T.mlp(x, layer, model.activation) for layer in model.experts]
     if single:
         outs = [T.reshape(z, (z.shape[1],)) for z in outs]
     return outs
@@ -318,7 +301,7 @@ def _forward_full(e_p, model, sids=None):
     """
     x, single = _lift_embedding(e_p, model.d_p)
     n = x.shape[0]
-    latents = [_mlp(x, layer, model.activation) for layer in model.experts]
+    latents = [T.mlp(x, layer, model.activation) for layer in model.experts]
     if sids is None:
         sids = np.stack([nearest_codewords(z.values, cb.values)
                          for z, cb in zip(latents, model.codebooks)], axis=1)
@@ -336,16 +319,10 @@ def _forward_full(e_p, model, sids=None):
         aux_terms.append(T.add(
             T.tsum(T.mul(code_err, code_err)),
             T.mul(T.tsum(T.mul(commit_err, commit_err)), model.beta)))
-    total = quantized[0]
-    for qz in quantized[1:]:
-        total = T.add(total, qz)
-    recon = _mlp(total, model.decoder, model.activation)
+    recon = T.mlp(reduce(T.add, quantized), model.decoder, model.activation)
     err = T.sub(x, recon)
     loss_recon = T.mul(T.tsum(T.mul(err, err)), 1.0 / n)
-    aux = aux_terms[0]
-    for t in aux_terms[1:]:
-        aux = T.add(aux, t)
-    aux = T.mul(aux, 1.0 / n)
+    aux = T.mul(reduce(T.add, aux_terms), 1.0 / n)
     if single:
         recon = T.reshape(recon, (recon.shape[1],))
         sids = sids[0]
@@ -477,8 +454,8 @@ def _kmeans(x, v, rng, iters=25):
     train_rq_baseline.  Empty clusters reseed to random points."""
     n = x.shape[0]
     centers = x[rng.choice(n, size=v, replace=n < v)].copy()
-    assign = None
-    for _ in range(iters):
+    # one more round than iters: the final exact-mean update reseeds none
+    for it in range(iters + 1):
         d = (x * x).sum(1, keepdims=True) - 2.0 * (x @ centers.T) \
             + (centers * centers).sum(1)
         assign = d.argmin(axis=1)
@@ -486,16 +463,8 @@ def _kmeans(x, v, rng, iters=25):
             members = x[assign == j]
             if members.shape[0]:
                 centers[j] = members.mean(axis=0)
-            else:
+            elif it < iters:
                 centers[j] = x[rng.integers(n)]
-    # final exact-mean update for the final assignment
-    d = (x * x).sum(1, keepdims=True) - 2.0 * (x @ centers.T) \
-        + (centers * centers).sum(1)
-    assign = d.argmin(axis=1)
-    for j in range(v):
-        members = x[assign == j]
-        if members.shape[0]:
-            centers[j] = members.mean(axis=0)
     return centers, assign
 
 

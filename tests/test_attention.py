@@ -1,11 +1,12 @@
 """Block-sparse attention: routing, masking, kernels, flop accounting."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from storerank import attention
 from storerank import tensor as T
 from storerank.attention import (
     AttentionParams,
@@ -381,13 +382,15 @@ class TestKernels:
     def test_scratch_reuse_is_deterministic(self):
         rng = np.random.default_rng(19)
         q, k, v = (rng.normal(size=(2, 20, 4)) for _ in range(3))
-        a = sparse_core(q, k, v, 4, 2).copy()
+        pool = {}
+        a = sparse_core(q, k, v, 4, 2, pool=pool).copy()
         # different shape in between forces scratch reallocation
         q2, k2, v2 = (rng.normal(size=(3, 33, 8)) for _ in range(3))
-        sparse_core(q2, k2, v2, 8, 3)
-        dense_core(q2, k2, v2)
-        b = sparse_core(q, k, v, 4, 2)
+        sparse_core(q2, k2, v2, 8, 3, pool=pool)
+        dense_core(q2, k2, v2, pool)
+        b = sparse_core(q, k, v, 4, 2, pool=pool)
         assert np.array_equal(a, b)
+        assert np.array_equal(a, sparse_core(q, k, v, 4, 2))     # no pool
 
     def test_bench_report_shape(self):
         r = bench_attention(64, d_model=32, n_heads=2, block_size=32,
@@ -400,6 +403,14 @@ class TestKernels:
         assert r["wall_time_full_ms"] > 0
 
     def test_bench_releases_its_scratch_buffers(self):
-        bench_attention(64, d_model=32, n_heads=2, block_size=32, rho=0.5,
-                        repeats=1, seed=1)
-        assert attention._SCRATCH == {}
+        # the pool lives in the call: none of its buffers outlives it
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bench_attention(256, d_model=32, n_heads=2, block_size=32,
+                            rho=0.5, repeats=1, seed=1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000       # the dense scores buffer alone is 1 MiB

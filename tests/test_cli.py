@@ -1,5 +1,6 @@
 """Subcommand wiring: config precedence, flag contracts, artifacts, reruns."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import storerank
-from storerank.cli import main
+from storerank.cli import build_parser, main
 from storerank.data import load_dataset_cache
 from storerank.tokenizer import read_sids
 
@@ -83,6 +84,97 @@ class TestErrors:
         code = run("gen-synthetic", "--out", str(tmp_path / "out"))
         assert code == 2
         assert "STORE_SEED" in capsys.readouterr().err
+
+
+def subcommand(name):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def test_bad_numbers_and_config_types_end_in_one_error_line(tmp_path, capsys):
+    """Every integer flag at 0 and at -1, and every config key set to a
+    string, either runs or prints one ``error:`` line; main never raises."""
+    data, tok, sids = tmp_path / "data", tmp_path / "tok", tmp_path / "sids"
+    # subcommand: (required flags, a tiny configuration, the output)
+    commands = {
+        "gen-synthetic": ([], {"n_instances": 300, "n_items": 40, "n_users": 12,
+                               "n_clusters": 4, "seed": 1}, data),
+        "train-tokenizer": (["--embeddings", str(data / "embeddings.csv")],
+                            {"epochs": 2, "v": 4}, tok),
+        "train": (["--data", str(data / "data.strd"),
+                   "--sids", str(sids / "sids.csv")],
+                  {"v": 4, "d": 8, "d_s": 4, "d_g": 4, "emb_dim": 2},
+                  tmp_path / "model"),
+    }
+    runs = 0
+    for name, (flags, cfg, out) in commands.items():
+        base = tmp_path / f"{name}.json"
+        base.write_text(json.dumps(cfg))
+        assert run(name, *flags, "--config", str(base), "--out", str(out)) == 0
+        if name == "train-tokenizer":
+            assert run("tokenize", "--embeddings", str(data / "embeddings.csv"),
+                       "--tokenizer", str(tok / "tokenizer.opmq"),
+                       "--out", str(sids)) == 0
+        variants = [["--config", str(base), a.option_strings[0], value]
+                    for a in subcommand(name)._actions if a.type is int
+                    for value in ("0", "-1")]
+        for key in json.loads((out / "resolved_config.json").read_text()):
+            if key != "command":
+                bad = tmp_path / f"{name}-{key}.json"
+                bad.write_text(json.dumps({**cfg, key: "text"}))
+                variants.append(["--config", str(bad)])
+        for extra in variants:
+            runs += 1
+            capsys.readouterr()
+            try:
+                code = run(name, *flags, *extra,
+                           "--out", str(tmp_path / f"run{runs}"))
+            except Exception as e:  # noqa: BLE001 - the contract under test
+                pytest.fail(f"{name} {' '.join(extra)} raised {e!r}")
+            err = capsys.readouterr().err
+            assert code == 0 or (err.startswith("error: ")
+                                 and err.count("\n") == 1), (name, extra, err)
+    assert runs > 100
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, body", [
+        ("train-tokenizer", {"k": None}), ("train-tokenizer", {"epochs": 1.5}),
+        ("train-tokenizer", {"k": True}), ("train-tokenizer", {"d_z": "3"}),
+        ("train", {"h": "3"}), ("train", {"use_ffn": 1}),
+    ])
+    def test_a_value_of_another_type_is_one_error_line(
+            self, workspace, tmp_path, capsys, command, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        flags = {"train-tokenizer": ["--embeddings", str(workspace / "data" /
+                                                         "embeddings.csv")],
+                 "train": ["--data", str(workspace / "data" / "data.strd"),
+                           "--raw-id"]}[command]
+        assert run(command, *flags, "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file: {next(iter(body))} must be")
+        assert err.count("\n") == 1
+
+    def test_an_int_is_a_float_and_none_takes_the_flag_type(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lr": 1, "beta": 0, "d_z": 4, "preset": null, '
+                       '"epochs": 1}\n')
+        out = tmp_path / "out"
+        assert run("train-tokenizer", "--embeddings",
+                   str(workspace / "data" / "embeddings.csv"),
+                   "--config", str(cfg), "--out", str(out)) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["lr"], resolved["d_z"], resolved["preset"]) == (1, 4, None)
+
+    def test_static_cards_need_one_positive_card(self, tmp_path, capsys):
+        for cards in ("", "8,0"):
+            assert run("gen-synthetic", "--out", str(tmp_path / "out"),
+                       "--static-cards", cards) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfigResolution:
@@ -271,6 +363,20 @@ class TestSweep:
         assert len(logs) == 3
         flops = [int(line.split(",")[-1]) for line in lines[1:]]
         assert flops[0] > flops[1] > flops[2]      # denser rho costs more
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_raw_id_k_grid_trains_no_tokenizer(self, workspace, tmp_path, from_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k_grid": "2,3"}\n')
+        grid = ["--config", str(cfg)] if from_file else ["--k-grid", "2,3"]
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--raw-id", *grid, "--out", str(out),
+                   "--epochs", "1", "--batch-size", "500", "--d", "16",
+                   "--d-s", "8", "--d-g", "8", "--emb-dim", "4",
+                   "--hash-buckets", "1024") == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[1] for line in lines] == ["k_sid", "2", "3"]
 
     def test_k_grid_requires_embeddings(self, workspace, tmp_path, capsys):
         code = run("sweep", "--data", str(workspace / "data" / "data.strd"),

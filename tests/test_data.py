@@ -217,6 +217,14 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n_instances=0)
 
+    @pytest.mark.parametrize("kw", [
+        dict(static_cards=()), dict(static_cards=(8, 0)), dict(n_clusters=0),
+        dict(n_user_tastes=0),
+    ])
+    def test_rejects_empty_or_zero_counts(self, kw):
+        with pytest.raises(ValueError):
+            SyntheticSpec(**kw)
+
 
 class TestGenSynthetic:
     def test_shapes_and_ranges(self):

@@ -347,3 +347,19 @@ class TestMlpGradcheck:
             return T.tmean(T.power(T.sub(out, y), 2.0))
 
         check_grads(build, [w1, b1, w2, b2], tol=1e-6)
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_mlp_matches_fd(self, rng, activation):
+        x = leaf(rng, (4, 5))
+        y = T.Tensor(rng.uniform(0, 1, size=(4, 3)))
+        layer = (leaf(rng, (5, 8)), leaf(rng, (8,)), leaf(rng, (8, 3)), leaf(rng, (3,)))
+
+        def build():
+            return T.tmean(T.power(T.sub(T.mlp(x, layer, activation), y), 2.0))
+
+        check_grads(build, [x, *layer], tol=1e-6)
+
+    def test_mlp_rejects_an_unknown_activation(self, rng):
+        layer = (leaf(rng, (2, 2)), leaf(rng, (2,)), leaf(rng, (2, 2)), leaf(rng, (2,)))
+        with pytest.raises(ValueError, match="unknown activation"):
+            T.mlp(leaf(rng, (1, 2)), layer, "relu")

@@ -240,8 +240,7 @@ class TestOpmqForward:
             for z, off in zip(latents, offsets):
                 q = T.add(z, T.Tensor(off))
                 total = q if total is None else T.add(total, q)
-            from storerank.tokenizer import _mlp
-            recon = _mlp(total, m.decoder, m.activation)
+            recon = T.mlp(total, m.decoder, m.activation)
             err = T.sub(T.Tensor(x), recon)
             return T.mul(T.tsum(T.mul(err, err)), 1.0 / x.shape[0])
 
@@ -317,6 +316,22 @@ class TestOrthPenalty:
         want = fd_grad(lambda: orth_penalty(m), leaves)
         for g, w in zip(got, want):
             assert max_rel_err(g, w) < 1e-6
+
+
+class TestOpmqConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(k=0), dict(v=0), dict(batch_size=0), dict(epochs=0),
+        dict(reinit_every=0), dict(d_z=0), dict(lr=0.0), dict(lr=-1.0),
+        dict(beta=-0.1), dict(w_orth=-0.1), dict(activation="relu"),
+        dict(orth_weights="both"),
+    ])
+    def test_rejects_bad_values(self, kw):
+        with pytest.raises(ValueError):
+            OpmqConfig(**kw)
+
+    def test_edges_accepted(self):
+        OpmqConfig(k=1, v=1, batch_size=1, epochs=1, reinit_every=1, d_z=1,
+                   beta=0.0, w_orth=0.0, activation="linear", orth_weights="all")
 
 
 class TestTrainOpmq:
