@@ -38,7 +38,7 @@ sids = tokenize_catalog(table, qmodel)
 groups = default_groups(ds.schema)
 cfg = StoreConfig(h=3, v=16, n_layers=2, rho=0.5, epochs=2,
                   batch_size=512, lr=3e-3, seed=0)
-print(f"vanilla/efficient attention cost ratio: "
+print(f"vanilla (rho=1) / routed attention cost ratio: "
       f"{flops_ratio(cfg, groups):.3f}")
 
 model, log = fit(tr, va, cfg, groups, sid_table=sids)

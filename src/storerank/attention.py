@@ -12,9 +12,10 @@ Training and scoring run one autodiff node per layer
 (``dense_attention`` / ``efficient_attention``): it projects Q/K/V,
 routes every head at once with one ``moba_route``, masks the scores of
 unselected blocks with one additive -inf mask, and has an analytic
-backward that reuses the saved probabilities.  The mask is numerically
-identical to gathering the selected keys and, at the few tokens per
-instance this model attends over, faster than gathering them.
+backward that reuses the saved probabilities (the dense node, which
+the model runs when routing would keep every block, masks nothing).
+The mask is numerically identical to gathering the selected keys and,
+at the few tokens per instance this model attends over, faster.
 
 ``dense_core`` / ``sparse_core`` are graph-free numpy kernels for the
 wall-clock race at long sequences (``bench_attention``, asserted by
@@ -407,6 +408,9 @@ def bench_attention(h, d_model=256, n_heads=4, block_size=32, rho=0.5,
     of the full-selection and dense calls, a correctness tie-down for
     every benched shape.
     """
+    if min(h, d_model, n_heads, block_size, repeats) < 1 or d_model % n_heads:
+        raise ValueError("h, d_model, n_heads, block_size and repeats must "
+                         "be >= 1, and n_heads must divide d_model")
     rng = np.random.default_rng(seed)
     dh = d_model // n_heads
     q, k, v = (rng.normal(size=(n_heads, h, dh)) for _ in range(3))

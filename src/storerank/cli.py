@@ -8,12 +8,13 @@ a grid over epochs, SID count, depth and sparsity, and
 ``bench-attention`` times the standalone kernels.
 
 Configuration precedence, lowest to highest: built-in defaults, then a
-JSON config file (``--config``), then explicit command-line flags, then
-the STORE_SEED environment variable for the seed field.  Every command
-writes the fully resolved configuration next to its outputs as
-``resolved_config.json`` so a run can be replayed exactly; identical
-resolved configs produce byte-identical logs and artifacts (benchmark
-wall times excepted, they measure the machine, not the config).
+``--preset`` (K and V), then a JSON config file (``--config``), then
+explicit command-line flags, then the STORE_SEED environment variable
+for the seed field.  Every command writes the fully resolved
+configuration next to its outputs as ``resolved_config.json`` so a run
+can be replayed exactly; identical resolved configs produce
+byte-identical logs and artifacts (benchmark wall times excepted, they
+measure the machine, not the config).
 
 Errors print a single ``error: <reason>`` line on stderr and exit
 nonzero.
@@ -46,11 +47,8 @@ from .tokenizer import (OpmqConfig, load_opmq, read_embeddings, read_sids,
                         save_opmq, tokenize_catalog, train_opmq,
                         train_rq_baseline, write_embeddings, write_sids)
 
-# mirrors the quantizer settings reported for the two deployment scales
-PRESETS = {
-    "public": {"k_sid": 3, "v": 16},
-    "industrial": {"k_sid": 32, "v": 300},
-}
+# mirrors the quantizer settings (K, V) reported for the two deployment scales
+PRESETS = {"public": (3, 16), "industrial": (32, 300)}
 
 BENCH_COLUMNS = ["H", "B", "k_blocks", "dense_flops", "sparse_flops",
                  "wall_time_dense_ms", "wall_time_sparse_ms",
@@ -87,22 +85,24 @@ def _load_config_file(path):
 
 def _fits(value, like):
     """Whether a config-file value has the type of ``like``: a bool is
-    not a number, an int is a valid float, and a list holds values of
-    the type of ``like``'s first."""
+    not a number, an int is a valid float, and a list holds one or more
+    values of the type of ``like``'s first."""
     if isinstance(like, list):
-        return isinstance(value, list) and all(_fits(x, like[0]) for x in value)
+        return (isinstance(value, list) and len(value) > 0
+                and all(_fits(x, like[0]) for x in value))
     if isinstance(value, bool) != isinstance(like, bool):
         return False
     return isinstance(value, (int, float) if isinstance(like, float) else type(like))
 
 
-def resolve(defaults, args, extra_keys=()):
-    """Merge defaults <- config file <- explicit flags <- STORE_SEED.
+def resolve(defaults, args, extra_keys=(), preset_keys=None):
+    """Merge defaults <- preset <- config file <- explicit flags <- STORE_SEED.
 
     ``defaults`` maps every legal key to its default; unknown config-file
     keys are an error so typos do not silently vanish.  A config-file
     value must have its default's type; a key whose default is None
-    takes its flag's type, or stays None.
+    takes its flag's type, or stays None.  ``preset_keys`` names the
+    (K, V) keys that a ``preset`` (from a flag or the file) sets.
     """
     merged = dict(defaults)
     for k in extra_keys:
@@ -116,11 +116,16 @@ def resolve(defaults, args, extra_keys=()):
         if not (v is None and merged[k] is None or _fits(v, like)):
             raise CliError(f"config file: {k} must be of type "
                            f"{type(like).__name__}, got {v!r}")
+    flags = {k: getattr(args, k) for k in merged
+             if getattr(args, k, None) is not None}
+    preset = flags.get("preset", from_file.get("preset"))
+    if preset_keys is not None and preset is not None:
+        if preset not in PRESETS:
+            raise CliError(f"unknown preset {preset!r} (choose from "
+                           f"{sorted(PRESETS)})")
+        merged.update(zip(preset_keys, PRESETS[preset]))
     merged.update(from_file)
-    for k in merged:
-        v = getattr(args, k, None)
-        if v is not None:
-            merged[k] = v
+    merged.update(flags)
     if "seed" in merged and os.environ.get("STORE_SEED"):
         try:
             merged["seed"] = int(os.environ["STORE_SEED"])
@@ -164,11 +169,14 @@ def _require(path, what):
 
 
 def _numbers(text, cast=int):
-    """Comma-separated numbers, each parsed by ``cast``."""
+    """Comma-separated numbers, each parsed by ``cast``; at least one."""
     try:
-        return [cast(x) for x in str(text).split(",") if x != ""]
+        values = [cast(x) for x in str(text).split(",") if x != ""]
     except ValueError:
         raise CliError(f"expected comma-separated {cast.__name__}s, got {text!r}")
+    if not values:
+        raise ValueError(f"expected at least one number, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +200,10 @@ def cmd_gen_synthetic(args):
     return 0
 
 
-def _apply_preset(resolved, k_key, v_key):
-    name = resolved.get("preset")
-    if name is None:
-        return
-    if name not in PRESETS:
-        raise CliError(f"unknown preset {name!r} (choose from "
-                       f"{sorted(PRESETS)})")
-    resolved[k_key] = PRESETS[name]["k_sid"]
-    resolved[v_key] = PRESETS[name]["v"]
-
-
 def cmd_train_tokenizer(args):
     defaults = {f.name: f.default for f in fields(OpmqConfig)}
     defaults.update(backend="opmq", preset=None)
-    resolved = resolve(defaults, args)
-    _apply_preset(resolved, "k", "v")
+    resolved = resolve(defaults, args, preset_keys=("k", "v"))
     backend = resolved["backend"]
     if backend not in ("opmq", "rq"):
         raise CliError(f"unknown backend {backend!r}")
@@ -264,8 +260,8 @@ def _split_encode(data_path, resolved):
 def _resolve_train(args, defaults):
     """Resolve the flags ``train`` and ``sweep`` share: the preset,
     ``--raw-id`` and ``--no-rotation``."""
-    resolved = resolve(defaults, args, extra_keys=("data", "sids"))
-    _apply_preset(resolved, "h", "v")
+    resolved = resolve(defaults, args, extra_keys=("data", "sids"),
+                       preset_keys=("h", "v"))
     if args.raw_id:
         resolved["use_raw_ids"] = True
     if args.no_rotation:
@@ -483,7 +479,6 @@ def build_parser():
                        help="hashed-id ablation instead of SID tokens")
         p.add_argument("--no-rotation", dest="no_rotation",
                        action="store_true")
-        p.add_argument("--attention", choices=["efficient", "vanilla"])
         p.add_argument("--preset", choices=sorted(PRESETS))
         for name in ("h", "v", "d_s", "d", "n_layers", "n_heads",
                      "block_size", "hash_buckets", "epochs", "batch_size",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
+from . import tensor as T
 from .tokenizer import EmbeddingTable
 
 ROLES = ("high_cardinality_item", "static", "group_key", "label")
@@ -339,11 +340,7 @@ def gen_synthetic(spec):
         logit = logit + w_static[j][s]
     logit = logit + w_taste_cluster[user_taste[users], cl]
     logit = logit + w_cluster_f0[cl, statics[0]]
-    # each where-branch evaluates over the other's range: exp overflows to
-    # inf and inf/inf gives nan in lanes the mask then discards
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = np.where(logit >= 0.0, 1.0 / (1.0 + np.exp(-logit)),
-                         np.exp(logit) / (1.0 + np.exp(logit)))
+    probs = T.sigmoid_values(logit)
     labels = (rng.random(n) < probs).astype(np.int8)
     if spec.noise_rate > 0.0:
         flip = rng.random(n) < spec.noise_rate

@@ -22,7 +22,7 @@ polar re-projection back onto the orthogonal manifold.
 from __future__ import annotations
 
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from .tokenizer import SidTable
 @dataclass(frozen=True)
 class StoreConfig:
     """Model and training knobs.  h is both the token count and the SID
-    count per item; the rotation bank and embedding bank are sized to it."""
+    count per item; the rotation bank and embedding bank are sized to it.
+    rho = 1 or block_size >= h keeps every key block: dense attention."""
     h: int = 3
     v: int = 16
     d_s: int = 16           # SID / hashed-id embedding width
@@ -48,9 +49,8 @@ class StoreConfig:
     n_layers: int = 2
     n_heads: int = 2
     block_size: int = 1
-    rho: float = 0.5
+    rho: float = 0.5        # attention density: share of key blocks kept
     lam: float = 0.1        # rotation diversity weight
-    attention: str = "efficient"    # or "vanilla" (full softmax ablation)
     use_rotation: bool = True
     use_ffn: bool = False
     use_raw_ids: bool = False
@@ -70,8 +70,6 @@ class StoreConfig:
             raise ValueError(f"d {self.d} not divisible by n_heads {self.n_heads}")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if self.attention not in ("efficient", "vanilla"):
-            raise ValueError(f"unknown attention kind {self.attention!r}")
         if self.lr <= 0.0 or self.rot_lr <= 0.0:
             raise ValueError("learning rates must be positive")
         if self.lam < 0.0:
@@ -195,20 +193,25 @@ class StoreModel:
     def forward(self, inputs, plans=None, return_plans=False):
         """Click probabilities in (0, 1) for one batch.
 
+        Layers route (``efficient_attention``) only when ``k_blocks_for``
+        keeps fewer than all ceil(h / block_size) key blocks; otherwise
+        they run ``dense_attention``, the same values without routing.
         ``plans`` (one list of per-head RoutingPlans per layer) replays a
-        frozen routing; ``return_plans`` hands back the routing actually
-        used so a later call can replay it.
+        frozen routing, which dense layers ignore; ``return_plans`` hands
+        back the routing used (``[]`` per dense layer) for such a replay.
         """
         cfg = self.config
         x = self.build_tokens(inputs)
+        routed = (k_blocks_for(cfg.h, cfg.block_size, cfg.rho)
+                  < -(-cfg.h // cfg.block_size))
         used = []
         for li in range(cfg.n_layers):
-            if cfg.attention == "vanilla":
-                a, p = dense_attention(x, self.layers[li]), []
-            else:
+            if routed:
                 layer_plans = None if plans is None else plans[li]
                 a, p = efficient_attention(x, self.layers[li],
                                            plans=layer_plans, return_plans=True)
+            else:
+                a, p = dense_attention(x, self.layers[li]), []
             used.append(p)
             g, b = self.norms[li]
             x = T.layer_norm(T.add(a, x), g, b)
@@ -329,8 +332,6 @@ def model_flops(config, groups, rho=None, batch=1):
     times two, matching the attention counter's conventions.
     """
     rho = config.rho if rho is None else rho
-    if config.attention == "vanilla":
-        rho = 1.0
     kb = k_blocks_for(config.h, config.block_size, rho)
     macs = 0
     hidden = 2 * groups.d_g
@@ -465,6 +466,11 @@ def save_store(path, model):
 
 def load_store(path):
     header, arrays = artifact.read(path, STORE_MAGIC)
+    keys, got = {f.name for f in fields(StoreConfig)}, set(header["config"])
+    if got != keys:
+        raise ValueError(f"{path}: model config does not fit StoreConfig "
+                         f"(unknown keys {sorted(got - keys)}, "
+                         f"missing keys {sorted(keys - got)})")
     config = StoreConfig(**header["config"])
     groups = GroupConfig(tuple(
         FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
@@ -483,18 +489,11 @@ def load_store(path):
 # reference baseline
 # ---------------------------------------------------------------------------
 
-def _stable_sigmoid(z):
-    # each where-branch evaluates over the other's range; see gen_synthetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)),
-                        np.exp(z) / (1.0 + np.exp(z)))
-
-
 def _lr_scores(tables, bias, data):
     z = np.full(len(data), float(bias.values[0]))
     for f, tbl in tables.items():
         z = z + tbl.values[data.features[f]]
-    return _stable_sigmoid(z)
+    return T.sigmoid_values(z)
 
 
 def train_lr_baseline(train, val, lr=0.05, epochs=2, batch_size=512, seed=0):

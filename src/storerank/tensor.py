@@ -266,10 +266,7 @@ def tanh(a):
 
 
 def sigmoid(a):
-    # Stable in both tails: 1/(1+e^-x) rewritten via where on the sign.
-    x = a.values
-    out_vals = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_vals = sigmoid_values(a.values)
 
     def bwd(g):
         if a.requires_grad:
@@ -504,6 +501,13 @@ def softmax_values(x, axis=-1):
         raise FloatingPointError("softmax: a full slice is masked to -inf")
     e = np.exp(x - m)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def sigmoid_values(x):
+    """``sigmoid``'s forward on a plain array, stable in both tails: each
+    where-branch on the sign of x uses exp(-|x|) <= 1, so none overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def stop_gradient(a):

@@ -126,7 +126,7 @@ def store_run(small, path, **kw):
 class TestWholeFitsMatchFourOps:
     @pytest.mark.parametrize("kw", [
         {}, {"use_raw_ids": True, "hash_buckets": 4096},
-        {"attention": "vanilla"}, {"use_ffn": True},
+        {"rho": 1.0}, {"use_ffn": True},
     ], ids=["sid", "raw4096", "vanilla", "ffn"])
     def test_store_fit(self, small, tmp_path, monkeypatch, kw):
         got = store_run(small, tmp_path / "new.strm", **kw)

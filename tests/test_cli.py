@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import storerank
+from storerank import artifact
 from storerank.cli import build_parser, main
 from storerank.data import load_dataset_cache
 from storerank.tokenizer import read_sids
@@ -106,6 +107,13 @@ def test_bad_numbers_and_config_types_end_in_one_error_line(tmp_path, capsys):
                    "--sids", str(sids / "sids.csv")],
                   {"v": 4, "d": 8, "d_s": 4, "d_g": 4, "emb_dim": 2},
                   tmp_path / "model"),
+        "sweep": (["--data", str(data / "data.strd"),
+                   "--sids", str(sids / "sids.csv")],
+                  {"v": 4, "d": 8, "d_s": 4, "d_g": 4, "emb_dim": 2},
+                  tmp_path / "sweep"),
+        "bench-attention": ([], {"h_values": [16], "d_model": 8, "n_heads": 2,
+                                 "block_size": 4, "repeats": 1},
+                            tmp_path / "bench"),
     }
     runs = 0
     for name, (flags, cfg, out) in commands.items():
@@ -135,7 +143,29 @@ def test_bad_numbers_and_config_types_end_in_one_error_line(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 0 or (err.startswith("error: ")
                                  and err.count("\n") == 1), (name, extra, err)
-    assert runs > 100
+    assert runs > 180
+
+
+@pytest.mark.parametrize("command, flags, body", [
+    ("bench-attention", ["--h-values", ","], {}),
+    ("bench-attention", [], {"h_values": []}),
+    ("sweep", ["--epochs-grid", ","], {}),
+    ("sweep", ["--rho-grid", ""], {}),
+    ("sweep", [], {"epochs_grid": []}),
+    ("gen-synthetic", [], {"static_cards": []}),
+])
+def test_an_empty_number_list_is_one_error_line(workspace, tmp_path, capsys,
+                                                command, flags, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    data = ["--data", str(workspace / "data" / "data.strd"), "--sids",
+            str(workspace / "sids" / "sids.csv")] if command == "sweep" else []
+    out = tmp_path / "out"
+    assert run(command, *data, *flags, "--config", str(cfg),
+               "--out", str(out)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestConfigTypes:
@@ -208,6 +238,27 @@ class TestConfigResolution:
                    "--epochs", "2") == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["k"] == 3 and resolved["v"] == 16
+
+    def test_presets_never_override_explicit_values(self, tmp_path, workspace):
+        data = workspace / "data"
+        out = tmp_path / "tok"
+        assert run("train-tokenizer", "--embeddings",
+                   str(data / "embeddings.csv"), "--out", str(out),
+                   "--preset", "public", "--k", "2", "--v", "4",
+                   "--epochs", "1") == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["k"], resolved["v"]) == (2, 4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"v": 8, "preset": "industrial"}\n')
+        out = tmp_path / "model"
+        assert run("train", "--data", str(data / "data.strd"), "--raw-id",
+                   "--config", str(cfg), "--preset", "public", "--h", "2",
+                   "--epochs", "1", "--batch-size", "500", "--d", "8",
+                   "--d-s", "4", "--hash-buckets", "64",
+                   "--out", str(out)) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["preset"], resolved["h"], resolved["v"]) == \
+            ("public", 2, 8)
 
 
 class TestGenSynthetic:
@@ -317,13 +368,37 @@ class TestTrainEval:
         assert err.startswith("error: feature 'f0' ") and "rows" in err
         assert err.count("\n") == 1
 
-    def test_ablation_flags_reach_the_model(self, workspace, tmp_path):
+    def test_ablation_flags_reach_the_model(self, workspace, tmp_path, capsys):
         out = tmp_path / "ablate"
         assert run(*self.train_args(workspace, out, "--no-rotation",
-                                    "--attention", "vanilla")) == 0
+                                    "--rho", "1")) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["use_rotation"] is False
-        assert resolved["attention"] == "vanilla"
+        assert resolved["rho"] == 1.0 and "attention" not in resolved
+        capsys.readouterr()
+        # vanilla attention is rho = 1; the old switch is gone
+        assert run(*self.train_args(workspace, tmp_path / "old",
+                                    "--attention", "vanilla")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_eval_names_config_keys_the_model_does_not_fit(
+            self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(*self.train_args(workspace, out)) == 0
+        model = out / "model.strm"
+        header, arrays = artifact.read(model, b"STRM2")
+        config = {k: v for k, v in header["config"].items() if k != "lam"}
+        header["config"] = dict(config, attention="vanilla")
+        artifact.write(model, b"STRM2", header, list(arrays.items()))
+        capsys.readouterr()
+        assert run("eval", "--model", str(model),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert "['attention']" in err and "['lam']" in err
+        assert err.count("\n") == 1
 
     def raw_id_args(self, workspace, out, buckets=256):
         return ["train", "--data", str(workspace / "data" / "data.strd"),

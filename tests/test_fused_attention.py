@@ -248,7 +248,7 @@ def _fit_bytes(tmp_path, tag, cfg, use_sids):
 FITS = {
     "sid": dict(use_raw_ids=False),
     "raw_id": dict(use_raw_ids=True, hash_buckets=4096),
-    "vanilla": dict(use_raw_ids=False, attention="vanilla"),
+    "vanilla": dict(use_raw_ids=False, rho=1.0),     # runs dense_attention
 }
 
 

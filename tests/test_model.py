@@ -5,6 +5,8 @@ import pytest
 
 from oracles import fd_grad, max_rel_err
 
+from storerank import attention as A
+from storerank import model as M
 from storerank import tensor as T
 from storerank.data import (
     Dataset,
@@ -68,7 +70,7 @@ class TestStoreConfig:
     @pytest.mark.parametrize("kw", [
         dict(h=0), dict(n_layers=0), dict(d=6, n_heads=4), dict(rho=0.0),
         dict(rho=1.5), dict(lr=0.0), dict(rot_lr=-1.0), dict(lam=-0.1),
-        dict(batch_size=0), dict(epochs=0), dict(attention="dense"),
+        dict(batch_size=0), dict(epochs=0), dict(block_size=0),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -241,24 +243,73 @@ class TestForward:
         assert worst < 1e-6
 
 
+# settings whose routing keeps every block: vanilla attention
+FULL_DENSITY = (dict(rho=1.0),                               # H=3, B=1
+                dict(block_size=3),                          # one block
+                dict(block_size=8, h=5, n_heads=4, use_raw_ids=True,
+                     hash_buckets=256))
+
+
+def ablation_fit(tmp_path, **kw):
+    """(model.strm bytes, epoch log) of a small two-epoch fit."""
+    ds, table = gen_synthetic(SyntheticSpec(n_instances=800, n_items=40,
+                                            n_users=12, n_clusters=4, seed=3))
+    train, val = random_split(ds, val_fraction=0.25, seed=0)
+    tr, va, _ = encode_features(train, val, ds.schema)
+    cfg = StoreConfig(**{**dict(h=3, v=4, d_s=4, d=8, n_heads=2, epochs=2,
+                                batch_size=150, lr=5e-3, seed=4), **kw})
+    sids = None
+    if not cfg.use_raw_ids:
+        codes = np.random.default_rng(2).integers(cfg.v, size=(len(table), cfg.h))
+        sids = SidTable(table.ids, codes, cfg.v)
+    model, log = fit(tr, va, cfg, default_groups(ds.schema, emb_dim=4, d_g=6),
+                     sid_table=sids)
+    save_store(tmp_path / "ablation.strm", model)
+    return (tmp_path / "ablation.strm").read_bytes(), log
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """A list that grows by one at every ``moba_route`` call."""
+    calls, route = [], A.moba_route
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return route(*args, **kw)
+    monkeypatch.setattr(A, "moba_route", counted)
+    return calls
+
+
 class TestAblations:
-    def test_vanilla_equals_efficient_at_full_density(self):
-        rng = np.random.default_rng(17)
-        common = dict(h=4, v=4, d_s=2, d=4, n_heads=2, n_layers=2, seed=9)
-        m_eff, cfg = tiny_model(rho=1.0, **common)
-        m_van, _ = tiny_model(attention="vanilla", **common)
-        for m in (m_eff, m_van):
-            m.head_w.values = np.full(m.head_w.shape, 0.3)
-        inputs = tiny_inputs(rng, 5, {"user_id": 3}, cfg.h, cfg.v, m_eff.groups)
-        assert np.allclose(m_eff.forward(inputs).values,
-                           m_van.forward(inputs).values, atol=1e-12)
+    def test_full_density_fits_never_route(self, tmp_path, route_calls):
+        for kw in FULL_DENSITY:
+            ablation_fit(tmp_path, **kw)
+        assert route_calls == []
+        ablation_fit(tmp_path)              # rho = 0.5 routes 2 of 3 blocks
+        assert route_calls
+
+    def test_vanilla_equals_efficient_at_full_density(self, tmp_path,
+                                                      monkeypatch, route_calls):
+        """A fit that keeps every block writes the bytes and log of the
+        same fit forced through the routed node."""
+        for kw in FULL_DENSITY:
+            got = ablation_fit(tmp_path, **kw)
+            with monkeypatch.context() as mp:
+                mp.setattr(M, "dense_attention", A.efficient_attention)
+                want = ablation_fit(tmp_path, **kw)
+            assert route_calls, "the forced fit did not route"
+            route_calls.clear()
+            assert got[0] == want[0]
+            assert got[1] == want[1]
 
     def test_vanilla_flops_ignore_rho(self):
         groups = tiny_groups()
-        van = StoreConfig(h=4, rho=0.5, attention="vanilla", use_raw_ids=True)
-        assert flops_ratio(van, groups) == 1.0
         dense = StoreConfig(h=4, rho=1.0, use_raw_ids=True)
-        assert model_flops(van, groups) == model_flops(dense, groups)
+        assert flops_ratio(dense, groups) == 1.0
+        one_block = StoreConfig(h=4, rho=0.5, block_size=4, use_raw_ids=True)
+        assert model_flops(one_block, groups) == model_flops(dense, groups)
+        routed = StoreConfig(h=4, rho=0.5, use_raw_ids=True)
+        assert flops_ratio(routed, groups) > 1.0
 
     def test_rotation_off_uses_raw_block(self):
         groups = GroupConfig((FeatureGroup("g0", ("user_id",), 2),), 5)
