@@ -80,72 +80,109 @@ class AttentionParams:
 
 @dataclass
 class RoutingPlan:
-    """Frozen per-query block selection for one head.
+    """Frozen per-query block selection for one head (or a batch of heads).
 
-    block_ids: (n, H, k_blocks) int, each row sorted ascending, distinct,
-    always containing the query's own block when force_own was set.
+    allowed: (n, H, n_blocks) bool, True on each query's k_blocks
+    selected blocks, which include its own block when force_own was set.
     gates: (n, H, n_blocks) raw gate scores (before own-block forcing).
+    A route over several heads at once carries a head axis before H.
     """
-    block_ids: np.ndarray
+    allowed: np.ndarray
     gates: np.ndarray
     block_size: int
 
+    @property
+    def block_ids(self):
+        """(..., H, k_blocks) int: each query's selected blocks, ascending."""
+        shape = self.allowed.shape
+        return (np.flatnonzero(self.allowed) % shape[-1]).reshape(*shape[:-1], -1)
+
 
 def _block_means(k, block_size):
-    """Mean key per block, (n, n_blocks, d_head); short last block uses its
-    true member count."""
+    """Mean key per block, (..., n_blocks, d_head); short last block uses
+    its true member count."""
     if block_size == 1:
-        return np.ascontiguousarray(k)     # a one-key mean is the key
-    n, h, _ = k.shape
+        return k        # a one-key mean is the key
+    h = k.shape[-2]
     starts = np.arange(0, h, block_size)
-    sums = np.add.reduceat(k, starts, axis=1)
+    sums = np.add.reduceat(k, starts, axis=-2)
     counts = np.minimum(block_size, h - starts).astype(np.float64)
-    return sums / counts[None, :, None]
+    return sums / counts[:, None]
+
+
+def _select_blocks(aug, k_blocks):
+    """(..., n_blocks) bool: True on the k_blocks first blocks of each row
+    of ``aug`` in a stable descending sort (ties to the lower block, NaN
+    last), the set ``np.argsort(-aug, kind="stable")[..., :k_blocks]``
+    names, found without sorting.  Selecting every block ranks nothing.
+
+    Under 8 blocks (at most 21 pairs): block j is taken when fewer than
+    k_blocks blocks beat it, counted over block pairs, each pair one
+    whole-array comparison (a block beats a later one unless the later
+    gate is greater).  More blocks: the k-th best gate is a partition's
+    threshold; every gate above it is taken, then ties in block order
+    until k_blocks.  A NaN gate, which compares false either way, takes
+    the argsort itself.
+    """
+    n_blocks = aug.shape[-1]
+    if k_blocks == n_blocks:
+        return np.ones(aug.shape, dtype=bool)
+    if np.isnan(aug).any():
+        allowed = np.zeros(aug.shape, dtype=bool)
+        order = np.argsort(-aug, axis=-1, kind="stable")[..., :k_blocks]
+        np.put_along_axis(allowed, order, True, axis=-1)
+        return allowed
+    if n_blocks < 8:
+        gates = [aug[..., j] for j in range(n_blocks)]
+        beaten = [np.zeros(aug.shape[:-1], dtype=np.int8) for _ in gates]
+        for i in range(n_blocks):
+            for j in range(i + 1, n_blocks):
+                later_wins = gates[j] > gates[i]
+                beaten[i] += later_wins
+                beaten[j] += ~later_wins
+        return np.stack([b < k_blocks for b in beaten], axis=-1)
+    neg = -aug
+    kth = np.partition(neg, k_blocks - 1, axis=-1)[..., k_blocks - 1:k_blocks]
+    above = neg < kth
+    tied = neg == kth
+    room = k_blocks - above.sum(axis=-1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
 def moba_route(q, k, block_size, k_blocks, force_own=True):
     """Select k_blocks key blocks per query from gate = dot(q, block key mean).
 
-    q, k: (H, d_head) for one instance or (n, H, d_head) batched.
-    Ties broken toward the lower block index; the query's own block is
-    forced in unless force_own is False.
+    q, k: (H, d_head) for one instance or (..., H, d_head) batched over
+    any leading axes.  Ties broken toward the lower block index; the
+    query's own block is forced in unless force_own is False.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    single = q.ndim == 2
-    if single:
+    if q.ndim == 2:
         q, k = q[None], k[None]
-    n, h, _ = q.shape
+    h = q.shape[-2]
     n_blocks = -(-h // block_size)
     if k_blocks > n_blocks:
         raise ValueError(f"k_blocks {k_blocks} exceeds block count {n_blocks}")
     if k_blocks < 1:
         raise ValueError("k_blocks must be >= 1")
-    means = _block_means(k, block_size)
-    gates = q @ np.swapaxes(means, 1, 2)
-    aug = gates.copy()
+    gates = q @ np.swapaxes(_block_means(k, block_size), -1, -2)
+    aug = gates
     if force_own:
-        own = np.arange(h) // block_size
-        aug[:, np.arange(h), own] = np.inf
-    order = np.argsort(-aug, axis=-1, kind="stable")
-    sel = np.sort(order[..., :k_blocks], axis=-1)
-    if single:
-        sel, gates = sel[0:1], gates[0:1]
-    return RoutingPlan(block_ids=sel, gates=gates, block_size=block_size)
+        aug = gates.copy()
+        aug[..., np.arange(h), np.arange(h) // block_size] = np.inf
+    return RoutingPlan(_select_blocks(aug, k_blocks), gates, block_size)
 
 
 def plan_to_mask(plan, h):
-    """Additive mask (n, H, H): 0 on keys inside selected blocks, -inf elsewhere."""
-    n, hq, _ = plan.block_ids.shape
+    """Additive mask (..., H, H): 0 on keys inside selected blocks, -inf elsewhere."""
+    hq = plan.allowed.shape[-2]
     if hq != h:
         raise ValueError(f"plan covers {hq} queries, sequence has {h}")
-    n_blocks = plan.gates.shape[-1]
-    allowed = np.zeros((n, h, n_blocks), dtype=bool)
-    rows = np.arange(h)[None, :, None]
-    batch = np.arange(n)[:, None, None]
-    allowed[batch, rows, plan.block_ids] = True
-    col_block = np.arange(h) // plan.block_size
-    return np.where(allowed[:, :, col_block], 0.0, -np.inf)
+    allowed = plan.allowed
+    if plan.block_size > 1:
+        allowed = allowed[..., np.arange(h) // plan.block_size]
+    return np.where(allowed, 0.0, -np.inf)
 
 
 def _lift(x):
@@ -156,80 +193,78 @@ def _lift(x):
     raise ValueError(f"attention input must be rank 2 or 3, got {x.ndim}")
 
 
-def _split_heads(a, n_heads):
-    """(n, H, d_model) -> (n * n_heads, H, d_head), the heads of one
-    instance adjacent; a fresh contiguous array."""
+def _heads(a, n_heads):
+    """(n, H, n_heads * d_head) -> a (n, n_heads, H, d_head) view."""
     n, h, d = a.shape
-    a = a.reshape(n, h, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-    return a.reshape(n * n_heads, h, d // n_heads)
+    return a.reshape(n, h, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(a, n):
-    """Inverse of ``_split_heads``: (n * n_heads, H, d_head) -> (n, H, d_model),
-    C-contiguous whatever the layout of ``a`` (a strided operand can take
-    another matmul path and round differently)."""
-    nh, h, dh = a.shape
-    a = a.reshape(n, nh // n, h, dh).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(a).reshape(n, h, -1)
-
-
-def _attention(x, params, routed, plans=None):
+def _attention(x, params, routed, plans=None, return_plans=False):
     """(output, per-head plans) of one layer, one autodiff node with
     parents (x, wq, wk, wv, wo) for all heads, the projections and the
     softmax (a rank-2 x is lifted to a batch of one and back).
 
     ``routed`` masks each query's softmax to its routed blocks, taken
     from ``plans`` (one RoutingPlan per head) or else from one
-    ``moba_route`` over every head; the plans used come back per head.
-    The backward is analytic and reuses the saved probabilities.  It
-    runs the same products, in the same shapes and order, as the graph
-    of per-head matmul / softmax ops it replaces, so values and
-    gradients are bit for bit those of that graph.
+    ``moba_route`` over every head; with ``return_plans`` the plans used
+    come back per head, else the list is empty.  The backward is
+    analytic and reuses the saved probabilities.
+
+    It runs the same products, in the same shapes and order, as the
+    graph of per-head matmul / softmax ops it replaces, so values and
+    gradients are bit for bit those of that graph.  Only the memory
+    layout differs, which a product's bits do not depend on: Q, K and V
+    are strided per-head views of one product with [wq | wk | wv], and
+    per-head products land straight in the (n, H, d_model) layout of
+    the projections that follow.  With one-key blocks a fresh route's
+    gates are q @ k^T, the scores' own product, and are reused.
     """
     x3, squeeze = _lift(x)
     n, h, d = x3.shape
     heads = params.n_heads
     wq, wk, wv, wo = params.params()
     xv = x3.values
-    q, k, v = (_split_heads(xv @ w.values, heads) for w in (wq, wk, wv))
+    qkv = xv @ np.concatenate([wq.values, wk.values, wv.values], axis=1)
+    q, k, v = (_heads(qkv[..., i * d:(i + 1) * d], heads) for i in range(3))
     scale = 1.0 / math.sqrt(params.d_head)
-    s = q @ np.swapaxes(k, 1, 2)
-    s *= scale
+    if routed and plans is None:
+        kb = k_blocks_for(h, params.block_size, params.rho)
+        plan = moba_route(q, k, params.block_size, kb, force_own=params.force_own)
+    elif routed:
+        plan = RoutingPlan(np.stack([r.allowed for r in plans], axis=1),
+                           np.stack([r.gates for r in plans], axis=1),
+                           params.block_size)
+    if routed and plans is None and params.block_size == 1:
+        s = plan.gates * scale
+    else:
+        s = q @ np.swapaxes(k, -1, -2)
+        s *= scale
     used = []
     if routed:
-        if plans is None:
-            kb = k_blocks_for(h, params.block_size, params.rho)
-            plan = moba_route(q, k, params.block_size, kb,
-                              force_own=params.force_own)
-        else:
-            plan = RoutingPlan(
-                np.stack([r.block_ids for r in plans], axis=1).reshape(n * heads, h, -1),
-                np.stack([r.gates for r in plans], axis=1).reshape(n * heads, h, -1),
-                params.block_size)
         s += plan_to_mask(plan, h)
-        ids = plan.block_ids.reshape(n, heads, h, -1)
-        gates = plan.gates.reshape(n, heads, h, -1)
-        used = [RoutingPlan(ids[:, e], gates[:, e], plan.block_size)
-                for e in range(heads)]
+        if return_plans:
+            used = [RoutingPlan(plan.allowed[:, e], plan.gates[:, e], plan.block_size)
+                    for e in range(heads)]
     p = T.softmax_values(s)
-    merged = _merge_heads(p @ v, n)
+    merged = np.empty((n, h, d))
+    np.matmul(p, v, out=_heads(merged, heads))
 
     def bwd(g):
         if wo.requires_grad:
             wo.accumulate_grad(merged.reshape(-1, d).T @ g.reshape(-1, d))
-        go = _split_heads(g @ np.swapaxes(wo.values, -1, -2), heads)
-        gp = go @ np.swapaxes(v, 1, 2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        go = _heads(g @ np.swapaxes(wo.values, -1, -2), heads)
+        gp = go @ np.swapaxes(v, -1, -2)
+        gs = p * (gp - T.reduce_keepdims(np.add, gp * p))
         gs *= scale
+        gq, gk, gv = (np.empty((n, h, d)) for _ in range(3))
+        np.matmul(gs, k, out=_heads(gq, heads))
         # k's part as the graph formed it, the gradient of k^T transposed
         # back: a product of other shapes need not round the same
-        grads = (gs @ k,
-                 np.swapaxes(np.swapaxes(q, 1, 2) @ gs, 1, 2),
-                 np.swapaxes(p, 1, 2) @ go)
+        _heads(gk, heads)[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+        np.matmul(np.swapaxes(p, -1, -2), go, out=_heads(gv, heads))
         # x3 takes the q, k, v parts in that order, one addition each, as
         # from the graph's three projection nodes: float sums depend on order
-        for w, gw in zip((wq, wk, wv), grads):
-            gw = _merge_heads(gw, n)
+        for w, gw in zip((wq, wk, wv), (gq, gk, gv)):
             if x3.requires_grad:
                 x3.accumulate_grad(gw @ np.swapaxes(w.values, -1, -2))
             if w.requires_grad:
@@ -249,9 +284,10 @@ def efficient_attention(x, params, plans=None, return_plans=False):
 
     ``plans`` (one RoutingPlan per head) replays a frozen routing, which
     is what gradient checks need; otherwise routing is derived from the
-    current Q/K values, outside the graph.
+    current Q/K values, outside the graph.  Per-head plans are built only
+    for ``return_plans``.
     """
-    out, used = _attention(x, params, routed=True, plans=plans)
+    out, used = _attention(x, params, True, plans, return_plans)
     return (out, used) if return_plans else out
 
 

@@ -83,10 +83,18 @@ def _load_config_file(path):
     return cfg
 
 
+class NumberList(str):
+    """The text of a number-list flag ("1,2,4").  As a flag's type it lets
+    a config file give the list as that text or as a JSON list."""
+
+
 def _fits(value, like):
     """Whether a config-file value has the type of ``like``: a bool is
-    not a number, an int is a valid float, and a list holds one or more
-    values of the type of ``like``'s first."""
+    not a number, an int is a valid float, a list holds one or more
+    values of the type of ``like``'s first, and a number list is text
+    or a list of numbers."""
+    if isinstance(like, NumberList):
+        return isinstance(value, str) or _fits(value, [0.0])
     if isinstance(like, list):
         return (isinstance(value, list) and len(value) > 0
                 and all(_fits(x, like[0]) for x in value))
@@ -169,7 +177,10 @@ def _require(path, what):
 
 
 def _numbers(text, cast=int):
-    """Comma-separated numbers, each parsed by ``cast``; at least one."""
+    """Comma-separated numbers (or a list of them), each parsed by
+    ``cast``; at least one."""
+    if isinstance(text, list):
+        text = ",".join(map(str, text))
     try:
         values = [cast(x) for x in str(text).split(",") if x != ""]
     except ValueError:
@@ -351,13 +362,14 @@ def cmd_bench_attention(args):
 
 def cmd_sweep(args):
     defaults = _train_defaults()
-    defaults.update(epochs_grid=[1], k_grid=None, layers_grid=None,
-                    rho_grid=None, embeddings=None, tok_epochs=30)
+    grids = {"epochs_grid": int, "k_grid": int, "layers_grid": int,
+             "rho_grid": float}
+    defaults.update(dict.fromkeys(grids), embeddings=None, tok_epochs=30)
     resolved = _resolve_train(args, defaults)
-    for key, cast in (("epochs_grid", int), ("k_grid", int),
-                      ("layers_grid", int), ("rho_grid", float)):
-        if isinstance(resolved[key], str):      # a flag, or the file's text
+    for key, cast in grids.items():     # a flag's text, or the file's text or list
+        if resolved[key] is not None:
             resolved[key] = _numbers(resolved[key], cast)
+    resolved["epochs_grid"] = resolved["epochs_grid"] or [1]
     k_grid = resolved["k_grid"] or [resolved["h"]]
     layers_grid = resolved["layers_grid"] or [resolved["n_layers"]]
     rho_grid = resolved["rho_grid"] or [resolved["rho"]]
@@ -513,10 +525,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="grid over epochs / k_sid / layers / rho")
     add_train_flags(p)
     p.add_argument("--embeddings", help="needed when sweeping k_sid")
-    p.add_argument("--epochs-grid", dest="epochs_grid")
-    p.add_argument("--k-grid", dest="k_grid")
-    p.add_argument("--layers-grid", dest="layers_grid")
-    p.add_argument("--rho-grid", dest="rho_grid")
+    for name in ("epochs_grid", "k_grid", "layers_grid", "rho_grid"):
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=NumberList)
     p.add_argument("--tok-epochs", dest="tok_epochs", type=int)
     p.set_defaults(func=cmd_sweep)
 

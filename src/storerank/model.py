@@ -207,9 +207,10 @@ class StoreModel:
         used = []
         for li in range(cfg.n_layers):
             if routed:
-                layer_plans = None if plans is None else plans[li]
-                a, p = efficient_attention(x, self.layers[li],
-                                           plans=layer_plans, return_plans=True)
+                out = efficient_attention(x, self.layers[li],
+                                          plans=None if plans is None else plans[li],
+                                          return_plans=return_plans)
+                a, p = out if return_plans else (out, [])
             else:
                 a, p = dense_attention(x, self.layers[li]), []
             used.append(p)

@@ -4,9 +4,10 @@ Define-by-run reverse-mode differentiation over numpy float64 arrays,
 restricted to rank 1/2/3 tensors (vectors, matrices, batched matrices).
 There is no implicit broadcasting: elementwise ops require identical
 shapes, and the explicit ``broadcast_to`` / ``reshape`` ops cover the
-few places (layer-norm affine, normalizing rows) where shapes must be
-lifted.  A dense layer's bias row is added inside ``affine``, one node
-for ``x @ w + b``; ``mlp`` chains two of them around an activation.
+few places where shapes must be lifted.  A dense layer's bias row is
+added inside ``affine``, one node for ``x @ w + b``; ``mlp`` chains two
+of them around an activation.  ``layer_norm`` is one node too, bit for
+bit the graph of elementwise ops it stands for.
 
 The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
@@ -489,18 +490,38 @@ def softmax(a, axis=-1):
 
     def bwd(g):
         if a.requires_grad:
-            dot = (g * out_vals).sum(axis=axis, keepdims=True)
+            dot = reduce_keepdims(np.add, g * out_vals, axis)
             a.accumulate_grad(out_vals * (g - dot))
     return _result(out_vals, (a,), bwd)
 
 
 def softmax_values(x, axis=-1):
     """``softmax``'s forward on a plain array, for fused nodes."""
-    m = np.max(x, axis=axis, keepdims=True)
+    m = reduce_keepdims(np.maximum, x, axis)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("softmax: a full slice is masked to -inf")
     e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / reduce_keepdims(np.add, e, axis)
+
+
+def reduce_keepdims(ufunc, x, axis=-1):
+    """``ufunc.reduce(x, axis, keepdims=True)`` for ``np.add`` or
+    ``np.maximum``, bit for bit.
+
+    numpy reduces a short last axis row by row, and its per-row loop
+    costs more than the arithmetic.  Below 8 elements it takes a row in
+    sequence: a sum from 0.0 (a row of -0.0 sums to 0.0), a maximum
+    from the first element.  Those rows are reduced here with one
+    whole-array call per column instead.  Longer rows (pairwise sums,
+    SIMD maxima) and other axes keep numpy's reduction.
+    """
+    n = x.shape[axis]
+    if axis not in (-1, x.ndim - 1) or not 0 < n < 8:
+        return ufunc.reduce(x, axis=axis, keepdims=True)
+    out = x[..., :1] + 0.0 if ufunc is np.add else x[..., :1].copy()
+    for i in range(1, n):
+        ufunc(out, x[..., i:i + 1], out=out)
+    return out
 
 
 def sigmoid_values(x):
@@ -520,22 +541,46 @@ def stop_gradient(a):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-row (last axis) zero-mean unit-variance, then affine gamma/beta.
+    """Per-row (last axis) zero-mean unit-variance, then affine gamma/beta,
+    as one node with parents (x, gamma, beta).
 
     gamma/beta are rank-1 of size d = x.shape[-1]; eps guards constant rows.
+    Values and gradients are bit for bit those of the composite graph
+    (mean, centre, mean square, ``(var + eps) ** -0.5``, scale, then
+    gamma and beta broadcast over the leading axes).  The backward
+    replays that graph's products in its accumulation order: the centred
+    rows take their normalising part, then the variance part twice (one
+    per factor of the square); x takes the centred gradient plus the
+    mean's share as one sum; gamma and beta sum over each leading axis
+    longer than one, in axis order.
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"layer_norm: gamma/beta must have shape ({d},)")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, broadcast_to(mu, x.shape))
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv_std = power(add(var, eps), -0.5)
-    normed = mul(centered, broadcast_to(inv_std, x.shape))
-    lift = (1,) * (x.ndim - 1) + (d,)
-    g = broadcast_to(reshape(gamma, lift), x.shape)
-    b = broadcast_to(reshape(beta, lift), x.shape)
-    return add(mul(normed, g), b)
+    inv_d = 1.0 / d
+    # the composite's operands are C-ordered full arrays, so its results
+    # are too; a row reduction's bits follow its input's layout
+    centered = np.subtract(x.values, x.values.sum(axis=-1, keepdims=True) * inv_d,
+                           order="C")
+    ve = (centered * centered).sum(axis=-1, keepdims=True) * inv_d + float(eps)
+    inv_std = ve ** -0.5
+    normed = centered * inv_std
+    lifted = [ax for ax in range(x.ndim - 1) if x.shape[ax] != 1]
+
+    def bwd(g):
+        if x.requires_grad:
+            gn = g * gamma.values
+            g_sq = (gn * centered).sum(axis=-1, keepdims=True) * -0.5 \
+                * ve ** -1.5 * inv_d
+            part = g_sq * centered
+            gc = np.multiply(gn, inv_std, order="C") + part + part
+            x.accumulate_grad(gc + (-gc).sum(axis=-1, keepdims=True) * inv_d)
+        for p, gp in ((gamma, g * normed), (beta, g)):
+            if p.requires_grad:
+                for ax in lifted:
+                    gp = gp.sum(axis=ax, keepdims=True)
+                p.accumulate_grad(gp.reshape(d))
+    return _result(normed * gamma.values + beta.values, (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------

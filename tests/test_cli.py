@@ -453,6 +453,27 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert [line.split(",")[1] for line in lines] == ["k_sid", "2", "3"]
 
+    @pytest.mark.parametrize("as_list", [True, False])
+    @pytest.mark.parametrize("key, column, grid", [
+        ("epochs_grid", 0, ["1", "2"]), ("k_grid", 1, ["2", "3"]),
+        ("layers_grid", 2, ["1", "2"]), ("rho_grid", 3, ["1.0", "0.5"]),
+    ])
+    def test_a_config_file_grid_is_a_list_or_the_flag_text(
+            self, workspace, tmp_path, key, column, grid, as_list):
+        cfg = tmp_path / "cfg.json"
+        value = [json.loads(x) for x in grid] if as_list else ",".join(grid)
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--raw-id", "--config", str(cfg), "--out", str(out),
+                   "--epochs", "1", "--batch-size", "500", "--d", "8",
+                   "--d-s", "4", "--d-g", "4", "--emb-dim", "4", "--n-heads", "1",
+                   "--hash-buckets", "256") == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[column] for line in lines[1:]] == grid
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved[key] == [json.loads(x) for x in grid]
+
     def test_k_grid_requires_embeddings(self, workspace, tmp_path, capsys):
         code = run("sweep", "--data", str(workspace / "data" / "data.strd"),
                    "--sids", str(workspace / "sids" / "sids.csv"),
