@@ -94,8 +94,9 @@ class RoutingPlan:
     @property
     def block_ids(self):
         """(..., H, k_blocks) int: each query's selected blocks, ascending."""
-        shape = self.allowed.shape
-        return (np.flatnonzero(self.allowed) % shape[-1]).reshape(*shape[:-1], -1)
+        lead, n_blocks = self.allowed.shape[:-1], self.allowed.shape[-1]
+        flat = np.flatnonzero(self.allowed).reshape(*lead, -1)
+        return flat - np.arange(0, self.allowed.size, n_blocks).reshape(*lead, 1)
 
 
 def _block_means(k, block_size):
@@ -111,42 +112,34 @@ def _block_means(k, block_size):
 
 
 def _select_blocks(aug, k_blocks):
-    """(..., n_blocks) bool: True on the k_blocks first blocks of each row
-    of ``aug`` in a stable descending sort (ties to the lower block, NaN
-    last), the set ``np.argsort(-aug, kind="stable")[..., :k_blocks]``
-    names, found without sorting.  Selecting every block ranks nothing.
+    """(..., n_blocks) bool: True on the blocks that
+    ``np.argsort(-aug, kind="stable")[..., :k_blocks]`` names (ties to
+    the lower block, NaN last).  Selecting every block ranks nothing.
 
-    Under 8 blocks (at most 21 pairs): block j is taken when fewer than
-    k_blocks blocks beat it, counted over block pairs, each pair one
-    whole-array comparison (a block beats a later one unless the later
-    gate is greater).  More blocks: the k-th best gate is a partition's
-    threshold; every gate above it is taken, then ties in block order
-    until k_blocks.  A NaN gate, which compares false either way, takes
-    the argsort itself.
+    Under 8 blocks (at most 21 pairs), as at the benchmarked H, this is
+    found without sorting: block j is taken when fewer than k_blocks
+    blocks beat it, counted over block pairs, each pair one whole-array
+    comparison (a block beats a later one unless the later gate is
+    greater).  More blocks, or a NaN gate (which compares false either
+    way), take the argsort itself.
     """
     n_blocks = aug.shape[-1]
     if k_blocks == n_blocks:
         return np.ones(aug.shape, dtype=bool)
-    if np.isnan(aug).any():
-        allowed = np.zeros(aug.shape, dtype=bool)
+    if n_blocks >= 8 or np.isnan(aug).any():
         order = np.argsort(-aug, axis=-1, kind="stable")[..., :k_blocks]
-        np.put_along_axis(allowed, order, True, axis=-1)
-        return allowed
-    if n_blocks < 8:
-        gates = [aug[..., j] for j in range(n_blocks)]
-        beaten = [np.zeros(aug.shape[:-1], dtype=np.int8) for _ in gates]
-        for i in range(n_blocks):
-            for j in range(i + 1, n_blocks):
-                later_wins = gates[j] > gates[i]
-                beaten[i] += later_wins
-                beaten[j] += ~later_wins
-        return np.stack([b < k_blocks for b in beaten], axis=-1)
-    neg = -aug
-    kth = np.partition(neg, k_blocks - 1, axis=-1)[..., k_blocks - 1:k_blocks]
-    above = neg < kth
-    tied = neg == kth
-    room = k_blocks - above.sum(axis=-1, keepdims=True)
-    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
+        row_starts = np.arange(0, aug.size, n_blocks).reshape(*aug.shape[:-1], 1)
+        allowed = np.zeros(aug.size, dtype=bool)
+        allowed[(order + row_starts).ravel()] = True
+        return allowed.reshape(aug.shape)
+    gates = [aug[..., j] for j in range(n_blocks)]
+    beaten = [np.zeros(aug.shape[:-1], dtype=np.int8) for _ in gates]
+    for i in range(n_blocks):
+        for j in range(i + 1, n_blocks):
+            later_wins = gates[j] > gates[i]
+            beaten[i] += later_wins
+            beaten[j] += ~later_wins
+    return np.stack([b < k_blocks for b in beaten], axis=-1)
 
 
 def moba_route(q, k, block_size, k_blocks, force_own=True):

@@ -490,7 +490,7 @@ def softmax(a, axis=-1):
 
     def bwd(g):
         if a.requires_grad:
-            dot = reduce_keepdims(np.add, g * out_vals, axis)
+            dot = (g * out_vals).sum(axis=axis, keepdims=True)
             a.accumulate_grad(out_vals * (g - dot))
     return _result(out_vals, (a,), bwd)
 
@@ -508,15 +508,17 @@ def reduce_keepdims(ufunc, x, axis=-1):
     """``ufunc.reduce(x, axis, keepdims=True)`` for ``np.add`` or
     ``np.maximum``, bit for bit.
 
-    numpy reduces a short last axis row by row, and its per-row loop
-    costs more than the arithmetic.  Below 8 elements it takes a row in
-    sequence: a sum from 0.0 (a row of -0.0 sums to 0.0), a maximum
-    from the first element.  Those rows are reduced here with one
-    whole-array call per column instead.  Longer rows (pairwise sums,
-    SIMD maxima) and other axes keep numpy's reduction.
+    numpy reduces a short last axis of a C-contiguous array row by row,
+    and its per-row loop costs more than the arithmetic.  Below 8
+    elements it takes a row in sequence: a sum from 0.0 (a row of -0.0
+    sums to 0.0), a maximum from the first element.  Those rows are
+    reduced here with one whole-array call per column instead.  Longer
+    rows (pairwise sums, SIMD maxima), other axes and other memory
+    layouts, whose order numpy may choose differently, keep numpy's
+    reduction.
     """
     n = x.shape[axis]
-    if axis not in (-1, x.ndim - 1) or not 0 < n < 8:
+    if axis not in (-1, x.ndim - 1) or not 0 < n < 8 or not x.flags.c_contiguous:
         return ufunc.reduce(x, axis=axis, keepdims=True)
     out = x[..., :1] + 0.0 if ufunc is np.add else x[..., :1].copy()
     for i in range(1, n):

@@ -2,9 +2,9 @@
 
 ``graph_layer_norm`` is the 17-op composite that ``T.layer_norm`` now
 runs as one node, ``argsort_route`` the stable-argsort routing that
-``moba_route`` now does without sorting.  Both claim the same bits:
-values, every gradient, block selections and whole fits down to the
-bytes of a saved model and its log.
+``moba_route`` now does without sorting under 8 blocks.  Both claim the
+same bits: values, every gradient, block selections and whole fits down
+to the bytes of a saved model and its log.
 """
 
 import json
@@ -165,10 +165,13 @@ def test_reduce_keepdims_is_numpys_reduction(ufunc, n):
             x = rng.normal(size=shape) * rng.choice([1e-300, 1.0, 1e300], size=shape)
             hit = rng.random(shape) < density
             x[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
-            with np.errstate(all="ignore"):
-                want = ufunc.reduce(x, axis=axis, keepdims=True)
-                got = T.reduce_keepdims(ufunc, x, axis)
-            assert same_bits(got, want), (shape, axis, density)
+            # C order, then Fortran order and a transposed view, whose
+            # rows numpy may reduce in another order
+            for a in (x, np.asfortranarray(x), np.ascontiguousarray(x.T).T):
+                with np.errstate(all="ignore"):
+                    want = ufunc.reduce(a, axis=axis, keepdims=True)
+                    got = T.reduce_keepdims(ufunc, a, axis)
+                assert same_bits(got, want), (shape, axis, density, a.flags.c_contiguous)
 
 
 def test_softmax_refuses_a_masked_row_at_every_length():
@@ -180,7 +183,7 @@ def test_softmax_refuses_a_masked_row_at_every_length():
 
 
 # ---------------------------------------------------------------------------
-# routing: sort-free selection, the argsort's blocks
+# routing: sort-free selection under 8 blocks, the argsort's blocks
 # ---------------------------------------------------------------------------
 
 def check_route(q, k, block_size, k_blocks, force_own):
@@ -227,8 +230,8 @@ def test_infinite_and_nan_gates_select_the_argsort_blocks(h, block_size, force_o
 
 
 def test_selection_rule_on_random_gates_of_every_width():
-    # both selection strategies (pairwise counts, a partition threshold)
-    # and the NaN path, straight on gate arrays
+    # both selection paths (pairwise counts under 8 blocks, the argsort
+    # from 8 blocks up or with a NaN gate), straight on gate arrays
     rng = np.random.default_rng(7)
     for n_blocks in range(1, 41):
         aug = rng.integers(-3, 4, size=(64, 3, n_blocks)).astype(np.float64)
