@@ -32,7 +32,7 @@ class DatasetSchema:
     """Ordered columns with roles; exactly one label, at least one item
     and one group-key column."""
 
-    def __init__(self, columns, cardinality_hints=None):
+    def __init__(self, columns):
         names = [c[0] for c in columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
@@ -47,7 +47,6 @@ class DatasetSchema:
         if roles.count("group_key") < 1:
             raise ValueError("schema needs a group-key column")
         self.columns = [(str(n), str(r)) for n, r in columns]
-        self.cardinality_hints = dict(cardinality_hints or {})
 
     @property
     def label_col(self):

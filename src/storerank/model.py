@@ -366,7 +366,10 @@ def fit(train, val, config, groups, sid_table=None):
     Returns (model, log); the log holds one dict per epoch with fields
     epoch, train_loss, val_auc, val_gauc, val_logloss, flops_per_batch.
     Identical config and data give an identical log, float for float.
+    ``groups`` must partition the group key and static columns of
+    ``train``'s schema: a column left out is an error, not a silent drop.
     """
+    groups.check_partition([train.schema.group_col] + train.schema.static_cols)
     model = StoreModel(config, groups, train.vocab_sizes, sid_table=sid_table)
     tr = prepare_inputs(model, train)
     va = prepare_inputs(model, val) if val is not None else None

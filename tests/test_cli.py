@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import storerank
 from storerank import artifact
-from storerank.cli import build_parser, main
+from storerank.cli import BENCH_COLUMNS, build_parser, main
 from storerank.data import load_dataset_cache
 from storerank.tokenizer import read_sids
 
@@ -516,3 +517,122 @@ def test_entry_point_pins_blas_to_one_thread_unless_set(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == [preset or "1"] * len(BLAS_THREAD_VARS)
+
+
+class TestReplay:
+    """A run's ``resolved_config.json``, given back as ``--config``,
+    replays it byte for byte."""
+
+    @staticmethod
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @staticmethod
+    def replay(out):
+        cfg = json.loads((out / "resolved_config.json").read_text())
+        again = out.with_name(out.name + "-replay")
+        assert run(cfg["command"], "--config", str(out / "resolved_config.json"),
+                   "--out", str(again)) == 0
+        return again
+
+    def test_every_subcommand_replays_byte_for_byte(self, tmp_path):
+        data, tok, rq, sids = (tmp_path / n for n in ("data", "tok", "rq", "sids"))
+        small = ["--epochs", "1", "--batch-size", "500", "--d", "8", "--d-s", "4",
+                 "--d-g", "4", "--emb-dim", "2", "--seed", "3"]
+        runs = {
+            data: ["gen-synthetic", "--n-instances", "1500", "--n-items", "60",
+                   "--n-users", "20", "--n-clusters", "4", "--seed", "2"],
+            tok: ["train-tokenizer", "--embeddings", str(data / "embeddings.csv"),
+                  "--epochs", "3", "--v", "8"],
+            rq: ["train-tokenizer", "--embeddings", str(data / "embeddings.csv"),
+                 "--backend", "rq", "--preset", "public"],
+            sids: ["tokenize", "--embeddings", str(data / "embeddings.csv"),
+                   "--tokenizer", str(tok / "tokenizer.opmq")],
+            tmp_path / "sid": ["train", "--data", str(data / "data.strd"),
+                               "--sids", str(sids / "sids.csv"), "--v", "8",
+                               "--val-fraction", "0.3", *small],
+            tmp_path / "raw": ["train", "--data", str(data / "data.strd"),
+                               "--raw-id", "--no-rotation", "--hash-buckets",
+                               "256", *small],
+            tmp_path / "ev": ["eval", "--model", str(tmp_path / "sid" / "model.strm"),
+                              "--data", str(data / "data.strd"), "--split", "train"],
+            tmp_path / "sw": ["sweep", "--data", str(data / "data.strd"),
+                              "--sids", str(sids / "sids.csv"), "--v", "8",
+                              "--embeddings", str(data / "embeddings.csv"),
+                              "--k-grid", "2,3", "--rho-grid", "1,0.5",
+                              "--tok-epochs", "2", *small],
+            tmp_path / "bench": ["bench-attention", "--h-values", "32,64",
+                                 "--repeats", "1", "--d-model", "16",
+                                 "--block-size", "8"],
+        }
+        for out, argv in runs.items():
+            assert run(*argv, "--out", str(out)) == 0, argv
+        for out in runs:
+            want, got = self.files(out), self.files(self.replay(out))
+            if out.name == "bench":
+                # wall times measure the machine, not the config
+                wall = [i for i, c in enumerate(BENCH_COLUMNS) if "wall" in c]
+                for files in (want, got):
+                    lines = files.pop(Path("bench.csv")).decode().splitlines()
+                    files["rows"] = [[x for i, x in enumerate(line.split(","))
+                                      if i not in wall] for line in lines]
+            assert want == got, out.name
+        tok_cfg = json.loads((tok / "resolved_config.json").read_text())
+        assert tok_cfg["embeddings"] == str(data / "embeddings.csv")
+
+    def test_a_config_from_another_command_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("gen-synthetic", "--out", str(data), "--n-instances", "200",
+                   "--n-items", "20", "--n-users", "5", "--n-clusters", "4") == 0
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        assert run("bench-attention", "--config", str(data / "resolved_config.json"),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'gen-synthetic'" in err and not out.exists()
+
+    def test_number_lists_in_a_config_file_take_comma_text(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"static_cards": "5,7", "n_instances": 200,
+                                   "n_items": 20, "n_users": 5, "n_clusters": 4}))
+        out = tmp_path / "data"
+        assert run("gen-synthetic", "--config", str(cfg), "--out", str(out)) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["static_cards"] == [5, 7]
+        assert load_dataset_cache(str(out / "data.strd")).schema.static_cols == \
+            ["f0", "f1"]
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"h_values": "16,24", "d_model": 8,
+                                   "n_heads": 2, "block_size": 4, "repeats": 1}))
+        out = tmp_path / "bench"
+        assert run("bench-attention", "--config", str(cfg), "--out", str(out)) == 0
+        lines = (out / "bench.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["16", "24"]
+
+    def test_inputs_come_from_the_config_file_alone(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "embeddings": str(workspace / "data" / "embeddings.csv"),
+            "tokenizer": str(workspace / "tok" / "tokenizer.opmq")}))
+        out = tmp_path / "sids"
+        assert run("tokenize", "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / "sids.csv").read_bytes() == \
+            (workspace / "sids" / "sids.csv").read_bytes()
+
+    def test_eval_names_a_training_config_without_its_split(
+            self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(*TestTrainEval().raw_id_args(workspace, run_dir)) == 0
+        path = run_dir / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        for key in ("split", "split_seed"):
+            del cfg[key]
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("eval", "--model", str(run_dir / "model.strm"),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: missing keys ['split', 'split_seed']\n"

@@ -610,6 +610,14 @@ class TestFit:
         _, log = fit(self.tr, self.va, cfg, self.groups)
         assert np.isfinite(log[0]["train_loss"])
 
+    def test_a_grouping_that_drops_a_static_column_is_refused(self):
+        # the synthetic schema has statics f0 and f1; f1 is left out
+        groups = GroupConfig((FeatureGroup("audience", ("user_id",), 4),
+                              FeatureGroup("context", ("f0",), 4)), 6)
+        with pytest.raises(ValueError, match=r"missing from groups: \['f1'\]"):
+            fit(self.tr, self.va, self.config(epochs=1), groups,
+                sid_table=self.sids)
+
 
 class TestLrBaseline:
     def one_feature_dataset(self, labels_from, n=8000, seed=0):
