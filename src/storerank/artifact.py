@@ -6,9 +6,11 @@ holds the caller's fields plus ``arrays``: ``[name, dtype, shape, byte
 length, CRC32]`` per array.  Writes are atomic (``<path>.tmp``, then a
 rename).  A read fails with a ``ValueError`` that starts with the path
 and names the case: bad magic, truncated, corrupt or trailing bytes.
+A config dataclass stored in a header is rebuilt by ``config``.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -83,3 +85,20 @@ def restore(path, arrays, tensors):
                              f"layout has {w}")
     for name, t in tensors:
         t.values[...] = arrays[name]
+
+
+def config(path, cls, fields):
+    """The ``cls`` dataclass that a header's ``fields`` dict describes.
+    Missing or unknown keys, and values ``cls`` refuses or cannot
+    compare, are a ``ValueError`` that starts with the path."""
+    if not isinstance(fields, dict):
+        raise ValueError(f"{path}: header holds no {cls.__name__}")
+    keys, got = {f.name for f in dataclasses.fields(cls)}, set(fields)
+    if got != keys:
+        raise ValueError(f"{path}: config does not fit {cls.__name__} "
+                         f"(unknown keys {sorted(got - keys)}, "
+                         f"missing keys {sorted(keys - got)})")
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad {cls.__name__} in header: {e}") from None

@@ -376,6 +376,7 @@ def cmd_bench_attention(cfg, out):
 
 def cmd_sweep(cfg, out):
     _check_raw_id(cfg)
+    epochs_grid = cfg["epochs_grid"] or [cfg["epochs"]]
     k_grid = cfg["k_grid"] or [cfg["h"]]
     layers_grid = cfg["layers_grid"] or [cfg["n_layers"]]
     rho_grid = cfg["rho_grid"] or [cfg["rho"]]
@@ -408,7 +409,7 @@ def cmd_sweep(cfg, out):
         return tables[k]
 
     summary = []
-    for epochs in cfg["epochs_grid"]:
+    for epochs in epochs_grid:
         for k in k_grid:
             for n_layers in layers_grid:
                 for rho in rho_grid:
@@ -475,7 +476,7 @@ COMMANDS = {
     "sweep": Command(
         cmd_sweep, "grid over epochs / k_sid / layers / rho",
         {**TRAIN_OPTIONS, "embeddings": Opt(help="needed when sweeping k_sid"),
-         "epochs_grid": Opt([1], int, many=True),
+         "epochs_grid": Opt(None, int, many=True),
          "k_grid": Opt(None, int, many=True),
          "layers_grid": Opt(None, int, many=True),
          "rho_grid": Opt(None, float, many=True),

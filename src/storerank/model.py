@@ -22,7 +22,7 @@ polar re-projection back onto the orthogonal manifold.
 from __future__ import annotations
 
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -470,12 +470,7 @@ def save_store(path, model):
 
 def load_store(path):
     header, arrays = artifact.read(path, STORE_MAGIC)
-    keys, got = {f.name for f in fields(StoreConfig)}, set(header["config"])
-    if got != keys:
-        raise ValueError(f"{path}: model config does not fit StoreConfig "
-                         f"(unknown keys {sorted(got - keys)}, "
-                         f"missing keys {sorted(keys - got)})")
-    config = StoreConfig(**header["config"])
+    config = artifact.config(path, StoreConfig, header.get("config"))
     groups = GroupConfig(tuple(
         FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
         for g in header["groups"]), header["d_g"])

@@ -1,10 +1,10 @@
 """Multi-expert semantic tokenization of pretrained item embeddings.
 
 K parallel expert networks (each a one-hidden-layer ``T.mlp``) encode
-an item embedding into K latents, each latent snaps to the nearest
-codeword of that expert's private codebook, and a decoder (one more
-``T.mlp``) reconstructs the embedding from the SUM of the quantized
-latents.  The K codeword indices are the item's semantic ids
+a batch (n, d_p) of item embeddings into K latents, each latent snaps
+to the nearest codeword of that expert's private codebook, and a decoder
+(one more ``T.mlp``) reconstructs the batch from the SUM of the
+quantized latents.  The K codeword indices are the item's semantic ids
 (SIDs), which replace the raw item id downstream.
 
 Quantization is non-differentiable, so the decoder input uses the
@@ -16,14 +16,19 @@ matrices pushes the experts to specialize.  Any codeword unused for a
 full check interval is reseeded from a live latent so codebooks cannot
 collapse.
 
+Embedding and SID tables share one base and one CSV layout: a header
+``item_id,<key>=<int>...``, then a line per item.  The ``tokenizer.opmq``
+artifact holds the model's whole ``OpmqConfig``.
+
 A residual-quantization baseline (sequential k-means stages on
 reconstruction residuals) is included for ablation comparisons.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -38,131 +43,125 @@ OPMQ_MAGIC = b"OPMQ2"
 # tables
 # ---------------------------------------------------------------------------
 
-class EmbeddingTable:
-    """Item id -> pretrained embedding, stored densely.
+class _ItemTable:
+    """Item ids, one per row of a 2-d array, and their row index.
 
     Ids are kept as strings so tables read from CSV compare equal to
     tables built from integer ids in memory.
     """
 
-    def __init__(self, ids, vectors):
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError(f"vectors must be 2-d, got shape {vectors.shape}")
-        if len(ids) != vectors.shape[0]:
-            raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
+    def __init__(self, ids, rows, what):
+        if rows.ndim != 2:
+            raise ValueError(f"{what} rows must be 2-d, got shape {rows.shape}")
+        if len(ids) != rows.shape[0]:
+            raise ValueError(f"{len(ids)} ids but {rows.shape[0]} {what} rows")
         self.ids = [str(i) for i in ids]
         if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate item ids in embedding table")
+            raise ValueError(f"duplicate item ids in {what} table")
+        self.index = {item: row for row, item in enumerate(self.ids)}
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __contains__(self, item_id):
+        return str(item_id) in self.index
+
+
+class EmbeddingTable(_ItemTable):
+    """Item id -> pretrained embedding, stored densely."""
+
+    def __init__(self, ids, vectors):
+        vectors = np.asarray(vectors, dtype=np.float64)
+        super().__init__(ids, vectors, "embedding")
+        if vectors.shape[1] < 1:
+            raise ValueError("embeddings must have at least one dimension")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("non-finite embedding values")
         self.vectors = vectors
-        self.index = {item: row for row, item in enumerate(self.ids)}
 
     @property
     def dim(self):
         return self.vectors.shape[1]
 
-    def __len__(self):
-        return len(self.ids)
-
-    def __contains__(self, item_id):
-        return str(item_id) in self.index
-
     def vector(self, item_id):
         return self.vectors[self.index[str(item_id)]]
 
 
-class SidTable:
+class SidTable(_ItemTable):
     """Item id -> K integer codes, each in [0, V)."""
 
     def __init__(self, ids, codes, v):
         codes = np.asarray(codes, dtype=np.int64)
-        if codes.ndim != 2:
-            raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
-        if len(ids) != codes.shape[0]:
-            raise ValueError(f"{len(ids)} ids but {codes.shape[0]} code rows")
+        super().__init__(ids, codes, "SID")
         if codes.size and (codes.min() < 0 or codes.max() >= v):
             raise ValueError(f"codes outside [0, {v})")
-        self.ids = [str(i) for i in ids]
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate item ids in SID table")
         self.codes = codes
         self.v = int(v)
-        self.index = {item: row for row, item in enumerate(self.ids)}
 
     @property
     def k(self):
         return self.codes.shape[1]
 
-    def __len__(self):
-        return len(self.ids)
-
-    def __contains__(self, item_id):
-        return str(item_id) in self.index
-
     def sids(self, item_id):
         return self.codes[self.index[str(item_id)]]
+
+
+def _write_table(path, header, ids, rows, fmt):
+    """CSV: ``item_id`` then ``key=<int>`` per ``header`` item, then one
+    ``id,value...`` line per item, each value formatted by ``fmt``."""
+    with open(path, "w") as f:
+        f.write("item_id" + "".join(f",{k}={n}" for k, n in header.items()) + "\n")
+        for item, row in zip(ids, rows):
+            f.write(item + "," + ",".join(map(fmt, row)) + "\n")
+
+
+def _read_table(path, keys, cast):
+    """(header values, ids, rows) of a ``_write_table`` CSV with header
+    ``keys``; the first key's value is the row width, and each value is
+    parsed by ``cast``.  Errors name the file and line."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n")
+        match = re.fullmatch("item_id" + "".join(f",{k}=(0*[1-9][0-9]*)"
+                                                 for k in keys), header)
+        if match is None:
+            want = "item_id" + "".join(f",{k}=<int >= 1>" for k in keys)
+            raise ValueError(f"{path}:1: bad header {header!r}, expected {want}")
+        values = [int(g) for g in match.groups()]
+        width = values[0]
+        ids, rows = [], []
+        for lineno, line in enumerate(f, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != width + 1:
+                raise ValueError(f"{path}:{lineno}: expected {width + 1} "
+                                 f"fields, got {len(parts)}")
+            ids.append(parts[0])
+            try:
+                rows.append(np.array([cast(p) for p in parts[1:]], dtype=cast))
+            except (ValueError, OverflowError) as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    return values, ids, np.array(rows, dtype=cast).reshape(len(ids), width)
 
 
 def write_embeddings(path, table):
     """CSV with header ``item_id,dim=<d_p>``; values use shortest
     round-trip float formatting so rewrites are byte-identical."""
-    with open(path, "w") as f:
-        f.write(f"item_id,dim={table.dim}\n")
-        for item, row in zip(table.ids, table.vectors):
-            f.write(item + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    _write_table(path, {"dim": table.dim}, table.ids, table.vectors,
+                 lambda x: repr(float(x)))
 
 
 def read_embeddings(path):
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("item_id,dim="):
-            raise ValueError(f"{path}:1: bad embedding header {header!r}")
-        dim = int(header.split("=", 1)[1])
-        ids, rows = [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}")
-            ids.append(parts[0])
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    return EmbeddingTable(ids, np.array(rows, dtype=np.float64).reshape(len(ids), dim))
+    _, ids, vectors = _read_table(path, ("dim",), float)
+    return EmbeddingTable(ids, vectors)
 
 
 def write_sids(path, table):
     """CSV with header ``item_id,K=<K>,V=<V>``."""
-    with open(path, "w") as f:
-        f.write(f"item_id,K={table.k},V={table.v}\n")
-        for item, row in zip(table.ids, table.codes):
-            f.write(item + "," + ",".join(str(int(c)) for c in row) + "\n")
+    _write_table(path, {"K": table.k, "V": table.v}, table.ids, table.codes,
+                 lambda c: str(int(c)))
 
 
 def read_sids(path):
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        parts = header.split(",")
-        if (len(parts) != 3 or parts[0] != "item_id"
-                or not parts[1].startswith("K=") or not parts[2].startswith("V=")):
-            raise ValueError(f"{path}:1: bad SID header {header!r}")
-        k = int(parts[1][2:])
-        v = int(parts[2][2:])
-        ids, rows = [], []
-        for lineno, line in enumerate(f, start=2):
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != k + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {k + 1} fields, got {len(fields)}")
-            ids.append(fields[0])
-            try:
-                rows.append([int(c) for c in fields[1:]])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    codes = np.array(rows, dtype=np.int64).reshape(len(ids), k)
+    (_, v), ids, codes = _read_table(path, ("K", "V"), int)
     return SidTable(ids, codes, v)
 
 
@@ -208,21 +207,17 @@ class OpmqModel:
     concatenated when orth_weights="all").
     """
 
-    def __init__(self, d_p, cfg, rng):
+    def __init__(self, d_p, config, rng):
         self.d_p = d_p
-        self.k = cfg.k
-        self.v = cfg.v
-        self.d_z = cfg.d_z if cfg.d_z is not None else d_p
-        self.activation = cfg.activation
-        self.orth_weights = cfg.orth_weights
-        self.beta = cfg.beta
+        self.config = config
+        self.d_z = config.d_z if config.d_z is not None else d_p
         self.experts = [(T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)),
                          T.glorot(rng, (d_p, self.d_z)), T.zeros((self.d_z,)))
-                        for _ in range(cfg.k)]
+                        for _ in range(config.k)]
         self.codebooks = [
-            T.Tensor(rng.normal(size=(cfg.v, self.d_z)) / np.sqrt(self.d_z),
+            T.Tensor(rng.normal(size=(config.v, self.d_z)) / np.sqrt(self.d_z),
                      requires_grad=True)
-            for _ in range(cfg.k)
+            for _ in range(config.k)
         ]
         self.decoder = (T.glorot(rng, (self.d_z, d_p)), T.zeros((d_p,)),
                         T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)))
@@ -239,31 +234,23 @@ class OpmqModel:
             raise ValueError(f"expected (n, {self.d_p}) embeddings, got {e.shape}")
         x = T.Tensor(e)
         return np.stack([
-            T.mlp(x, [T.Tensor(t.values) for t in layer], self.activation).values
+            T.mlp(x, [T.Tensor(t.values) for t in layer],
+                  self.config.activation).values
             for layer in self.experts])
 
 
-def _lift_embedding(e_p, d_p):
-    x = e_p if isinstance(e_p, T.Tensor) else T.Tensor(e_p)
-    single = len(x.shape) == 1
-    if single:
-        x = T.reshape(x, (1, x.shape[0]))
-    if len(x.shape) != 2 or x.shape[1] != d_p:
-        raise ValueError(f"expected embeddings of dimension {d_p}, got shape {x.shape}")
-    return x, single
-
-
-def encode_experts(e_p, model):
-    """K expert latents for one embedding (d_p,) or a batch (n, d_p)."""
-    x, single = _lift_embedding(e_p, model.d_p)
-    outs = [T.mlp(x, layer, model.activation) for layer in model.experts]
-    if single:
-        outs = [T.reshape(z, (z.shape[1],)) for z in outs]
-    return outs
+def encode_experts(x, model):
+    """The K expert latents, (n, d_z) each, of a batch (n, d_p) given as
+    an array or a Tensor: the one graph path through the experts."""
+    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
+    if x.ndim != 2 or x.shape[1] != model.d_p:
+        raise ValueError(f"expected (n, {model.d_p}) embeddings, got {x.shape}")
+    return [T.mlp(x, layer, model.config.activation) for layer in model.experts]
 
 
 def nearest_codewords(z, codebook):
-    """Batched argmin_j ||z - s_j||^2, first index on ties.
+    """Batched argmin_j ||z - s_j||^2 over latents (n, d_z), first index
+    on ties.
 
     Distances are formed as explicit differences, not the expanded
     cross-term identity, so results match a per-codeword scan bitwise.
@@ -273,8 +260,8 @@ def nearest_codewords(z, codebook):
     codebook = np.asarray(codebook, dtype=np.float64)
     if codebook.ndim != 2 or codebook.shape[0] < 1:
         raise ValueError("codebook must be a nonempty (V, d_z) matrix")
-    if z.shape[-1] != codebook.shape[1]:
-        raise ValueError(f"latent dim {z.shape[-1]} != codebook dim {codebook.shape[1]}")
+    if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
+        raise ValueError(f"expected (n, {codebook.shape[1]}) latents, got {z.shape}")
     out = np.empty(z.shape[0], dtype=np.int64)
     chunk = max(1, (1 << 22) // (codebook.shape[0] * codebook.shape[1]))
     for a in range(0, z.shape[0], chunk):
@@ -283,30 +270,25 @@ def nearest_codewords(z, codebook):
     return out
 
 
-def nearest_codeword(z, codebook):
-    """(index, codeword) of the closest codebook row to one latent."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"expected a single latent vector, got shape {z.shape}")
-    idx = int(nearest_codewords(z[None], codebook)[0])
-    return idx, np.asarray(codebook, dtype=np.float64)[idx].copy()
+def opmq_forward(e, model, sids=None):
+    """(sids, reconstruction, loss_recon, vq_aux, latents) for a batch
+    (n, d_p).
 
-
-def _forward_full(e_p, model, sids=None):
-    """Shared forward: returns (sids, recon, loss_recon, vq_aux, latents).
-
-    ``sids`` replays a frozen assignment, which is what finite-difference
-    gradient checks need; otherwise each latent routes to its nearest
-    codeword, outside the graph.
+    loss_recon is the mean over the batch of the squared reconstruction
+    error.  Codewords receive no gradient from it (straight-through);
+    they learn from vq_aux, also a batch mean.  ``sids`` replays a frozen
+    (n, K) assignment, which is what finite-difference gradient checks
+    need; otherwise each latent routes to its nearest codeword, outside
+    the graph.
     """
-    x, single = _lift_embedding(e_p, model.d_p)
+    x = T.Tensor(e)
+    latents = encode_experts(x, model)
     n = x.shape[0]
-    latents = [T.mlp(x, layer, model.activation) for layer in model.experts]
     if sids is None:
         sids = np.stack([nearest_codewords(z.values, cb.values)
                          for z, cb in zip(latents, model.codebooks)], axis=1)
     else:
-        sids = np.asarray(sids, dtype=np.int64).reshape(n, model.k)
+        sids = np.asarray(sids, dtype=np.int64).reshape(n, model.config.k)
 
     quantized = []
     aux_terms = []
@@ -318,26 +300,13 @@ def _forward_full(e_p, model, sids=None):
         commit_err = T.sub(z, T.stop_gradient(s))
         aux_terms.append(T.add(
             T.tsum(T.mul(code_err, code_err)),
-            T.mul(T.tsum(T.mul(commit_err, commit_err)), model.beta)))
-    recon = T.mlp(reduce(T.add, quantized), model.decoder, model.activation)
+            T.mul(T.tsum(T.mul(commit_err, commit_err)), model.config.beta)))
+    recon = T.mlp(reduce(T.add, quantized), model.decoder,
+                  model.config.activation)
     err = T.sub(x, recon)
     loss_recon = T.mul(T.tsum(T.mul(err, err)), 1.0 / n)
     aux = T.mul(reduce(T.add, aux_terms), 1.0 / n)
-    if single:
-        recon = T.reshape(recon, (recon.shape[1],))
-        sids = sids[0]
     return sids, recon, loss_recon, aux, latents
-
-
-def opmq_forward(e_p, model, sids=None):
-    """(sids, reconstruction, loss_recon) for one embedding or a batch.
-
-    loss_recon is the mean over the batch of the squared reconstruction
-    error.  Codewords receive no gradient from it (straight-through);
-    they learn from the auxiliary loss inside train_opmq.
-    """
-    out_sids, recon, loss_recon, _, _ = _forward_full(e_p, model, sids=sids)
-    return out_sids, recon, loss_recon
 
 
 def orth_penalty(model):
@@ -345,7 +314,7 @@ def orth_penalty(model):
     rows = []
     for w1, _, w2, _ in model.experts:
         flats = [T.reshape(w1, (1, w1.values.size))]
-        if model.orth_weights == "all":
+        if model.config.orth_weights == "all":
             flats.append(T.reshape(w2, (1, w2.values.size)))
         rows.append(flats[0] if len(flats) == 1 else T.concat(flats, axis=1))
     m = T.concat(rows, axis=0)
@@ -355,7 +324,7 @@ def orth_penalty(model):
         raise ValueError(f"expert {bad} has zero-norm weights")
     normed = T.mul(m, T.broadcast_to(T.power(sq, -0.5), m.shape))
     gram = T.matmul(normed, T.transpose_last(normed))
-    diff = T.sub(gram, T.Tensor(np.eye(model.k)))
+    diff = T.sub(gram, T.Tensor(np.eye(model.config.k)))
     return T.tsum(T.mul(diff, diff))
 
 
@@ -397,7 +366,7 @@ def train_opmq(embeddings, cfg):
         for a in range(0, n, cfg.batch_size):
             idx = perm[a:a + cfg.batch_size]
             batch = embeddings.vectors[idx]
-            sids, _, loss_recon, aux, latents = _forward_full(batch, model)
+            sids, _, loss_recon, aux, latents = opmq_forward(batch, model)
             orth = orth_penalty(model)
             total = T.add(T.add(loss_recon, aux), T.mul(orth, cfg.w_orth))
             if not np.isfinite(total.values):
@@ -429,13 +398,10 @@ def train_opmq(embeddings, cfg):
 
 def tokenize_catalog(embeddings, model):
     """Assign every item its K nearest-codeword indices."""
-    if embeddings.dim != model.d_p:
-        raise ValueError(
-            f"embedding dim {embeddings.dim} != model dim {model.d_p}")
     latents = model.encode_values(embeddings.vectors)
-    codes = np.stack([nearest_codewords(latents[i], model.codebooks[i].values)
-                      for i in range(model.k)], axis=1)
-    return SidTable(embeddings.ids, codes, model.v)
+    codes = np.stack([nearest_codewords(z, cb.values)
+                      for z, cb in zip(latents, model.codebooks)], axis=1)
+    return SidTable(embeddings.ids, codes, model.config.v)
 
 
 def mean_baseline_loss(embeddings):
@@ -505,25 +471,14 @@ def _model_arrays(model):
 def save_opmq(path, model):
     """Write the quantizer as an ``artifact`` container: its config in
     the header, then the expert, codebook and decoder arrays."""
-    header = {
-        "d_p": model.d_p,
-        "k": model.k,
-        "v": model.v,
-        "d_z": model.d_z,
-        "activation": model.activation,
-        "orth_weights": model.orth_weights,
-        "beta": model.beta,
-    }
+    header = {"d_p": model.d_p, "config": asdict(model.config)}
     artifact.write(path, OPMQ_MAGIC, header,
                    [(name, t.values) for name, t in _model_arrays(model)])
 
 
 def load_opmq(path):
     header, arrays = artifact.read(path, OPMQ_MAGIC)
-    cfg = OpmqConfig(k=header["k"], v=header["v"], d_z=header["d_z"],
-                     activation=header["activation"],
-                     orth_weights=header["orth_weights"],
-                     beta=header["beta"])
-    model = OpmqModel(header["d_p"], cfg, np.random.default_rng(0))
+    config = artifact.config(path, OpmqConfig, header.get("config"))
+    model = OpmqModel(header["d_p"], config, np.random.default_rng(0))
     artifact.restore(path, arrays, _model_arrays(model))
     return model

@@ -14,7 +14,7 @@ from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random
 from storerank.model import (StoreConfig, StoreModel, default_groups, fit,
                              prepare_inputs, save_store, slice_inputs,
                              total_loss)
-from storerank.tokenizer import (OpmqConfig, OpmqModel, _forward_full,
+from storerank.tokenizer import (OpmqConfig, OpmqModel, opmq_forward,
                                  orth_penalty, save_opmq, tokenize_catalog,
                                  train_opmq)
 
@@ -177,7 +177,7 @@ class TestGraphShrinks:
         model = OpmqModel(small["table"].dim, OpmqConfig(), np.random.default_rng(0))
 
         def step():
-            _, _, recon, aux, _ = _forward_full(small["table"].vectors[:32], model)
+            _, _, recon, aux, _ = opmq_forward(small["table"].vectors[:32], model)
             return graph_size(T.add(T.add(recon, aux),
                                     T.mul(orth_penalty(model), 0.01)))
 

@@ -298,6 +298,42 @@ class TestTokenizerCommands:
         rms = [rec["rms"] for rec in log]
         assert rms == sorted(rms, reverse=True)
 
+    def test_a_bad_embeddings_header_is_one_error_line(self, tmp_path, capsys):
+        emb = tmp_path / "emb.csv"
+        for dim in ("0", "x", "-2"):
+            emb.write_text(f"item_id,dim={dim}\n1,0.5\n")
+            assert run("train-tokenizer", "--embeddings", str(emb),
+                       "--out", str(tmp_path / "tok"), "--epochs", "1") == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {emb}:1: bad header ")
+            assert err.count("\n") == 1
+
+    def test_a_tokenizer_config_that_does_not_fit_is_named(
+            self, workspace, tmp_path, capsys):
+        header, arrays = artifact.read(workspace / "tok" / "tokenizer.opmq",
+                                       b"OPMQ2")
+        config = header["config"]
+        old_layout = {"d_p": header["d_p"], "d_z": header["d_p"],
+                      **{k: config[k] for k in ("k", "v", "activation",
+                                                "orth_weights", "beta")}}
+        variants = {
+            "missing": dict(header, config={k: v for k, v in config.items()
+                                            if k != "activation"}),
+            "relu": dict(header, config=dict(config, activation="relu")),
+            "text": dict(header, config=dict(config, k="2")),
+            "old": old_layout,
+        }
+        for name, bad in variants.items():
+            path = tmp_path / f"{name}.opmq"
+            artifact.write(path, b"OPMQ2", bad, list(arrays.items()))
+            capsys.readouterr()
+            assert run("tokenize",
+                       "--embeddings", str(workspace / "data" / "embeddings.csv"),
+                       "--tokenizer", str(path), "--out", str(tmp_path / name)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: "), err
+            assert err.count("\n") == 1
+
 
 class TestTrainEval:
     def train_args(self, workspace, out, *extra):
@@ -474,6 +510,17 @@ class TestSweep:
         assert [line.split(",")[column] for line in lines[1:]] == grid
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved[key] == [json.loads(x) for x in grid]
+
+    def test_epochs_without_a_grid_sets_every_setting(self, workspace, tmp_path):
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--raw-id", "--out", str(out), "--epochs", "2",
+                   "--batch-size", "500", "--d", "8", "--d-s", "4", "--d-g", "4",
+                   "--emb-dim", "4", "--n-heads", "1", "--hash-buckets", "256") == 0
+        assert os.listdir(out / "logs") == ["epochs2_k3_L2_rho0.5.jsonl"]
+        assert len(read_lines(out / "logs" / "epochs2_k3_L2_rho0.5.jsonl")) == 2
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["epochs"] == 2 and resolved["epochs_grid"] is None
 
     def test_k_grid_requires_embeddings(self, workspace, tmp_path, capsys):
         code = run("sweep", "--data", str(workspace / "data" / "data.strd"),

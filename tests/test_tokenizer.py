@@ -12,7 +12,6 @@ from storerank.tokenizer import (
     encode_experts,
     load_opmq,
     mean_baseline_loss,
-    nearest_codeword,
     nearest_codewords,
     opmq_forward,
     orth_penalty,
@@ -69,6 +68,10 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable([1], [[np.nan]])
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            EmbeddingTable([1, 2], np.zeros((2, 0)))
+
     def test_csv_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
         t = EmbeddingTable(np.arange(20), rng.normal(size=(20, 5)))
@@ -91,6 +94,10 @@ class TestEmbeddingTable:
         p.write_text("wrong header\n")
         with pytest.raises(ValueError, match=":1:"):
             read_embeddings(p)
+        for dim in ("0", "x", "-2", "", "2,3"):
+            p.write_text(f"item_id,dim={dim}\n1,0.5,0.5\n")
+            with pytest.raises(ValueError, match=":1: bad header"):
+                read_embeddings(p)
 
 
 class TestSidTable:
@@ -123,20 +130,28 @@ class TestSidTable:
         p.write_text("item_id,K=2,V=4\n1,0\n")
         with pytest.raises(ValueError, match=":2:"):
             read_sids(p)
+        p.write_text("item_id,K=2,V=4\n1,0,1\n2,0," + "9" * 30 + "\n")
+        with pytest.raises(ValueError, match=":3:"):
+            read_sids(p)
+        for header in ("K=x,V=4", "K=0,V=4", "K=2,V=0", "K=2,V=-4",
+                       "V=4,K=2", "K=2,V=4,W=1"):
+            p.write_text(f"item_id,{header}\n1,0,1\n")
+            with pytest.raises(ValueError, match=":1: bad header"):
+                read_sids(p)
 
 
 class TestEncodeExperts:
     def test_identity_expert_is_identity(self):
         m = make_model(d_p=2, k=1, activation="linear")
         set_identity_expert(m, 0)
-        (z,) = encode_experts(np.array([1.0, 2.0]), m)
-        assert np.array_equal(z.values, [1.0, 2.0])
+        (z,) = encode_experts(np.array([1.0, 2.0])[None], m)
+        assert np.array_equal(z.values, [[1.0, 2.0]])
 
     def test_output_count_and_dims(self):
         m = make_model(d_p=4, k=3, v=5)
-        outs = encode_experts(np.ones(4), m)
+        outs = encode_experts(np.ones(4)[None], m)
         assert len(outs) == 3
-        assert all(z.shape == (4,) for z in outs)
+        assert all(z.shape == (1, 4) for z in outs)
 
     def test_matches_matmul_oracle(self):
         m = make_model(d_p=3, k=2, seed=5)
@@ -150,20 +165,21 @@ class TestEncodeExperts:
     def test_dimension_mismatch(self):
         m = make_model(d_p=4)
         with pytest.raises(ValueError):
-            encode_experts(np.ones(3), m)
+            encode_experts(np.ones(3)[None], m)
+        with pytest.raises(ValueError):
+            encode_experts(np.ones(4), m)
 
 
 class TestNearestCodeword:
     def test_basic(self):
         book = np.array([[1.0, 0.0], [0.0, 1.0]])
-        idx, word = nearest_codeword(np.array([0.9, 0.1]), book)
+        idx = nearest_codewords(np.array([0.9, 0.1])[None], book)[0]
         assert idx == 0
-        assert np.array_equal(word, [1.0, 0.0])
+        assert np.array_equal(book[idx], [1.0, 0.0])
 
     def test_equidistant_tie_takes_lowest_index(self):
         book = np.array([[1.0, 0.0], [0.0, 1.0]])
-        idx, _ = nearest_codeword(np.array([0.5, 0.5]), book)
-        assert idx == 0
+        assert nearest_codewords(np.array([0.5, 0.5])[None], book)[0] == 0
 
     def test_matches_scan_oracle_exactly(self):
         rng = np.random.default_rng(8)
@@ -193,9 +209,11 @@ class TestNearestCodeword:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            nearest_codeword(np.ones(2), np.zeros((0, 2)))
+            nearest_codewords(np.ones(2)[None], np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            nearest_codeword(np.ones(3), np.zeros((4, 2)))
+            nearest_codewords(np.ones(3)[None], np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            nearest_codewords(np.ones(2), np.zeros((4, 2)))
 
 
 class TestOpmqForward:
@@ -209,15 +227,15 @@ class TestOpmqForward:
         w2.values[...] = np.eye(2)
         b2.values[...] = 0.0
         m.codebooks[0].values[...] = np.array([[1.0, 2.0], [9.0, 9.0]])
-        sids, recon, loss = opmq_forward(np.array([1.0, 2.0]), m)
-        assert sids.tolist() == [0]
-        assert np.array_equal(recon.values, [1.0, 2.0])
-        assert loss.values == 0.0
+        sids, recon, loss, aux, _ = opmq_forward(np.array([1.0, 2.0])[None], m)
+        assert sids.tolist() == [[0]]
+        assert np.array_equal(recon.values, [[1.0, 2.0]])
+        assert loss.values == 0.0 and aux.values == 0.0
 
     def test_codewords_get_no_gradient_from_recon(self):
         m = make_model(d_p=3, k=2, v=4, seed=11)
         x = np.random.default_rng(12).normal(size=(5, 3))
-        _, _, loss = opmq_forward(x, m)
+        _, _, loss, _, _ = opmq_forward(x, m)
         grads = T.grad(loss, m.codebooks)
         for g in grads:
             assert np.all(g == 0.0)
@@ -228,10 +246,10 @@ class TestOpmqForward:
         # z + const with the quantization offset frozen at the base point
         m = make_model(d_p=3, k=2, v=4, seed=13)
         x = np.random.default_rng(14).normal(size=(2, 3))
-        sids, _, _ = opmq_forward(x, m)
+        sids = opmq_forward(x, m)[0]
         latents0 = [z.values.copy() for z in encode_experts(x, m)]
         offsets = [m.codebooks[i].values[sids[:, i]] - latents0[i]
-                   for i in range(m.k)]
+                   for i in range(m.config.k)]
         leaves = [t for layer in m.experts for t in layer] + list(m.decoder)
 
         def build_surrogate():
@@ -240,7 +258,7 @@ class TestOpmqForward:
             for z, off in zip(latents, offsets):
                 q = T.add(z, T.Tensor(off))
                 total = q if total is None else T.add(total, q)
-            recon = T.mlp(total, m.decoder, m.activation)
+            recon = T.mlp(total, m.decoder, m.config.activation)
             err = T.sub(T.Tensor(x), recon)
             return T.mul(T.tsum(T.mul(err, err)), 1.0 / x.shape[0])
 
@@ -257,15 +275,16 @@ class TestOpmqForward:
         m = make_model(d_p=2, k=1, v=3, seed=15)
         x = np.ones((1, 2))
         forced = np.array([[2]])
-        sids, _, _ = opmq_forward(x, m, sids=forced)
+        sids, _, _, _, _ = opmq_forward(x, m, sids=forced)
         assert sids.tolist() == [[2]]
 
     def test_batch_shapes(self):
         m = make_model(d_p=4, k=3, v=5)
-        sids, recon, loss = opmq_forward(np.ones((6, 4)), m)
+        sids, recon, loss, aux, latents = opmq_forward(np.ones((6, 4)), m)
         assert sids.shape == (6, 3)
         assert recon.shape == (6, 4)
-        assert loss.shape == ()
+        assert loss.shape == () and aux.shape == ()
+        assert [z.shape for z in latents] == [(6, 4)] * 3
 
 
 class TestOrthPenalty:
@@ -397,7 +416,7 @@ class TestTokenizeCatalog:
     def test_matches_forward_assignments(self):
         table = cluster_table(n=30)
         model, _ = train_opmq(table, OpmqConfig(k=2, v=4, epochs=2, seed=4))
-        sids, _, _ = opmq_forward(table.vectors, model)
+        sids = opmq_forward(table.vectors, model)[0]
         assert np.array_equal(tokenize_catalog(table, model).codes, sids)
 
     def test_single_item(self):
@@ -444,8 +463,7 @@ class TestArtifact:
         p = tmp_path / "tok.opmq"
         save_opmq(p, model)
         back = load_opmq(p)
-        assert back.k == model.k and back.v == model.v and back.d_p == model.d_p
-        assert back.beta == model.beta
+        assert back.config == model.config and back.d_p == model.d_p
         for a, b in zip(model.params(), back.params()):
             assert np.array_equal(a.values, b.values)
 
