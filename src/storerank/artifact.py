@@ -10,13 +10,14 @@ A config dataclass stored in a header is rebuilt by ``config``.
 """
 
 import contextlib
-import dataclasses
 import itertools
 import json
 import os
 import zlib
 
 import numpy as np
+
+from .options import dataclass_options, mismatch
 
 
 def write(path, magic, header, arrays):
@@ -89,15 +90,21 @@ def restore(path, arrays, tensors):
 
 def config(path, cls, fields):
     """The ``cls`` dataclass that a header's ``fields`` dict describes.
-    Missing or unknown keys, and values ``cls`` refuses or cannot
-    compare, are a ``ValueError`` that starts with the path."""
+    Missing or unknown keys, a value not of its field's annotated type
+    (the rule of ``options.mismatch``) and values ``cls`` refuses are a
+    ``ValueError`` that starts with the path."""
     if not isinstance(fields, dict):
         raise ValueError(f"{path}: header holds no {cls.__name__}")
-    keys, got = {f.name for f in dataclasses.fields(cls)}, set(fields)
+    opts = dataclass_options(cls)
+    keys, got = set(opts), set(fields)
     if got != keys:
         raise ValueError(f"{path}: config does not fit {cls.__name__} "
                          f"(unknown keys {sorted(got - keys)}, "
                          f"missing keys {sorted(keys - got)})")
+    for key, value in fields.items():
+        reason = mismatch(key, value, opts[key])
+        if reason:
+            raise ValueError(f"{path}: bad {cls.__name__} in header: {reason}")
     try:
         return cls(**fields)
     except (TypeError, ValueError) as e:

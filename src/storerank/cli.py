@@ -43,7 +43,6 @@ import argparse
 import inspect
 import json
 import sys
-import typing
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
@@ -52,6 +51,7 @@ from .data import (SyntheticSpec, chrono_split, encode_features, gen_synthetic,
                    load_dataset_cache, random_split, save_dataset_cache)
 from .model import (StoreConfig, default_groups, evaluate, fit, load_store,
                     save_store)
+from .options import Opt, dataclass_options, mismatch
 from .tensor import ACTIVATIONS
 from .tokenizer import (OpmqConfig, load_opmq, read_embeddings, read_sids,
                         save_opmq, tokenize_catalog, train_opmq,
@@ -78,35 +78,6 @@ class _Parser(argparse.ArgumentParser):
 # option declarations
 # ---------------------------------------------------------------------------
 
-class Opt(NamedTuple):
-    """One option: its default and its type (int, float, str or bool).
-    ``many`` makes it a number list of that type.  A ``required`` input
-    must come from a flag or the config file.  A bool takes a flag only
-    where ``flag`` names its switch, which flips the default."""
-    default: object = None
-    kind: type = str
-    choices: tuple | None = None
-    many: bool = False
-    required: bool = False
-    flag: str | None = None
-    help: str | None = None
-
-
-def _fields(cls, **extra):
-    """An option per field of the dataclass ``cls``, with the field's
-    default and annotated type; a tuple field is a number list.
-    ``extra`` maps a field to the option attributes it adds."""
-    hints = typing.get_type_hints(cls)
-    opts = {}
-    for f in fields(cls):
-        kind = next((t for t in typing.get_args(hints[f.name])
-                     if t is not type(None)), hints[f.name])
-        opt = (Opt(list(f.default), type(f.default[0]), many=True)
-               if kind is tuple else Opt(f.default, kind))
-        opts[f.name] = opt._replace(**extra.get(f.name, {}))
-    return opts
-
-
 def _keywords(func):
     """An option per keyword parameter of ``func``, typed by its default."""
     return {name: Opt(p.default, type(p.default))
@@ -122,10 +93,10 @@ INPUT = Opt(required=True, help="required, as a flag or a config-file key")
 PRESET = Opt(choices=tuple(sorted(PRESETS)))
 
 TRAIN_OPTIONS = {
-    **_fields(StoreConfig,
-              use_raw_ids={"flag": "--raw-id", "help": "hashed-id ablation "
-                           "instead of SID tokens"},
-              use_rotation={"flag": "--no-rotation"}),
+    **dataclass_options(StoreConfig,
+                        use_raw_ids={"flag": "--raw-id", "help": "hashed-id "
+                                     "ablation instead of SID tokens"},
+                        use_rotation={"flag": "--no-rotation"}),
     "data": INPUT, "sids": Opt(), "preset": PRESET,
     "val_fraction": Opt(0.2, float), "split_seed": Opt(0, int),
     "split": Opt("random", choices=("random", "chrono")),
@@ -136,24 +107,6 @@ TRAIN_OPTIONS = {
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-def _fits(value, opt):
-    """Whether a config-file value suits ``opt``: null only where the
-    default is null, a choice among the choices, a number list as text or
-    as a nonempty list of numbers, else a value of the option's type (a
-    bool is not a number, an int is a valid float)."""
-    if value is None:
-        return opt.default is None
-    if opt.choices:
-        return value in opt.choices
-    if opt.many:
-        return isinstance(value, str) or (
-            isinstance(value, list) and len(value) > 0 and
-            all(_fits(x, Opt(0.0, float)) for x in value))
-    if isinstance(value, bool) != (opt.kind is bool):
-        return False
-    return isinstance(value, (int, float) if opt.kind is float else opt.kind)
-
 
 def _read_config(path, command, options, label="config file"):
     """The JSON object at ``path``, checked against ``options``: no
@@ -175,12 +128,9 @@ def _read_config(path, command, options, label="config file"):
     if unknown:
         raise CliError(f"{label}: unknown keys {sorted(unknown)}")
     for k, v in cfg.items():
-        opt = options[k]
-        if not _fits(v, opt):
-            want = (f"one of {list(opt.choices)}" if opt.choices else
-                    "a number list" if opt.many else
-                    f"of type {opt.kind.__name__}")
-            raise CliError(f"{label}: {k} must be {want}, got {v!r}")
+        reason = mismatch(k, v, options[k])
+        if reason:
+            raise CliError(f"{label}: {reason}")
     return cfg
 
 
@@ -450,12 +400,12 @@ class Command(NamedTuple):
 COMMANDS = {
     "gen-synthetic": Command(
         cmd_gen_synthetic, "write a synthetic click log",
-        _fields(SyntheticSpec, static_cards={
+        dataclass_options(SyntheticSpec, static_cards={
             "help": "comma-separated cardinalities, e.g. 8,12"})),
     "train-tokenizer": Command(
         cmd_train_tokenizer, "fit a quantizer to embeddings",
-        {**_fields(OpmqConfig, activation={"choices": ACTIVATIONS},
-                   orth_weights={"choices": ("hidden", "all")}),
+        {**dataclass_options(OpmqConfig, activation={"choices": ACTIVATIONS},
+                             orth_weights={"choices": ("hidden", "all")}),
          "embeddings": INPUT, "preset": PRESET,
          "backend": Opt("opmq", choices=("opmq", "rq"))},
         preset_keys=("k", "v")),

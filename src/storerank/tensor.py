@@ -348,6 +348,22 @@ def narrow(a, axis, start, length):
     return _result(np.array(out_vals), (a,), bwd)
 
 
+def unstack(a):
+    """The slices ``a[0], a[1], ...`` of a rank-3 tensor, each a rank-2
+    node whose backward fills its slice of a zero gradient."""
+    if a.ndim != 3:
+        raise ValueError("unstack needs a rank-3 tensor")
+
+    def part(i):
+        def bwd(g):
+            if a.requires_grad:
+                full = np.zeros_like(a.values)
+                full[i] = g
+                a.accumulate_grad(full)
+        return _result(a.values[i], (a,), bwd)
+    return [part(i) for i in range(a.shape[0])]
+
+
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     out_vals = np.concatenate([t.values for t in tensors], axis=axis)
@@ -377,21 +393,26 @@ def embedding(table, indices):
     out_vals = np.take(table.values, indices, axis=0)
 
     def bwd(g):
-        if not table.requires_grad:
-            return
-        n_rows = len(table.values)
-        if n_rows <= indices.size or table._backward is not None:
-            full = np.zeros_like(table.values)
-            np.add.at(full, indices, g)
-            table.accumulate_grad(full)
-            return
-        # % folds negative indices onto the rows np.take read them from
-        rows, inv = np.unique(indices % n_rows, return_inverse=True)
-        # each row sums its lookups in lookup order, as the dense add.at does
-        summed = np.zeros((rows.size,) + table.values.shape[1:])
-        np.add.at(summed, inv.reshape(indices.shape), g)
-        table.accumulate_grad(RowSparse(rows, summed, table.values.shape))
+        if table.requires_grad:
+            lookup_grad(table, indices, g)
     return _result(out_vals, (table,), bwd)
+
+
+def lookup_grad(table, indices, g):
+    """Hand ``table`` the gradient ``g`` of its rows looked up at
+    ``indices``, in the form ``embedding`` describes; for fused nodes."""
+    n_rows = len(table.values)
+    if n_rows <= indices.size or table._backward is not None:
+        full = np.zeros_like(table.values)
+        np.add.at(full, indices, g)
+        table.accumulate_grad(full)
+        return
+    # % folds negative indices onto the rows np.take read them from
+    rows, inv = np.unique(indices % n_rows, return_inverse=True)
+    # each row sums its lookups in lookup order, as the dense add.at does
+    summed = np.zeros((rows.size,) + table.values.shape[1:])
+    np.add.at(summed, inv.reshape(indices.shape), g)
+    table.accumulate_grad(RowSparse(rows, summed, table.values.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +461,15 @@ def affine(x, w, b):
         if w.requires_grad:
             w.accumulate_grad(x.values.T @ g)
         if b.requires_grad:
-            # one row passes as is, as in the four ops: a sum over one row
-            # would turn -0.0 into 0.0
-            b.accumulate_grad(g.sum(axis=0) if len(g) != 1 else g[0])
+            b.accumulate_grad(bias_grad(g))
     return _result(out_vals, (x, w, b), bwd)
+
+
+def bias_grad(g):
+    """The gradient of a bias row added to each row of a (n, d) output
+    whose gradient is ``g``.  One row passes as is, as in the four ops:
+    a sum over one row would turn -0.0 into 0.0."""
+    return g.sum(axis=0) if len(g) != 1 else g[0]
 
 
 ACTIVATIONS = ("tanh", "linear")

@@ -16,6 +16,13 @@ matrices pushes the experts to specialize.  Any codeword unused for a
 full check interval is reseeded from a live latent so codebooks cannot
 collapse.
 
+A training step is a few fused autodiff nodes: all K experts, the
+straight-through latent sum, the VQ loss, the reconstruction loss and
+the orthogonality penalty, around the decoder's ``T.mlp``.  Each node's
+backward replays the graph of per-op nodes it stands for, product for
+product and in that graph's summation order, so values, gradients and
+fits are bit for bit that graph's.
+
 Embedding and SID tables share one base and one CSV layout: a header
 ``item_id,<key>=<int>...``, then a line per item.  The ``tokenizer.opmq``
 artifact holds the model's whole ``OpmqConfig``.
@@ -149,9 +156,17 @@ def write_embeddings(path, table):
                  lambda x: repr(float(x)))
 
 
+def _table(path, cls, *args):
+    """``cls(*args)``, its refusal prefixed with the file it was read from."""
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def read_embeddings(path):
     _, ids, vectors = _read_table(path, ("dim",), float)
-    return EmbeddingTable(ids, vectors)
+    return _table(path, EmbeddingTable, ids, vectors)
 
 
 def write_sids(path, table):
@@ -162,7 +177,7 @@ def write_sids(path, table):
 
 def read_sids(path):
     (_, v), ids, codes = _read_table(path, ("K", "V"), int)
-    return SidTable(ids, codes, v)
+    return _table(path, SidTable, ids, codes, v)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +242,62 @@ class OpmqModel:
         return [t for _, t in _model_arrays(self)]
 
     def encode_values(self, e):
-        """Expert latents, (K, n, d_z), for bulk tokenization.  The MLPs
-        run on constant views of the weights, so no graph is kept."""
+        """Expert latents, (K, n, d_z), for bulk tokenization: the experts'
+        forward on plain arrays, so no graph is kept."""
         e = np.asarray(e, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != self.d_p:
             raise ValueError(f"expected (n, {self.d_p}) embeddings, got {e.shape}")
-        x = T.Tensor(e)
-        return np.stack([
-            T.mlp(x, [T.Tensor(t.values) for t in layer],
-                  self.config.activation).values
-            for layer in self.experts])
+        return np.stack([z for _, z in _expert_layers(e, self)])
+
+
+def _expert_layers(x, model):
+    """Per expert, (hidden activations, latent) of a batch array (n, d_p):
+    ``T.mlp``'s arithmetic, one product per expert and layer."""
+    out = []
+    for w1, b1, w2, b2 in model.experts:
+        h = x @ w1.values + b1.values
+        if model.config.activation == "tanh":
+            h = np.tanh(h)
+        out.append((h, h @ w2.values + b2.values))
+    return out
+
+
+def _experts(x, model):
+    """The K expert MLPs as one node, (K, n, d_z), whose parents are every
+    expert parameter.  Values and gradients are bit for bit those of K
+    ``T.mlp`` graphs: the backward runs each graph's products on the same
+    operands.  A parameter takes one part here and at most one more from
+    ``orth_penalty``, and two parts add the same in either order."""
+    layers = _expert_layers(x, model)
+    tanh = model.config.activation == "tanh"
+
+    def bwd(g):
+        for (w1, b1, w2, b2), (a, _), gz in zip(model.experts, layers, g):
+            if w2.requires_grad:
+                w2.accumulate_grad(a.T @ gz)
+            if b2.requires_grad:
+                b2.accumulate_grad(T.bias_grad(gz))
+            if w1.requires_grad or b1.requires_grad:
+                gh = gz @ w2.values.T
+                if tanh:
+                    gh = gh * (1.0 - a ** 2)
+                if w1.requires_grad:
+                    w1.accumulate_grad(x.T @ gh)
+                if b1.requires_grad:
+                    b1.accumulate_grad(T.bias_grad(gh))
+    params = [t for layer in model.experts for t in layer]
+    return T._result(np.stack([z for _, z in layers]), params, bwd)
 
 
 def encode_experts(x, model):
     """The K expert latents, (n, d_z) each, of a batch (n, d_p) given as
-    an array or a Tensor: the one graph path through the experts."""
-    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
+    an array or a constant Tensor: slices of the one experts node."""
+    if isinstance(x, T.Tensor) and x.requires_grad:
+        raise ValueError("encode_experts takes constant embeddings")
+    x = x.values if isinstance(x, T.Tensor) else np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.d_p:
         raise ValueError(f"expected (n, {model.d_p}) embeddings, got {x.shape}")
-    return [T.mlp(x, layer, model.config.activation) for layer in model.experts]
+    return T.unstack(_experts(x, model))
 
 
 def nearest_codewords(z, codebook):
@@ -254,7 +306,9 @@ def nearest_codewords(z, codebook):
 
     Distances are formed as explicit differences, not the expanded
     cross-term identity, so results match a per-codeword scan bitwise.
-    Chunked to bound the (chunk, V, d_z) temporary.
+    Chunked to bound the (chunk, V, d_z) temporary, which is squared in
+    place: a second one as large costs more in page faults than the
+    arithmetic.
     """
     z = np.asarray(z, dtype=np.float64)
     codebook = np.asarray(codebook, dtype=np.float64)
@@ -266,8 +320,61 @@ def nearest_codewords(z, codebook):
     chunk = max(1, (1 << 22) // (codebook.shape[0] * codebook.shape[1]))
     for a in range(0, z.shape[0], chunk):
         diff = z[a:a + chunk, None, :] - codebook[None, :, :]
-        out[a:a + chunk] = np.argmin((diff * diff).sum(axis=-1), axis=1)
+        diff *= diff
+        out[a:a + chunk] = np.argmin(diff.sum(axis=-1), axis=1)
     return out
+
+
+def _quantize(z, model, sids):
+    """(latent sum, vq_aux) of the experts node ``z`` under the (n, K)
+    assignment ``sids``, one node each.
+
+    The sum is over z + sg(s - z), in expert order: forward the
+    codewords (as rounded by that form), backward the identity to z.
+    Its parents include the codebooks, which take no gradient from it.
+    vq_aux is sum_i ||sg(z_i) - s_i||^2 + beta ||z_i - sg(s_i)||^2 over
+    the batch size.  Both backwards replay the graph of per-expert ops,
+    elementwise on all experts at once: a square's two factors each add
+    their part, so d(e * e) is ``g * e + g * e``.
+    """
+    inv_n = 1.0 / z.shape[1]
+    beta = model.config.beta
+    codes = list(sids.T)
+    s = np.stack([np.take(cb.values, idx, axis=0)
+                  for cb, idx in zip(model.codebooks, codes)])
+    diff = z.values - s
+    sq = diff * diff
+    terms = [t + t * beta for t in map(np.sum, sq)]
+
+    def bwd_sum(g):
+        if z.requires_grad:
+            # C order: each expert's slice is then laid out as g is
+            z.accumulate_grad(np.broadcast_to(g, z.shape).copy())
+
+    def bwd_aux(g):
+        g_code = g * inv_n
+        if z.requires_grad:
+            gz = (g_code * beta) * diff
+            z.accumulate_grad(gz + gz)
+        gs = g_code * diff
+        gs = -(gs + gs)
+        for cb, idx, gsi in zip(model.codebooks, codes, gs):
+            if cb.requires_grad:
+                T.lookup_grad(cb, idx, gsi)
+    parents = (z,) + tuple(model.codebooks)
+    return (T._result(reduce(np.add, z.values + (s - z.values)), parents, bwd_sum),
+            T._result(reduce(np.add, terms) * inv_n, parents, bwd_aux))
+
+
+def _mean_sq_error(x, recon):
+    """Mean over the rows of ||x - recon||^2, one node with parent recon."""
+    err = x - recon.values
+    inv_n = 1.0 / len(x)
+
+    def bwd(g):
+        ge = g * inv_n * err
+        recon.accumulate_grad(-(ge + ge))
+    return T._result((err * err).sum() * inv_n, (recon,), bwd)
 
 
 def opmq_forward(e, model, sids=None):
@@ -281,56 +388,77 @@ def opmq_forward(e, model, sids=None):
     need; otherwise each latent routes to its nearest codeword, outside
     the graph.
     """
-    x = T.Tensor(e)
-    latents = encode_experts(x, model)
+    x = np.asarray(e, dtype=np.float64)
+    z = _experts(x, model)
     n = x.shape[0]
     if sids is None:
-        sids = np.stack([nearest_codewords(z.values, cb.values)
-                         for z, cb in zip(latents, model.codebooks)], axis=1)
+        sids = np.stack([nearest_codewords(zi, cb.values)
+                         for zi, cb in zip(z.values, model.codebooks)], axis=1)
     else:
         sids = np.asarray(sids, dtype=np.int64).reshape(n, model.config.k)
-
-    quantized = []
-    aux_terms = []
-    for i, z in enumerate(latents):
-        s = T.embedding(model.codebooks[i], sids[:, i])
-        # straight-through: forward value is s, gradient passes to z only
-        quantized.append(T.add(z, T.stop_gradient(T.sub(s, z))))
-        code_err = T.sub(T.stop_gradient(z), s)
-        commit_err = T.sub(z, T.stop_gradient(s))
-        aux_terms.append(T.add(
-            T.tsum(T.mul(code_err, code_err)),
-            T.mul(T.tsum(T.mul(commit_err, commit_err)), model.config.beta)))
-    recon = T.mlp(reduce(T.add, quantized), model.decoder,
-                  model.config.activation)
-    err = T.sub(x, recon)
-    loss_recon = T.mul(T.tsum(T.mul(err, err)), 1.0 / n)
-    aux = T.mul(reduce(T.add, aux_terms), 1.0 / n)
-    return sids, recon, loss_recon, aux, latents
+    quantized, aux = _quantize(z, model, sids)
+    recon = T.mlp(quantized, model.decoder, model.config.activation)
+    return sids, recon, _mean_sq_error(x, recon), aux, T.unstack(z)
 
 
 def orth_penalty(model):
-    """||V V^T - I||_F^2 over the L2-normalized flattened expert weights."""
-    rows = []
-    for w1, _, w2, _ in model.experts:
-        flats = [T.reshape(w1, (1, w1.values.size))]
-        if model.config.orth_weights == "all":
-            flats.append(T.reshape(w2, (1, w2.values.size)))
-        rows.append(flats[0] if len(flats) == 1 else T.concat(flats, axis=1))
-    m = T.concat(rows, axis=0)
-    sq = T.tsum(T.mul(m, m), axis=1, keepdims=True)
-    if np.any(sq.values <= 0.0):
-        bad = int(np.argmin(sq.values))
+    """||V V^T - I||_F^2 over the L2-normalized flattened expert weights,
+    one node.  Its backward replays the graph of flatten, concat,
+    normalize, Gram-matrix and square ops, product for product and in
+    that graph's summation order (a row takes its normalized part first,
+    then the two parts of its square)."""
+    ws = [layer[:1] if model.config.orth_weights == "hidden" else layer[::2]
+          for layer in model.experts]
+    m = np.stack([np.concatenate([w.values.ravel() for w in row]) for row in ws])
+    sq = (m * m).sum(axis=1, keepdims=True)
+    if np.any(sq <= 0.0):
+        bad = int(np.argmin(sq))
         raise ValueError(f"expert {bad} has zero-norm weights")
-    normed = T.mul(m, T.broadcast_to(T.power(sq, -0.5), m.shape))
-    gram = T.matmul(normed, T.transpose_last(normed))
-    diff = T.sub(gram, T.Tensor(np.eye(model.config.k)))
-    return T.tsum(T.mul(diff, diff))
+    scale = sq ** -0.5
+    normed = m * scale
+    diff = normed @ np.swapaxes(normed, -1, -2) - np.eye(model.config.k)
+
+    def bwd(g):
+        g_gram = g * diff + g * diff
+        gb = np.swapaxes(normed, -1, -2) @ g_gram
+        g_normed = g_gram @ normed + np.swapaxes(gb, -1, -2)
+        g_scale = g_normed * m
+        if m.shape[1] != 1:     # broadcast_to sums only a lifted axis
+            g_scale = g_scale.sum(axis=1, keepdims=True)
+        g_sq = g_scale * -0.5 * sq ** -1.5
+        gm = g_normed * scale + g_sq * m + g_sq * m
+        for row, gr in zip(ws, gm):
+            for w, gw in zip(row, np.split(gr, [row[0].values.size])):
+                if w.requires_grad:
+                    w.accumulate_grad(gw.reshape(w.shape))
+    return T._result((diff * diff).sum(),
+                     [w for row in ws for w in row], bwd)
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+def _count_distinct(rows, at_least):
+    """The number of distinct rows when it is below ``at_least``, else a
+    number >= ``at_least``: the first ``4 * at_least`` rows are counted,
+    and every row only when those hold fewer than ``at_least``."""
+    head = np.unique(rows[:4 * at_least], axis=0).shape[0]
+    if head < at_least and len(rows) > 4 * at_least:
+        return np.unique(rows, axis=0).shape[0]
+    return head
+
+
+def _usage_stats(counts):
+    """Per position, the number of codes used and the perplexity of the
+    code usage, given (K, V) assignment counts."""
+    used, perplexity = [], []
+    for c in counts:
+        p = c[c > 0] / c.sum()
+        used.append(int(p.size))
+        perplexity.append(float(np.exp(-(p * np.log(p)).sum())))
+    return used, perplexity
+
 
 def train_opmq(embeddings, cfg):
     """Fit an OpmqModel to an EmbeddingTable; returns (model, epoch log).
@@ -339,13 +467,15 @@ def train_opmq(embeddings, cfg):
     loss_recon + vq_aux + w_orth * orth_penalty, and every reinit_every
     steps any codeword with no assignments since the previous check is
     reseeded to the latent of a random item from the current batch.
+    An epoch's record holds its mean losses, the penalty after it, and
+    per position the codes its assignments used and their perplexity.
     """
     rng = np.random.default_rng(cfg.seed)
     model = OpmqModel(embeddings.dim, cfg, rng)
     n = len(embeddings)
     if n == 0:
         raise ValueError("empty embedding table")
-    distinct = np.unique(embeddings.vectors, axis=0).shape[0]
+    distinct = _count_distinct(embeddings.vectors, cfg.v)
     if distinct < cfg.v:
         warnings.warn(f"only {distinct} distinct embeddings for V={cfg.v} codewords")
 
@@ -356,6 +486,8 @@ def train_opmq(embeddings, cfg):
 
     params = model.params()
     opt = T.Adam(params, lr=cfg.lr)
+    # code j of position i counts at i * V + j
+    offsets = np.arange(cfg.k) * cfg.v
     usage = np.zeros((cfg.k, cfg.v), dtype=np.int64)
     step = 0
     log = []
@@ -363,6 +495,7 @@ def train_opmq(embeddings, cfg):
         perm = rng.permutation(n)
         tot_sum = recon_sum = 0.0
         batches = 0
+        epoch_usage = np.zeros_like(usage)
         for a in range(0, n, cfg.batch_size):
             idx = perm[a:a + cfg.batch_size]
             batch = embeddings.vectors[idx]
@@ -374,7 +507,10 @@ def train_opmq(embeddings, cfg):
                     f"non-finite tokenizer loss at epoch {epoch} step {step}: "
                     f"recon={loss_recon.values} aux={aux.values} orth={orth.values}")
             opt.step(T.grad(total, params))
-            np.add.at(usage, (np.arange(cfg.k)[:, None], sids.T), 1)
+            counts = np.bincount((sids + offsets).ravel(),
+                                 minlength=usage.size).reshape(usage.shape)
+            usage += counts
+            epoch_usage += counts
             tot_sum += float(total.values)
             recon_sum += float(loss_recon.values)
             batches += 1
@@ -387,11 +523,14 @@ def train_opmq(embeddings, cfg):
                                           replace=dead.size > len(idx))
                         cb.values[dead] = latents[i].values[pick]
                 usage[:] = 0
+        codes_used, perplexity = _usage_stats(epoch_usage)
         log.append({
             "epoch": epoch + 1,
             "loss": tot_sum / batches,
             "loss_recon": recon_sum / batches,
             "orth_penalty": float(orth_penalty(model).values),
+            "codes_used": codes_used,
+            "usage_perplexity": perplexity,
         })
     return model, log
 

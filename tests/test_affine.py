@@ -14,9 +14,12 @@ from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random
 from storerank.model import (StoreConfig, StoreModel, default_groups, fit,
                              prepare_inputs, save_store, slice_inputs,
                              total_loss)
+from storerank import tokenizer as tok
 from storerank.tokenizer import (OpmqConfig, OpmqModel, opmq_forward,
                                  orth_penalty, save_opmq, tokenize_catalog,
                                  train_opmq)
+
+from test_fused_tokenizer import graph_opmq_forward, graph_orth_penalty
 
 
 def four_op_affine(x, w, b):
@@ -144,6 +147,10 @@ class TestWholeFitsMatchFourOps:
             return path.read_bytes(), log, tokenize_catalog(small["table"], model).codes
 
         got = run(tmp_path / "new.opmq")
+        # the fused experts run no affine node: the four ops reach the
+        # quantizer through the per-op graph reference
+        monkeypatch.setattr(tok, "opmq_forward", graph_opmq_forward)
+        monkeypatch.setattr(tok, "orth_penalty", graph_orth_penalty)
         monkeypatch.setattr(T, "affine", four_op_affine)
         want = run(tmp_path / "ref.opmq")
         assert got[0] == want[0] and got[1] == want[1]
@@ -176,11 +183,16 @@ class TestGraphShrinks:
     def test_tokenizer_step_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
         model = OpmqModel(small["table"].dim, OpmqConfig(), np.random.default_rng(0))
 
-        def step():
-            _, _, recon, aux, _ = opmq_forward(small["table"].vectors[:32], model)
+        def step(forward, penalty):
+            _, _, recon, aux, _ = forward(small["table"].vectors[:32], model)
             return graph_size(T.add(T.add(recon, aux),
-                                    T.mul(orth_penalty(model), 0.01)))
+                                    T.mul(penalty(model), 0.01)))
 
-        new = step()
+        graph, fused = (step(graph_opmq_forward, graph_orth_penalty),
+                        step(opmq_forward, orth_penalty))
         monkeypatch.setattr(T, "affine", four_op_affine)
-        assert (step(), new) == (125, 101)     # K = 3 experts + decoder: 8 layers
+        four_op = step(graph_opmq_forward, graph_orth_penalty)
+        # the graph: K = 3 experts + decoder, 8 layers; the fused step
+        # keeps two of them, the decoder's, as affine nodes
+        assert (four_op, graph) == (125, 101)
+        assert (step(opmq_forward, orth_penalty), fused) == (36, 30)

@@ -138,3 +138,37 @@ def test_failed_write_keeps_previous_file(saved, monkeypatch):
         save(path, make())
     assert path.read_bytes() == blob
     assert os.listdir(path.parent) == [path.name]
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("tokenizer.opmq", "k", 2.5),
+    ("tokenizer.opmq", "lr", "0.002"),
+    ("tokenizer.opmq", "epochs", True),
+    ("tokenizer.opmq", "activation", 1),
+    ("model.strm", "h", 2.5),
+    ("model.strm", "use_ffn", 0),
+    ("model.strm", "rho", None),
+])
+def test_a_header_value_of_the_wrong_type_is_named(tmp_path, name, key, value):
+    make, save, load = FORMATS[name]
+    path = tmp_path / name
+    save(path, make())
+    magic = open(path, "rb").readline().rstrip(b"\n")
+    header, arrays = artifact.read(path, magic)
+    header["config"][key] = value
+    artifact.write(path, magic, header, list(arrays.items()))
+    cls = "OpmqConfig" if name == "tokenizer.opmq" else "StoreConfig"
+    with pytest.raises(ValueError) as e:
+        load(path)
+    assert str(e.value).startswith(f"{path}: bad {cls} in header: {key} must be ")
+    assert str(e.value).endswith(f"got {value!r}")
+
+
+def test_header_values_of_their_field_types_load(tmp_path):
+    path = tmp_path / "tokenizer.opmq"
+    save_opmq(path, small_opmq())
+    header, arrays = artifact.read(path, b"OPMQ2")
+    # an int is a valid float, and d_z may be null, as its default is
+    header["config"].update(lr=1, d_z=None)
+    artifact.write(path, b"OPMQ2", header, list(arrays.items()))
+    assert load_opmq(path).config.lr == 1

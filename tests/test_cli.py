@@ -335,6 +335,27 @@ class TestTokenizerCommands:
             assert err.count("\n") == 1
 
 
+class TestTableErrorsNameTheFile:
+    def test_a_code_outside_v(self, workspace, tmp_path, capsys):
+        sids = tmp_path / "sids.csv"
+        sids.write_text("item_id,K=2,V=4\n1,0,1\n2,7,3\n")
+        assert run("train", "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(sids), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {sids}: codes outside [0, 4)\n"
+
+    @pytest.mark.parametrize("rows, reason", [
+        ("1,0.5,nan\n2,0.5,0.5\n", "non-finite embedding values"),
+        ("1,0.5,0.5\n1,0.25,0.5\n", "duplicate item ids in embedding table"),
+    ], ids=["nan", "duplicate_id"])
+    def test_a_bad_embedding_table(self, tmp_path, capsys, rows, reason):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("item_id,dim=2\n" + rows)
+        assert run("train-tokenizer", "--embeddings", str(emb),
+                   "--out", str(tmp_path / "tok"), "--epochs", "1") == 1
+        assert capsys.readouterr().err == f"error: {emb}: {reason}\n"
+
+
 class TestTrainEval:
     def train_args(self, workspace, out, *extra):
         return ["train", "--data", str(workspace / "data" / "data.strd"),

@@ -1,9 +1,12 @@
 """Semantic-id tokenizer: quantization, STE gradients, training, io."""
 
+import math
+
 import numpy as np
 import pytest
 
 from storerank import tensor as T
+from storerank import tokenizer as tok
 from storerank.tokenizer import (
     EmbeddingTable,
     OpmqConfig,
@@ -389,6 +392,61 @@ class TestTrainOpmq:
         table = EmbeddingTable([0, 1, 2], np.ones((3, 2)))
         with pytest.warns(UserWarning):
             train_opmq(table, OpmqConfig(k=1, v=4, epochs=1, seed=0))
+
+    def test_warning_counts_every_distinct_row(self):
+        # 10 distinct rows, spread over 100, so the head holds fewer than V
+        vecs = np.repeat(np.arange(10.0), 10)[:, None] * np.ones((1, 2))
+        table = EmbeddingTable(np.arange(100), vecs)
+        with pytest.warns(UserWarning, match="only 10 distinct embeddings for V=16"):
+            train_opmq(table, OpmqConfig(k=1, v=16, epochs=1, seed=0))
+
+    def test_no_warning_when_distinct_rows_come_late(self, recwarn):
+        # the first 4 * V rows are one row; 16 distinct rows follow
+        vecs = np.concatenate([np.zeros((64, 2)), np.arange(32.0).reshape(16, 2)])
+        train_opmq(EmbeddingTable(np.arange(80), vecs),
+                   OpmqConfig(k=1, v=16, epochs=1, seed=0))
+        assert not [w for w in recwarn if "distinct" in str(w.message)]
+
+    def test_distinct_count_reads_only_the_head_when_it_suffices(self, monkeypatch):
+        seen, unique = [], np.unique
+
+        def spy(rows, **kw):
+            seen.append(len(rows))
+            return unique(rows, **kw)
+        monkeypatch.setattr(np, "unique", spy)
+        rows = np.random.default_rng(0).normal(size=(1000, 3))
+        assert tok._count_distinct(rows, 16) == 64 and seen == [64]
+        rows[:64] = 0.0
+        assert tok._count_distinct(rows, 16) == 937 and seen == [64, 64, 1000]
+
+    def test_log_counts_each_epochs_code_usage(self, monkeypatch):
+        table = cluster_table(n=20, d=4, clusters=4)
+        steps = []
+
+        def recording(e, model, sids=None):
+            out = opmq_forward(e, model, sids)
+            steps.append(out[0])
+            return out
+        monkeypatch.setattr(tok, "opmq_forward", recording)
+        _, log = train_opmq(table, OpmqConfig(k=2, v=4, epochs=2, batch_size=7,
+                                              seed=3))
+        assert len(steps) == 6
+        for rec, epoch in zip(log, (steps[:3], steps[3:])):
+            for i in range(2):
+                codes = [int(c) for sids in epoch for c in sids[:, i]]
+                counts = {c: codes.count(c) for c in set(codes)}
+                entropy = -sum(n / 20 * math.log(n / 20) for n in counts.values())
+                assert rec["codes_used"][i] == len(counts)
+                assert rec["usage_perplexity"][i] == pytest.approx(
+                    math.exp(entropy), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:only 1 distinct")
+    def test_one_code_per_position_has_perplexity_one(self):
+        table = EmbeddingTable(np.arange(12), np.ones((12, 3)))
+        _, log = train_opmq(table, OpmqConfig(k=3, v=4, epochs=2, seed=0))
+        for rec in log:
+            assert rec["codes_used"] == [1, 1, 1]
+            assert rec["usage_perplexity"] == [1.0, 1.0, 1.0]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_aborts(self):
