@@ -9,7 +9,7 @@ a grid over epochs, SID count, depth and sparsity, and
 
 Each subcommand declares its options once, in ``COMMANDS``: the fields
 of its config dataclass plus a short table of its own keys (input paths,
-split, backend, preset, grids).  Its flags, its config-file checks and
+backend, preset, grids).  Its flags, its config-file checks and
 the keys of its ``resolved_config.json`` all derive from that.
 
 Configuration precedence, lowest to highest: built-in defaults, then a
@@ -47,7 +47,7 @@ from dataclasses import fields
 from typing import Callable, NamedTuple
 
 from .attention import bench_attention
-from .data import (SyntheticSpec, chrono_split, encode_features, gen_synthetic,
+from .data import (SyntheticSpec, encode_features, gen_synthetic,
                    load_dataset_cache, random_split, save_dataset_cache)
 from .model import (StoreConfig, default_groups, evaluate, fit, load_store,
                     save_store)
@@ -99,7 +99,6 @@ TRAIN_OPTIONS = {
                         use_rotation={"flag": "--no-rotation"}),
     "data": INPUT, "sids": Opt(), "preset": PRESET,
     "val_fraction": Opt(0.2, float), "split_seed": Opt(0, int),
-    "split": Opt("random", choices=("random", "chrono")),
     "emb_dim": Opt(8, int), "d_g": Opt(16, int),
 }
 
@@ -257,11 +256,7 @@ def cmd_tokenize(cfg, out):
 
 def _split_encode(data_path, cfg):
     ds = load_dataset_cache(_require(data_path, "dataset cache"))
-    if cfg["split"] == "chrono":
-        train, val = chrono_split(ds, cfg["val_fraction"])
-    else:
-        train, val = random_split(ds, cfg["val_fraction"],
-                                  seed=cfg["split_seed"])
+    train, val = random_split(ds, cfg["val_fraction"], seed=cfg["split_seed"])
     tr, va, _ = encode_features(train, val, ds.schema)
     return ds, tr, va
 
@@ -296,7 +291,7 @@ def cmd_eval(cfg, out):
     # the training run's split, read as that run's own config file
     path = os.path.join(os.path.dirname(cfg["model"]), "resolved_config.json")
     train_cfg = _read_config(path, "train", TRAIN_OPTIONS, label=path)
-    missing = sorted({"split", "val_fraction", "split_seed"} - set(train_cfg))
+    missing = sorted({"val_fraction", "split_seed"} - set(train_cfg))
     if missing:
         raise CliError(f"{path}: missing keys {missing}")
     ds, tr, va = _split_encode(cfg["data"], train_cfg)
@@ -330,9 +325,10 @@ def cmd_sweep(cfg, out):
     k_grid = cfg["k_grid"] or [cfg["h"]]
     layers_grid = cfg["layers_grid"] or [cfg["n_layers"]]
     rho_grid = cfg["rho_grid"] or [cfg["rho"]]
-    if len(k_grid) > 1 and not cfg["use_raw_ids"] and not cfg["embeddings"]:
-        raise CliError("sweeping k_sid needs --embeddings to retrain the "
-                       "tokenizer per K")
+    other_k = [k for k in k_grid if k != cfg["h"]]
+    if other_k and not cfg["use_raw_ids"] and not cfg["embeddings"]:
+        raise CliError(f"sweeping k_sid to {other_k[0]} (not --h {cfg['h']}) "
+                       "needs --embeddings to retrain the tokenizer per K")
     if not cfg["use_raw_ids"] and not (cfg["sids"] or cfg["embeddings"]):
         raise CliError("need --sids or --embeddings (or --raw-id)")
 

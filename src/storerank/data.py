@@ -1,10 +1,10 @@
-"""Dataset ingestion, synthetic CTR generation, deterministic batching.
+"""Datasets, synthetic CTR generation, splits and deterministic batching.
 
-Readers parse raw string columns and keep file order (ad logs are
-chronological, so order is the time axis).  Categorical encoding is a
-separate step: vocabularies come from the training partition only, with
-index 0 reserved for out-of-vocabulary values, so validation rows can
-never leak labels through the encoding.
+A dataset is raw string columns plus binary labels, kept on disk in a
+``data.strd`` cache.  Categorical encoding is a separate step:
+vocabularies come from the training partition only, with index 0
+reserved for out-of-vocabulary values, so validation rows can never
+leak labels through the encoding.  The split is a seeded random one.
 
 The synthetic generator plants a known structure: items carry
 cluster-shaped embeddings, and the click logit mixes linear effects
@@ -16,12 +16,13 @@ supposed to close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifact
 from . import tensor as T
+from .options import check_finite
 from .tokenizer import EmbeddingTable
 
 ROLES = ("high_cardinality_item", "static", "group_key", "label")
@@ -69,24 +70,11 @@ class DatasetSchema:
         """Everything encodable: item, statics, group key, in schema order."""
         return [n for n, r in self.columns if r != "label"]
 
-    @classmethod
-    def avazu_default(cls):
-        return cls([
-            ("click", "label"),
-            ("site_id", "high_cardinality_item"),
-            ("device_id", "group_key"),
-            ("hour", "static"),
-            ("banner_pos", "static"),
-            ("site_category", "static"),
-            ("app_category", "static"),
-            ("device_type", "static"),
-        ])
-
 
 class Dataset:
-    """Raw string columns plus binary labels, in original (file) order."""
+    """Raw string columns plus binary labels, one row per instance."""
 
-    def __init__(self, schema, columns, labels, chronological):
+    def __init__(self, schema, columns, labels):
         labels = np.asarray(labels, dtype=np.int8)
         if labels.ndim != 1:
             raise ValueError("labels must be 1-d")
@@ -103,7 +91,6 @@ class Dataset:
                                  f"!= labels {labels.shape}")
             self.columns[name] = col
         self.labels = labels
-        self.chronological = bool(chronological)
 
     def __len__(self):
         return self.labels.size
@@ -113,54 +100,9 @@ class Dataset:
 
     def subset(self, indices):
         indices = np.asarray(indices)
-        out = Dataset(self.schema,
-                      {n: c[indices] for n, c in self.columns.items()},
-                      self.labels[indices], self.chronological)
-        return out
-
-
-def read_avazu_csv(path, schema, skip_malformed=False):
-    """Parse a comma-separated click log into raw columns, keeping order.
-
-    Malformed rows raise with the 1-based line number unless
-    skip_malformed is set, in which case they are counted on the
-    returned dataset's ``skipped_rows``.
-    """
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-        missing = [n for n in ([schema.label_col] + schema.feature_cols)
-                   if n not in header]
-        if missing:
-            raise ValueError(f"{path}:1: header lacks schema columns {missing}")
-        pos = {n: header.index(n) for n in header}
-        want = len(header)
-        label_i = pos[schema.label_col]
-        feat_pos = [(n, pos[n]) for n in schema.feature_cols]
-        cols = {n: [] for n in schema.feature_cols}
-        labels = []
-        skipped = 0
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != want:
-                if skip_malformed:
-                    skipped += 1
-                    continue
-                raise ValueError(f"{path}:{lineno}: expected {want} fields, "
-                                 f"got {len(parts)}")
-            raw_label = parts[label_i]
-            if raw_label not in ("0", "1"):
-                if skip_malformed:
-                    skipped += 1
-                    continue
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, "
-                                 f"got {raw_label!r}")
-            labels.append(int(raw_label))
-            for n, i in feat_pos:
-                cols[n].append(parts[i])
-    ds = Dataset(schema, {n: np.asarray(v, dtype=object) for n, v in cols.items()},
-                 labels, chronological=True)
-    ds.skipped_rows = skipped
-    return ds
+        return Dataset(self.schema,
+                       {n: c[indices] for n, c in self.columns.items()},
+                       self.labels[indices])
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +161,6 @@ def encode_features(train, val, schema):
     return out[0], out[1], vocabs
 
 
-def chrono_split(dataset, val_fraction=0.1):
-    """Last fraction of rows (file order = time) becomes validation."""
-    if not dataset.chronological:
-        raise ValueError("chronological split on non-chronological data")
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    n = len(dataset)
-    n_val = max(1, int(round(n * val_fraction)))
-    if n_val >= n:
-        raise ValueError(f"validation fraction {val_fraction} leaves no training rows")
-    idx = np.arange(n)
-    return dataset.subset(idx[:n - n_val]), dataset.subset(idx[n - n_val:])
-
-
 def random_split(dataset, val_fraction=0.1, seed=0):
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
@@ -283,6 +211,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_clusters > self.n_items:
             raise ValueError(f"n_clusters {self.n_clusters} > n_items {self.n_items}")
         if not 0.0 <= self.noise_rate < 0.5:
@@ -349,7 +278,7 @@ def gen_synthetic(spec):
             "user_id": users.astype(str).astype(object)}
     for j, s in enumerate(statics):
         cols[f"f{j}"] = s.astype(str).astype(object)
-    ds = Dataset(synthetic_schema(spec), cols, labels, chronological=False)
+    ds = Dataset(synthetic_schema(spec), cols, labels)
     ds.planted_probs = probs
     return ds, table
 
@@ -371,14 +300,12 @@ def save_dataset_cache(path, dataset):
         arrays.append((name, np.frombuffer(blob, dtype=np.uint8)))
     arrays.append((dataset.schema.label_col,
                    np.asarray(dataset.labels, dtype="<i1")))
-    header = {
-        "schema": [[n, r] for n, r in dataset.schema.columns],
-        "chronological": dataset.chronological,
-    }
+    header = {"schema": [[n, r] for n, r in dataset.schema.columns]}
     artifact.write(path, CACHE_MAGIC, header, arrays)
 
 
 def load_dataset_cache(path):
+    # only the schema is read: an older cache's "chronological" is ignored
     header, arrays = artifact.read(path, CACHE_MAGIC)
     schema = DatasetSchema([(n, r) for n, r in header["schema"]])
     labels = arrays[schema.label_col]
@@ -391,4 +318,4 @@ def load_dataset_cache(path):
             raise ValueError(f"{path}: column {name!r} has {len(vals)} "
                              f"values, expected {n}")
         cols[name] = np.asarray(vals, dtype=object)
-    return Dataset(schema, cols, labels, header["chronological"])
+    return Dataset(schema, cols, labels)

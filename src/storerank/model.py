@@ -32,6 +32,7 @@ from .attention import AttentionParams, attention_flops, dense_attention, \
     efficient_attention, k_blocks_for
 from .data import batch_iter
 from .metrics import auc, gauc, logloss
+from .options import check_finite
 from .rotation import FeatureGroup, GroupConfig, GroupFuser, RotationBank, \
     diversity_penalty, rotate, rotation_step
 from .tokenizer import SidTable
@@ -62,6 +63,7 @@ class StoreConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if min(self.h, self.v, self.d_s, self.d, self.n_layers, self.n_heads,
                self.block_size, self.hash_buckets, self.epochs,
                self.batch_size) < 1:

@@ -4,11 +4,13 @@ An ``Opt`` declares one value: its default, type and choices.
 ``dataclass_options`` gives an ``Opt`` per field of a config dataclass,
 from the field's default and annotated type.  ``mismatch`` is the check
 every value read from a file passes, whether a CLI config file or the
-config an artifact header carries.
+config an artifact header carries.  ``check_finite`` is the refusal of
+a NaN or infinite float field that each config dataclass makes.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import fields
 from typing import NamedTuple
@@ -68,3 +70,11 @@ def mismatch(key, value, opt):
     want = (f"one of {list(opt.choices)}" if opt.choices else
             "a number list" if opt.many else f"of type {opt.kind.__name__}")
     return f"{key} must be {want}, got {value!r}"
+
+
+def check_finite(config):
+    """Refuse, by name, a NaN or infinite float field of ``config``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")

@@ -79,15 +79,10 @@ class GroupConfig:
 
 
 class GroupFuser:
-    """Per-group ``T.mlp``s (one hidden layer, width 2*d_g) producing C.
+    """Per-group ``T.mlp``s (one tanh hidden layer, width 2*d_g) producing C."""
 
-    ``activation`` may be "tanh" (default) or "linear"; the linear option
-    exists so tests can pin exact identity behaviour.
-    """
-
-    def __init__(self, config, rng, activation="tanh"):
+    def __init__(self, config, rng):
         self.config = config
-        self.activation = activation
         self.layers = []
         hidden = 2 * config.d_g
         for grp in config.groups:
@@ -116,7 +111,7 @@ class GroupFuser:
                     raise ValueError(f"group {grp.name!r}: missing feature {f!r}")
                 cols.append(features[f])
             x = cols[0] if len(cols) == 1 else T.concat(cols, axis=1)
-            outs.append(T.mlp(x, layer, self.activation))
+            outs.append(T.mlp(x, layer, "tanh"))
         return outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
 
 

@@ -12,13 +12,12 @@ bit the graph of elementwise ops it stands for.
 The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
 hands it back as a ``RowSparse`` (sorted distinct rows plus their
-summed values), and ``SGD`` and ``Adam`` update only the rows that can
-move.  ``Adam`` keeps the moments of such a table for just the rows
-touched so far, in one compact array in first-touch order, and turns
-them into dense moments once every row is touched or a dense gradient
-arrives.  Both optimizers give bit for bit what the dense gradient would
-give, and ``np.asarray`` turns a ``RowSparse`` into exactly that dense
-gradient.
+summed values), and ``Adam`` updates only the rows that can move.  It
+keeps the moments of such a table for just the rows touched so far, in
+one compact array in first-touch order, and turns them into dense
+moments once every row is touched or a dense gradient arrives.  It gives
+bit for bit what the dense gradient would give, and ``np.asarray`` turns
+a ``RowSparse`` into exactly that dense gradient.
 
 A node keeps the first gradient a backward closure hands it without a
 copy when it is a fresh array (writeable float64, owning its memory);
@@ -32,10 +31,6 @@ keeps a tuple of its parents and a backward closure.  ``grad`` (and
 each call re-seeds and re-accumulates leaf gradients from zero, so the
 graph is reusable and is freed by the garbage collector once the caller
 drops the loss tensor.
-
-``stop_gradient`` keeps its argument as a graph parent (so the argument
-still counts as "in the graph" for ``grad``'s reachability check) but
-propagates an exactly-zero gradient through the node.
 """
 
 from __future__ import annotations
@@ -89,41 +84,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar (scalars allowed on elementwise ops) --
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 class RowSparse:
@@ -230,26 +190,6 @@ def mul(a, b):
     return _result(a.values * b.values, (a, b), bwd)
 
 
-def power(a, p):
-    """Elementwise a**p for a scalar exponent (covers square, sqrt, 1/x)."""
-    p = float(p)
-    out_vals = a.values ** p
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * p * a.values ** (p - 1.0))
-    return _result(out_vals, (a,), bwd)
-
-
-def exp(a):
-    out_vals = np.exp(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * out_vals)
-    return _result(out_vals, (a,), bwd)
-
-
 def log(a):
     def bwd(g):
         if a.requires_grad:
@@ -319,49 +259,6 @@ def broadcast_to(a, shape):
                 gg = gg.sum(axis=ax, keepdims=True)
         a.accumulate_grad(gg)
     return _result(np.array(out_vals), (a,), bwd)
-
-
-def transpose_last(a):
-    """Swap the last two axes (matrix transpose; batch axis untouched)."""
-    if a.ndim < 2:
-        raise ValueError("transpose_last needs rank >= 2")
-    out_vals = np.swapaxes(a.values, -1, -2)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(g, -1, -2))
-    return _result(out_vals, (a,), bwd)
-
-
-def narrow(a, axis, start, length):
-    """Contiguous slice [start, start+length) along one axis."""
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_vals = a.values[idx]
-
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.values)
-            full[idx] = g
-            a.accumulate_grad(full)
-    return _result(np.array(out_vals), (a,), bwd)
-
-
-def unstack(a):
-    """The slices ``a[0], a[1], ...`` of a rank-3 tensor, each a rank-2
-    node whose backward fills its slice of a zero gradient."""
-    if a.ndim != 3:
-        raise ValueError("unstack needs a rank-3 tensor")
-
-    def part(i):
-        def bwd(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.values)
-                full[i] = g
-                a.accumulate_grad(full)
-        return _result(a.values[i], (a,), bwd)
-    return [part(i) for i in range(a.shape[0])]
 
 
 def concat(tensors, axis=0):
@@ -507,22 +404,9 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def softmax(a, axis=-1):
-    """Stable softmax along one axis; rows of all -inf are rejected.
-
-    -inf entries (additive masks) produce exactly-zero probabilities.
-    """
-    out_vals = softmax_values(a.values, axis)
-
-    def bwd(g):
-        if a.requires_grad:
-            dot = (g * out_vals).sum(axis=axis, keepdims=True)
-            a.accumulate_grad(out_vals * (g - dot))
-    return _result(out_vals, (a,), bwd)
-
-
 def softmax_values(x, axis=-1):
-    """``softmax``'s forward on a plain array, for fused nodes."""
+    """Stable softmax along one axis of a plain array, for fused nodes:
+    -inf entries give exact zeros, and an all -inf slice is refused."""
     m = reduce_keepdims(np.maximum, x, axis)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("softmax: a full slice is masked to -inf")
@@ -557,15 +441,6 @@ def sigmoid_values(x):
     where-branch on the sign of x uses exp(-|x|) <= 1, so none overflows."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def stop_gradient(a):
-    """Identity forward; exactly zero gradient flows to the argument.
-
-    The argument stays linked as a parent so it still counts as part of
-    the graph for ``grad``'s reachability check.
-    """
-    return Tensor(a.values, requires_grad=False, _parents=(a,), _backward=None)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -659,7 +534,8 @@ def grad(loss, params):
 
     A parameter that is not reachable in the loss graph is an error, not a
     silent zero.  A parameter that is reachable but receives no gradient
-    (e.g. it only enters under ``stop_gradient``) gets an explicit zero.
+    (a codebook reaches the straight-through sum that way) gets an
+    explicit zero.
     A table reached only through ``embedding`` lookups, fewer of them than
     it has rows, gets a ``RowSparse``; ``np.asarray`` of it is the dense
     gradient, bit for bit.  Every other gradient is a dense array.  Each
@@ -683,29 +559,8 @@ def grad(loss, params):
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 # ---------------------------------------------------------------------------
-
-class SGD:
-    """Plain gradient descent: p <- p - lr * g."""
-
-    def __init__(self, params, lr=0.01):
-        self.params = list(params)
-        self.lr = float(lr)
-        self.step_count = 0
-
-    def step(self, grads):
-        if len(grads) != len(self.params):
-            raise ValueError("SGD.step: grads/params length mismatch")
-        for p, g in zip(self.params, grads):
-            if g.shape != p.values.shape:
-                raise ValueError(f"SGD.step: grad shape {g.shape} vs param {p.shape}")
-            if isinstance(g, RowSparse):
-                p.values[g.rows] -= self.lr * g.values
-            else:
-                p.values -= self.lr * g
-        self.step_count += 1
-
 
 class _RowMoments:
     """Adam moments of the rows of a table that gradients have touched.

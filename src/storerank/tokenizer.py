@@ -42,6 +42,7 @@ import numpy as np
 
 from . import artifact
 from . import tensor as T
+from .options import check_finite
 
 OPMQ_MAGIC = b"OPMQ2"
 
@@ -200,6 +201,7 @@ class OpmqConfig:
     orth_weights: str = "hidden"  # or "all": include both expert layers
 
     def __post_init__(self):
+        check_finite(self)
         d_z = 1 if self.d_z is None else self.d_z
         if min(self.k, self.v, d_z, self.batch_size, self.epochs,
                self.reinit_every) < 1:
@@ -289,17 +291,6 @@ def _experts(x, model):
     return T._result(np.stack([z for _, z in layers]), params, bwd)
 
 
-def encode_experts(x, model):
-    """The K expert latents, (n, d_z) each, of a batch (n, d_p) given as
-    an array or a constant Tensor: slices of the one experts node."""
-    if isinstance(x, T.Tensor) and x.requires_grad:
-        raise ValueError("encode_experts takes constant embeddings")
-    x = x.values if isinstance(x, T.Tensor) else np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d_p:
-        raise ValueError(f"expected (n, {model.d_p}) embeddings, got {x.shape}")
-    return T.unstack(_experts(x, model))
-
-
 def nearest_codewords(z, codebook):
     """Batched argmin_j ||z - s_j||^2 over latents (n, d_z), first index
     on ties.
@@ -379,7 +370,7 @@ def _mean_sq_error(x, recon):
 
 def opmq_forward(e, model, sids=None):
     """(sids, reconstruction, loss_recon, vq_aux, latents) for a batch
-    (n, d_p).
+    (n, d_p); latents is the experts node's (K, n, d_z) array.
 
     loss_recon is the mean over the batch of the squared reconstruction
     error.  Codewords receive no gradient from it (straight-through);
@@ -398,7 +389,7 @@ def opmq_forward(e, model, sids=None):
         sids = np.asarray(sids, dtype=np.int64).reshape(n, model.config.k)
     quantized, aux = _quantize(z, model, sids)
     recon = T.mlp(quantized, model.decoder, model.config.activation)
-    return sids, recon, _mean_sq_error(x, recon), aux, T.unstack(z)
+    return sids, recon, _mean_sq_error(x, recon), aux, z.values
 
 
 def orth_penalty(model):
@@ -521,7 +512,7 @@ def train_opmq(embeddings, cfg):
                     if dead.size:
                         pick = rng.choice(len(idx), size=dead.size,
                                           replace=dead.size > len(idx))
-                        cb.values[dead] = latents[i].values[pick]
+                        cb.values[dead] = latents[i][pick]
                 usage[:] = 0
         codes_used, perplexity = _usage_stats(epoch_usage)
         log.append({

@@ -200,6 +200,27 @@ class TestConfigTypes:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert (resolved["lr"], resolved["d_z"], resolved["preset"]) == (1, 4, None)
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize("command, key", [
+        ("gen-synthetic", "interaction_scale"), ("train-tokenizer", "beta"),
+        ("train", "lr"),
+    ])
+    def test_a_non_finite_float_is_one_error_line_naming_it(
+            self, workspace, tmp_path, capsys, command, key, from_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float("nan")}))
+        source = (["--config", str(cfg)] if from_file
+                  else ["--" + key.replace("_", "-"), "nan"])
+        inputs = {"gen-synthetic": [],
+                  "train-tokenizer": ["--embeddings", str(workspace / "data" /
+                                                          "embeddings.csv")],
+                  "train": ["--data", str(workspace / "data" / "data.strd"),
+                            "--raw-id"]}[command]
+        out = tmp_path / "out"
+        assert run(command, *inputs, *source, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {key} must be finite, got nan\n"
+        assert not out.exists()
+
     def test_static_cards_need_one_positive_card(self, tmp_path, capsys):
         for cards in ("", "8,0"):
             assert run("gen-synthetic", "--out", str(tmp_path / "out"),
@@ -458,6 +479,22 @@ class TestTrainEval:
         assert "['attention']" in err and "['lam']" in err
         assert err.count("\n") == 1
 
+    def test_eval_names_a_non_finite_config_value_in_the_model(
+            self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(*self.train_args(workspace, out)) == 0
+        model = out / "model.strm"
+        header, arrays = artifact.read(model, b"STRM2")
+        header["config"]["lam"] = float("inf")
+        artifact.write(model, b"STRM2", header, list(arrays.items()))
+        capsys.readouterr()
+        assert run("eval", "--model", str(model),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: bad StoreConfig in header: lam must be finite, "
+            "got inf\n")
+
     def raw_id_args(self, workspace, out, buckets=256):
         return ["train", "--data", str(workspace / "data" / "data.strd"),
                 "--raw-id", "--out", str(out), "--epochs", "1",
@@ -549,6 +586,17 @@ class TestSweep:
                    "--out", str(tmp_path / "sw"), "--k-grid", "1,3")
         assert code == 2
         assert "embeddings" in capsys.readouterr().err
+
+    def test_one_k_other_than_h_requires_embeddings(self, workspace, tmp_path,
+                                                    capsys):
+        out = tmp_path / "sw"
+        code = run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--out", str(out), "--k-grid", "2")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--embeddings" in err and not out.exists()
 
 
 class TestBench:
@@ -695,7 +743,7 @@ class TestReplay:
         assert run(*TestTrainEval().raw_id_args(workspace, run_dir)) == 0
         path = run_dir / "resolved_config.json"
         cfg = json.loads(path.read_text())
-        for key in ("split", "split_seed"):
+        for key in ("split_seed", "val_fraction"):
             del cfg[key]
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
@@ -703,4 +751,24 @@ class TestReplay:
                    "--data", str(workspace / "data" / "data.strd"),
                    "--out", str(tmp_path / "ev")) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {path}: missing keys ['split', 'split_seed']\n"
+        assert err == f"error: {path}: missing keys ['split_seed', 'val_fraction']\n"
+
+    def test_a_training_config_that_names_split_is_refused(
+            self, workspace, tmp_path, capsys):
+        # the split is always random: a config from before names a key
+        # that no longer exists
+        run_dir = tmp_path / "run"
+        assert run(*TestTrainEval().raw_id_args(workspace, run_dir)) == 0
+        path = run_dir / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(cfg, split="random")))
+        capsys.readouterr()
+        again = tmp_path / "again"
+        assert run("train", "--config", str(path), "--out", str(again)) == 2
+        assert capsys.readouterr().err == \
+            "error: config file: unknown keys ['split']\n"
+        assert not again.exists()
+        assert run("eval", "--model", str(run_dir / "model.strm"),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown keys ['split']\n"

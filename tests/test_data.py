@@ -1,21 +1,20 @@
-"""Dataset parsing, encoding, splits, synthetic generation, batching."""
+"""Datasets, encoding, splits, synthetic generation, batching, the cache."""
 
 import numpy as np
 import pytest
 
+from storerank import artifact
 from storerank.data import (
     Dataset,
     DatasetSchema,
     SyntheticSpec,
     batch_iter,
     build_vocab,
-    chrono_split,
     encode_column,
     encode_features,
     gen_synthetic,
     load_dataset_cache,
     random_split,
-    read_avazu_csv,
     save_dataset_cache,
     synthetic_schema,
 )
@@ -30,8 +29,12 @@ def toy_schema():
     ])
 
 
-def write_toy_csv(path, rows, header="click,site_id,device_id,banner_pos"):
-    path.write_text("\n".join([header] + rows) + "\n")
+def toy_dataset(rows):
+    """A ``toy_schema`` dataset from "label,site,device,banner" rows."""
+    fields = [r.split(",") for r in rows]
+    cols = {name: np.array([f[i + 1] for f in fields], dtype=object)
+            for i, name in enumerate(("site_id", "device_id", "banner_pos"))}
+    return Dataset(toy_schema(), cols, [int(f[0]) for f in fields])
 
 
 class TestDatasetSchema:
@@ -61,55 +64,6 @@ class TestDatasetSchema:
         assert s.static_cols == ["banner_pos"]
         assert s.feature_cols == ["site_id", "device_id", "banner_pos"]
 
-    def test_avazu_default_is_valid(self):
-        s = DatasetSchema.avazu_default()
-        assert s.item_col == "site_id"
-
-
-class TestReadAvazuCsv:
-    def test_round_trip_values(self, tmp_path):
-        p = tmp_path / "log.csv"
-        write_toy_csv(p, ["1,s1,d1,0", "0,s2,d1,1", "1,s1,d2,0"])
-        ds = read_avazu_csv(p, toy_schema())
-        assert len(ds) == 3
-        assert ds.labels.tolist() == [1, 0, 1]
-        assert ds.column("site_id").tolist() == ["s1", "s2", "s1"]
-        assert ds.column("banner_pos").tolist() == ["0", "1", "0"]
-        assert ds.chronological
-
-    def test_extra_columns_ignored(self, tmp_path):
-        p = tmp_path / "log.csv"
-        p.write_text("id,click,site_id,device_id,banner_pos\n"
-                     "x1,0,s1,d1,2\n")
-        ds = read_avazu_csv(p, toy_schema())
-        assert ds.column("banner_pos").tolist() == ["2"]
-
-    def test_missing_schema_column(self, tmp_path):
-        p = tmp_path / "log.csv"
-        p.write_text("click,site_id,device_id\n1,s,d\n")
-        with pytest.raises(ValueError, match="banner_pos"):
-            read_avazu_csv(p, toy_schema())
-
-    def test_bad_field_count_names_line(self, tmp_path):
-        p = tmp_path / "log.csv"
-        write_toy_csv(p, ["1,s1,d1,0", "0,s2,d1"])
-        with pytest.raises(ValueError, match=":3:"):
-            read_avazu_csv(p, toy_schema())
-
-    def test_bad_label_names_line(self, tmp_path):
-        p = tmp_path / "log.csv"
-        write_toy_csv(p, ["2,s1,d1,0"])
-        with pytest.raises(ValueError, match=":2:"):
-            read_avazu_csv(p, toy_schema())
-
-    def test_skip_malformed_counts(self, tmp_path):
-        p = tmp_path / "log.csv"
-        write_toy_csv(p, ["1,s1,d1,0", "0,s2,d1", "oops,s3,d2,1", "0,s4,d2,1"])
-        ds = read_avazu_csv(p, toy_schema(), skip_malformed=True)
-        assert len(ds) == 2
-        assert ds.skipped_rows == 2
-        assert ds.column("site_id").tolist() == ["s1", "s4"]
-
 
 class TestEncoding:
     def test_vocab_sorted_with_reserved_zero(self):
@@ -120,11 +74,9 @@ class TestEncoding:
         v = build_vocab(["a", "b"])
         assert encode_column(["b", "zzz", "a"], v).tolist() == [2, 0, 1]
 
-    def test_train_only_vocab(self, tmp_path):
-        p = tmp_path / "log.csv"
-        write_toy_csv(p, ["1,s1,d1,0", "0,s2,d1,1", "1,s3,d2,0", "0,s9,d3,1"])
-        ds = read_avazu_csv(p, toy_schema())
-        train, val = chrono_split(ds, val_fraction=0.25)
+    def test_train_only_vocab(self):
+        ds = toy_dataset(["1,s1,d1,0", "0,s2,d1,1", "1,s3,d2,0", "0,s9,d3,1"])
+        train, val = ds.subset([0, 1, 2]), ds.subset([3])
         tr, va, vocabs = encode_features(train, val, ds.schema)
         # s9 and d3 appear only in validation
         assert va.features["site_id"].tolist() == [0]
@@ -133,10 +85,8 @@ class TestEncoding:
         assert np.array_equal(va.groups, va.features["device_id"])
         assert va.raw_items.tolist() == ["s9"]
 
-    def test_labels_become_float(self, tmp_path):
-        p = tmp_path / "log.csv"
-        write_toy_csv(p, ["1,s1,d1,0", "0,s2,d1,1"])
-        ds = read_avazu_csv(p, toy_schema())
+    def test_labels_become_float(self):
+        ds = toy_dataset(["1,s1,d1,0", "0,s2,d1,1"])
         tr, _, _ = encode_features(ds, None, ds.schema)
         assert tr.labels.dtype == np.float64
 
@@ -146,19 +96,7 @@ class TestSplits:
         cols = {"site_id": np.array([f"s{i}" for i in range(n)], dtype=object),
                 "device_id": np.array(["d"] * n, dtype=object),
                 "banner_pos": np.array(["0"] * n, dtype=object)}
-        return Dataset(toy_schema(), cols, np.zeros(n, dtype=np.int8), True)
-
-    def test_chrono_takes_last_fraction(self):
-        ds = self.make(20)
-        train, val = chrono_split(ds, 0.1)
-        assert len(train) == 18 and len(val) == 2
-        assert val.column("site_id").tolist() == ["s18", "s19"]
-
-    def test_chrono_requires_order(self):
-        ds = self.make(10)
-        ds.chronological = False
-        with pytest.raises(ValueError):
-            chrono_split(ds)
+        return Dataset(toy_schema(), cols, np.zeros(n, dtype=np.int8))
 
     def test_random_split_partitions(self):
         ds = self.make(17)
@@ -178,7 +116,7 @@ class TestSplits:
     def test_degenerate_fractions_rejected(self):
         ds = self.make(5)
         with pytest.raises(ValueError):
-            chrono_split(ds, 0.0)
+            random_split(ds, 0.0)
         with pytest.raises(ValueError):
             random_split(ds, 1.0)
 
@@ -224,6 +162,13 @@ class TestSyntheticSpec:
     def test_rejects_empty_or_zero_counts(self, kw):
         with pytest.raises(ValueError):
             SyntheticSpec(**kw)
+
+    @pytest.mark.parametrize("key", ["noise_rate", "interaction_scale",
+                                     "linear_scale", "bias", "embed_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_non_finite_float_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            SyntheticSpec(**{key: value})
 
 
 class TestGenSynthetic:
@@ -291,7 +236,18 @@ class TestDatasetCache:
         assert np.array_equal(back.labels, ds.labels)
         for n in ds.schema.feature_cols:
             assert back.column(n).tolist() == ds.column(n).tolist()
-        assert back.chronological == ds.chronological
+
+    def test_an_older_cache_with_a_chronological_key_loads(self, tmp_path):
+        ds = self.make()
+        p = tmp_path / "d.strd"
+        save_dataset_cache(p, ds)
+        header, arrays = artifact.read(p, b"STRD2")
+        artifact.write(p, b"STRD2", dict(header, chronological=False),
+                       list(arrays.items()))
+        back = load_dataset_cache(p)
+        assert np.array_equal(back.labels, ds.labels)
+        for n in ds.schema.feature_cols:
+            assert back.column(n).tolist() == ds.column(n).tolist()
 
     def test_byte_stable(self, tmp_path):
         ds = self.make()
@@ -323,14 +279,14 @@ class TestDataset:
                     {"site_id": np.array(["a"], dtype=object),
                      "device_id": np.array(["d"], dtype=object),
                      "banner_pos": np.array(["0"], dtype=object)},
-                    np.array([2]), True)
+                    np.array([2]))
 
     def test_missing_column(self):
         with pytest.raises(ValueError, match="banner_pos"):
             Dataset(toy_schema(),
                     {"site_id": np.array(["a"], dtype=object),
                      "device_id": np.array(["d"], dtype=object)},
-                    np.array([0]), True)
+                    np.array([0]))
 
     def test_subset_preserves_order(self):
         spec = SyntheticSpec(n_instances=30, n_items=6, n_users=4, n_clusters=3, seed=8)

@@ -18,6 +18,7 @@ from storerank import tensor as T
 from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random_split
 from storerank.tokenizer import SidTable
 
+import graph_ops as G
 from test_fused_attention import CASES, case_inputs, graph_efficient_attention
 
 
@@ -30,7 +31,7 @@ def graph_layer_norm(x, gamma, beta, eps=1e-5):
     mu = T.tmean(x, axis=-1, keepdims=True)
     centered = T.sub(x, T.broadcast_to(mu, x.shape))
     var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
-    inv_std = T.power(T.add(var, eps), -0.5)
+    inv_std = G.power(T.add(var, eps), -0.5)
     normed = T.mul(centered, T.broadcast_to(inv_std, x.shape))
     lift = (1,) * (x.ndim - 1) + (d,)
     g = T.broadcast_to(T.reshape(gamma, lift), x.shape)
@@ -96,7 +97,7 @@ def ln_run(norm, x_vals, gamma_vals, beta_vals, head, frozen, x_kind):
         pooled = T.tmean(out, axis=1) if out.ndim == 3 else T.tmean(out, axis=0)
         loss = T.tsum(T.mul(pooled, pooled))
     else:
-        t = T.transpose_last(out)
+        t = G.transpose_last(out)
         loss = T.tsum(T.mul(t, T.Tensor(np.cos(np.arange(t.values.size)).reshape(t.shape))))
     T.backward(loss)
     return out.values, [x_in.grad, gamma.grad, beta.grad, x.grad]

@@ -22,6 +22,8 @@ from storerank.attention import AttentionParams, RoutingPlan, moba_route
 from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random_split
 from storerank.tokenizer import SidTable
 
+import graph_ops as G
+
 
 # ---------------------------------------------------------------------------
 # the per-head graph reference
@@ -32,8 +34,8 @@ def _project_heads(x3, params):
     k = T.matmul(x3, params.wk)
     v = T.matmul(x3, params.wv)
     dh = params.d_head
-    return [(T.narrow(q, 2, i * dh, dh), T.narrow(k, 2, i * dh, dh),
-             T.narrow(v, 2, i * dh, dh)) for i in range(params.n_heads)]
+    return [(G.narrow(q, 2, i * dh, dh), G.narrow(k, 2, i * dh, dh),
+             G.narrow(v, 2, i * dh, dh)) for i in range(params.n_heads)]
 
 
 def graph_dense_attention(x, params):
@@ -41,8 +43,8 @@ def graph_dense_attention(x, params):
     scale = 1.0 / math.sqrt(params.d_head)
     outs = []
     for qh, kh, vh in _project_heads(x3, params):
-        scores = T.mul(T.matmul(qh, T.transpose_last(kh)), scale)
-        outs.append(T.matmul(T.softmax(scores, axis=-1), vh))
+        scores = T.mul(T.matmul(qh, G.transpose_last(kh)), scale)
+        outs.append(T.matmul(G.softmax(scores, axis=-1), vh))
     out = T.matmul(T.concat(outs, axis=2), params.wo)
     return T.reshape(out, out.shape[1:]) if squeeze else out
 
@@ -60,9 +62,9 @@ def graph_efficient_attention(x, params, plans=None, return_plans=False):
         else:
             plan = plans[i]
         used.append(plan)
-        scores = T.mul(T.matmul(qh, T.transpose_last(kh)), scale)
+        scores = T.mul(T.matmul(qh, G.transpose_last(kh)), scale)
         scores = T.add(scores, T.Tensor(A.plan_to_mask(plan, h)))
-        outs.append(T.matmul(T.softmax(scores, axis=-1), vh))
+        outs.append(T.matmul(G.softmax(scores, axis=-1), vh))
     out = T.matmul(T.concat(outs, axis=2), params.wo)
     if squeeze:
         out = T.reshape(out, out.shape[1:])

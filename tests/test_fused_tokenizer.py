@@ -17,8 +17,10 @@ import pytest
 from storerank import tensor as T
 from storerank import tokenizer as tok
 from storerank.tokenizer import (EmbeddingTable, OpmqConfig, OpmqModel,
-                                 encode_experts, opmq_forward, orth_penalty,
-                                 save_opmq, tokenize_catalog, train_opmq)
+                                 opmq_forward, orth_penalty, save_opmq,
+                                 tokenize_catalog, train_opmq)
+
+import graph_ops as G
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +44,9 @@ def graph_opmq_forward(e, model, sids=None):
     quantized, aux_terms = [], []
     for i, z in enumerate(latents):
         s = T.embedding(model.codebooks[i], sids[:, i])
-        quantized.append(T.add(z, T.stop_gradient(T.sub(s, z))))
-        code_err = T.sub(T.stop_gradient(z), s)
-        commit_err = T.sub(z, T.stop_gradient(s))
+        quantized.append(T.add(z, G.stop_gradient(T.sub(s, z))))
+        code_err = T.sub(G.stop_gradient(z), s)
+        commit_err = T.sub(z, G.stop_gradient(s))
         aux_terms.append(T.add(
             T.tsum(T.mul(code_err, code_err)),
             T.mul(T.tsum(T.mul(commit_err, commit_err)), model.config.beta)))
@@ -53,7 +55,7 @@ def graph_opmq_forward(e, model, sids=None):
     err = T.sub(x, recon)
     loss_recon = T.mul(T.tsum(T.mul(err, err)), 1.0 / n)
     aux = T.mul(reduce(T.add, aux_terms), 1.0 / n)
-    return sids, recon, loss_recon, aux, latents
+    return sids, recon, loss_recon, aux, np.stack([z.values for z in latents])
 
 
 def graph_orth_penalty(model):
@@ -68,8 +70,8 @@ def graph_orth_penalty(model):
     if np.any(sq.values <= 0.0):
         bad = int(np.argmin(sq.values))
         raise ValueError(f"expert {bad} has zero-norm weights")
-    normed = T.mul(m, T.broadcast_to(T.power(sq, -0.5), m.shape))
-    gram = T.matmul(normed, T.transpose_last(normed))
+    normed = T.mul(m, T.broadcast_to(G.power(sq, -0.5), m.shape))
+    gram = T.matmul(normed, G.transpose_last(normed))
     diff = T.sub(gram, T.Tensor(np.eye(model.config.k)))
     return T.tsum(T.mul(diff, diff))
 
@@ -143,9 +145,8 @@ class TestStepBitwise:
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:4] + got[5:], want[1:4] + want[5:]):
             assert same_bits(g.values, w.values)
-        assert len(got[4]) == len(want[4]) == model.config.k
-        for g, w in zip(got[4], want[4]):
-            assert same_bits(g.values, w.values)
+        assert got[4].shape == (model.config.k, len(batch), model.d_z)
+        assert same_bits(got[4], want[4])
 
     @pytest.mark.parametrize("part", ["total", "loss_recon", "aux", "orth"])
     def test_grads_match_graph(self, case, part):
@@ -184,8 +185,11 @@ class TestStepBitwise:
                           T.grad(T.add(want[2], want[3]), params))
 
     def test_encode_experts_matches_graph(self, case):
+        # the experts node (sliced here by per-expert nodes, to take each
+        # latent's gradient) and the graph-free encode_values
         model, batch = case
-        got, want = encode_experts(batch, model), graph_encode_experts(batch, model)
+        got = G.unstack(tok._experts(batch, model))
+        want = graph_encode_experts(batch, model)
         head = [T.Tensor(np.random.default_rng(i).normal(size=z.shape))
                 for i, z in enumerate(want)]
         leaves = [t for layer in model.experts for t in layer]
@@ -198,14 +202,6 @@ class TestStepBitwise:
         assert same_grads(T.grad(loss(got), leaves), T.grad(loss(want), leaves))
         assert same_bits(model.encode_values(batch),
                          np.stack([z.values for z in want]))
-
-    def test_constant_tensor_input_only(self):
-        model = trained_model(4, OpmqConfig(k=2, v=4), seed=0)
-        x = np.ones((2, 4))
-        assert same_bits(encode_experts(T.Tensor(x), model)[1].values,
-                         encode_experts(x, model)[1].values)
-        with pytest.raises(ValueError, match="constant"):
-            encode_experts(T.Tensor(x, requires_grad=True), model)
 
 
 class TestGraphSize:

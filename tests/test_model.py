@@ -76,6 +76,12 @@ class TestStoreConfig:
         with pytest.raises(ValueError):
             StoreConfig(**kw)
 
+    @pytest.mark.parametrize("key", ["rho", "lam", "lr", "rot_lr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_non_finite_float_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            StoreConfig(**{key: value})
+
 
 class TestConstruction:
     def test_requires_sid_table_or_raw_flag(self):
@@ -632,7 +638,7 @@ class TestLrBaseline:
                 "user_id": np.full(n, "0", dtype=object),
                 "f0": a.astype(str).astype(object),
                 "f1": b.astype(str).astype(object)}
-        ds = Dataset(schema, cols, labels_from(a, b), chronological=False)
+        ds = Dataset(schema, cols, labels_from(a, b))
         train, val = random_split(ds, val_fraction=0.25, seed=1)
         tr, va, _ = encode_features(train, val, schema)
         return tr, va

@@ -41,14 +41,14 @@ class TestGroupConfig:
 class TestGroupFuser:
     def test_identity_mlp(self, rng):
         cfg = one_group_config()
-        fuser = R.GroupFuser(cfg, rng, activation="linear")
+        fuser = R.GroupFuser(cfg, rng)
         w1, b1, w2, b2 = fuser.layers[0]
         w1.values = np.hstack([np.eye(2), np.zeros((2, 2))])
         b1.values = np.zeros(4)
         w2.values = np.vstack([np.eye(2), np.zeros((2, 2))])
         b2.values = np.zeros(2)
         c = fuser.fuse_groups({"f1": T.Tensor([[0.5, -0.5]])})
-        assert np.allclose(c.values, [[0.5, -0.5]], atol=1e-12)
+        assert np.allclose(c.values, np.tanh([[0.5, -0.5]]), atol=1e-12)
 
     def test_two_groups_concatenate(self, rng):
         cfg = R.GroupConfig(groups=(R.FeatureGroup("a", ("f1",), emb_dim=3),

@@ -270,13 +270,6 @@ class TestOptimizers:
             m, v = new.moments(i)
             assert same_bits(m, ref.m[i]) and same_bits(v, ref.v[i])
 
-    def test_sgd_matches_dense_sgd(self):
-        steps = sparse_batches()
-        new = run_optimizer(lambda p: T.SGD(p, lr=0.1), T.embedding, steps)
-        ref = run_optimizer(lambda p: T.SGD(p, lr=0.1), dense_embedding, steps)
-        for got, want in zip(new[3], ref[3]):
-            assert same_bits(got, want)
-
 
 @pytest.fixture(scope="module")
 def small_data():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from storerank import tensor as T
+
+import graph_ops as G
 from oracles import fd_grad, max_rel_err
 
 
@@ -31,7 +33,8 @@ class TestElementwise:
 
     def test_scalar_variants(self, rng):
         a = leaf(rng, (3,))
-        check_grads(lambda: T.tsum((a * 2.5 + 1.0 - 0.25) * a), [a])
+        check_grads(lambda: T.tsum(T.mul(T.sub(T.add(T.mul(a, 2.5), 1.0), 0.25),
+                                         a)), [a])
 
     def test_shape_mismatch_rejected(self, rng):
         a, b = leaf(rng, (2, 3)), leaf(rng, (3, 2))
@@ -41,8 +44,8 @@ class TestElementwise:
 
     def test_pow_exp_log(self, rng):
         a = leaf(rng, (4,), lo=0.5, hi=1.5)
-        check_grads(lambda: T.tsum(T.log(T.exp(T.power(a, 3.0)))), [a])
-        check_grads(lambda: T.tsum(T.power(a, -0.5)), [a])
+        check_grads(lambda: T.tsum(T.log(G.exp(G.power(a, 3.0)))), [a])
+        check_grads(lambda: T.tsum(G.power(a, -0.5)), [a])
 
     def test_tanh_sigmoid(self, rng):
         a = leaf(rng, (2, 4))
@@ -79,16 +82,16 @@ class TestShapes:
     def test_transpose_last(self, rng):
         a = leaf(rng, (2, 3, 4))
         w = T.Tensor(rng.normal(size=(2, 4, 3)))
-        check_grads(lambda: T.tsum(T.mul(T.transpose_last(a), w)), [a])
+        check_grads(lambda: T.tsum(T.mul(G.transpose_last(a), w)), [a])
 
     def test_narrow_concat_roundtrip(self, rng):
         a = leaf(rng, (5, 4))
-        parts = [T.narrow(a, 0, 0, 2), T.narrow(a, 0, 2, 3)]
+        parts = [G.narrow(a, 0, 0, 2), G.narrow(a, 0, 2, 3)]
         back = T.concat(parts, axis=0)
         assert np.array_equal(back.values, a.values)
         w = T.Tensor(rng.normal(size=(5, 4)))
         check_grads(lambda: T.tsum(T.mul(T.concat(
-            [T.narrow(a, 0, 0, 2), T.narrow(a, 0, 2, 3)], axis=0), w)), [a])
+            [G.narrow(a, 0, 0, 2), G.narrow(a, 0, 2, 3)], axis=0), w)), [a])
 
     def test_embedding_accumulates_repeats(self, rng):
         table = leaf(rng, (5, 3))
@@ -143,38 +146,38 @@ class TestReductions:
 
     def test_mean(self, rng):
         a = leaf(rng, (3, 4))
-        check_grads(lambda: T.tmean(T.power(a, 2.0)), [a])
+        check_grads(lambda: T.tmean(G.power(a, 2.0)), [a])
         assert T.tmean(a).item() == pytest.approx(a.values.mean())
 
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
         x = leaf(rng, (5, 7), lo=-3, hi=3)
-        p = T.softmax(x).values
+        p = G.softmax(x).values
         assert np.max(np.abs(p.sum(axis=-1) - 1.0)) < 1e-9
 
     def test_grad_matches_fd(self, rng):
         x = leaf(rng, (3, 5))
         w = T.Tensor(rng.normal(size=(3, 5)))
-        check_grads(lambda: T.tsum(T.mul(T.softmax(x), w)), [x])
+        check_grads(lambda: T.tsum(T.mul(G.softmax(x), w)), [x])
 
     def test_sum_of_softmax_is_constant(self, rng):
         # rows sum to 1 up to rounding, so the gradient is zero up to rounding
         x = leaf(rng, (4, 6), lo=-2, hi=2)
-        (g,) = T.grad(T.tsum(T.softmax(x)), [x])
+        (g,) = T.grad(T.tsum(G.softmax(x)), [x])
         assert np.max(np.abs(g)) < 1e-12
 
     def test_additive_mask(self):
         x = T.Tensor([[1.0, 2.0, 3.0]])
         mask = T.Tensor([[0.0, -np.inf, 0.0]])
-        p = T.softmax(T.add(x, mask)).values
+        p = G.softmax(T.add(x, mask)).values
         assert p[0, 1] == 0.0
         assert p[0, 0] + p[0, 2] == pytest.approx(1.0)
 
     def test_fully_masked_row_rejected(self):
         x = T.Tensor([[-np.inf, -np.inf]])
         with pytest.raises(FloatingPointError):
-            T.softmax(x)
+            G.softmax(x)
 
 
 class TestLayerNorm:
@@ -210,12 +213,12 @@ class TestLayerNorm:
 class TestStopGradient:
     def test_identity_forward(self):
         x = T.Tensor([1.5, -2.0], requires_grad=True)
-        assert np.array_equal(T.stop_gradient(x).values, [1.5, -2.0])
+        assert np.array_equal(G.stop_gradient(x).values, [1.5, -2.0])
 
     def test_straight_through(self, rng):
         z, s = leaf(rng, (4,)), leaf(rng, (4,))
         w = T.Tensor(rng.normal(size=(4,)))
-        y = T.add(z, T.stop_gradient(T.sub(s, z)))
+        y = T.add(z, G.stop_gradient(T.sub(s, z)))
         gz, gs = T.grad(T.tsum(T.mul(y, w)), [z, s])
         assert np.array_equal(gz, w.values)
         assert np.array_equal(gs, np.zeros(4))
@@ -226,10 +229,10 @@ class TestStopGradient:
 
         def with_sg():
             g = T.mul(T.tanh(z), 2.0)
-            return T.tsum(T.power(T.add(z, T.stop_gradient(g)), 2.0))
+            return T.tsum(G.power(T.add(z, G.stop_gradient(g)), 2.0))
 
         def with_const():
-            return T.tsum(T.power(T.add(z, T.Tensor(inner)), 2.0))
+            return T.tsum(G.power(T.add(z, T.Tensor(inner)), 2.0))
 
         (g_sg,) = T.grad(with_sg(), [z])
         (g_const,) = T.grad(with_const(), [z])
@@ -260,7 +263,7 @@ class TestGradApi:
 
     def test_graph_reusable(self, rng):
         a = leaf(rng, (3, 3))
-        loss = T.tsum(T.power(a, 2.0))
+        loss = T.tsum(G.power(a, 2.0))
         first = T.grad(loss, [a])[0].copy()
         second = T.grad(loss, [a])[0]
         assert np.array_equal(first, second)
@@ -284,22 +287,14 @@ class TestGradApi:
 
 
 class TestOptimizers:
-    def test_sgd_rule(self):
-        p = T.Tensor(1.0, requires_grad=True)
-        T.SGD([p], lr=0.1).step([np.asarray(2.0)])
-        assert p.values == pytest.approx(0.8)
-
     def test_zero_grad_is_noop(self):
-        for make in (lambda ps: T.SGD(ps, lr=0.1), lambda ps: T.Adam(ps, lr=0.1)):
-            p = T.Tensor([1.0, -2.0], requires_grad=True)
-            before = p.values.copy()
-            make([p]).step([np.zeros(2)])
-            assert np.array_equal(p.values, before)
+        p = T.Tensor([1.0, -2.0], requires_grad=True)
+        before = p.values.copy()
+        T.Adam([p], lr=0.1).step([np.zeros(2)])
+        assert np.array_equal(p.values, before)
 
     def test_shape_mismatch_rejected(self):
         p = T.Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ValueError):
-            T.SGD([p]).step([np.zeros(3)])
         with pytest.raises(ValueError):
             T.Adam([p]).step([np.zeros(3)])
 
@@ -325,7 +320,7 @@ class TestOptimizers:
             x = T.Tensor(rng.normal(size=(8, 4)))
             opt = T.Adam([w], lr=0.05)
             for _ in range(5):
-                loss = T.tmean(T.power(T.matmul(x, w), 2.0))
+                loss = T.tmean(G.power(T.matmul(x, w), 2.0))
                 opt.step(T.grad(loss, [w]))
             return w.values
 
@@ -344,7 +339,7 @@ class TestMlpGradcheck:
                              T.broadcast_to(T.reshape(b1, (1, 8)), (4, 8))))
             out = T.add(T.matmul(h, w2),
                         T.broadcast_to(T.reshape(b2, (1, 3)), (4, 3)))
-            return T.tmean(T.power(T.sub(out, y), 2.0))
+            return T.tmean(G.power(T.sub(out, y), 2.0))
 
         check_grads(build, [w1, b1, w2, b2], tol=1e-6)
 
@@ -355,7 +350,7 @@ class TestMlpGradcheck:
         layer = (leaf(rng, (5, 8)), leaf(rng, (8,)), leaf(rng, (8, 3)), leaf(rng, (3,)))
 
         def build():
-            return T.tmean(T.power(T.sub(T.mlp(x, layer, activation), y), 2.0))
+            return T.tmean(G.power(T.sub(T.mlp(x, layer, activation), y), 2.0))
 
         check_grads(build, [x, *layer], tol=1e-6)
 

@@ -12,7 +12,6 @@ from storerank.tokenizer import (
     OpmqConfig,
     OpmqModel,
     SidTable,
-    encode_experts,
     load_opmq,
     mean_baseline_loss,
     nearest_codewords,
@@ -28,6 +27,7 @@ from storerank.tokenizer import (
     write_sids,
 )
 
+import graph_ops as G
 from oracles import fd_grad, max_rel_err, naive_nearest
 
 
@@ -144,33 +144,33 @@ class TestSidTable:
 
 
 class TestEncodeExperts:
+    """The experts' forward on plain arrays, ``OpmqModel.encode_values``."""
+
     def test_identity_expert_is_identity(self):
         m = make_model(d_p=2, k=1, activation="linear")
         set_identity_expert(m, 0)
-        (z,) = encode_experts(np.array([1.0, 2.0])[None], m)
-        assert np.array_equal(z.values, [[1.0, 2.0]])
+        (z,) = m.encode_values(np.array([1.0, 2.0])[None])
+        assert np.array_equal(z, [[1.0, 2.0]])
 
     def test_output_count_and_dims(self):
         m = make_model(d_p=4, k=3, v=5)
-        outs = encode_experts(np.ones(4)[None], m)
-        assert len(outs) == 3
-        assert all(z.shape == (1, 4) for z in outs)
+        assert m.encode_values(np.ones(4)[None]).shape == (3, 1, 4)
 
     def test_matches_matmul_oracle(self):
         m = make_model(d_p=3, k=2, seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3))
-        outs = encode_experts(x, m)
+        outs = m.encode_values(x)
         for z, (w1, b1, w2, b2) in zip(outs, m.experts):
             want = np.tanh(x @ w1.values + b1.values) @ w2.values + b2.values
-            assert np.max(np.abs(z.values - want)) < 1e-6
+            assert np.max(np.abs(z - want)) < 1e-6
 
     def test_dimension_mismatch(self):
         m = make_model(d_p=4)
         with pytest.raises(ValueError):
-            encode_experts(np.ones(3)[None], m)
+            m.encode_values(np.ones(3)[None])
         with pytest.raises(ValueError):
-            encode_experts(np.ones(4), m)
+            m.encode_values(np.ones(4))
 
 
 class TestNearestCodeword:
@@ -250,13 +250,13 @@ class TestOpmqForward:
         m = make_model(d_p=3, k=2, v=4, seed=13)
         x = np.random.default_rng(14).normal(size=(2, 3))
         sids = opmq_forward(x, m)[0]
-        latents0 = [z.values.copy() for z in encode_experts(x, m)]
+        latents0 = m.encode_values(x)
         offsets = [m.codebooks[i].values[sids[:, i]] - latents0[i]
                    for i in range(m.config.k)]
         leaves = [t for layer in m.experts for t in layer] + list(m.decoder)
 
         def build_surrogate():
-            latents = encode_experts(x, m)
+            latents = G.unstack(tok._experts(x, m))
             total = None
             for z, off in zip(latents, offsets):
                 q = T.add(z, T.Tensor(off))
@@ -287,7 +287,7 @@ class TestOpmqForward:
         assert sids.shape == (6, 3)
         assert recon.shape == (6, 4)
         assert loss.shape == () and aux.shape == ()
-        assert [z.shape for z in latents] == [(6, 4)] * 3
+        assert latents.shape == (3, 6, 4)
 
 
 class TestOrthPenalty:
@@ -350,6 +350,12 @@ class TestOpmqConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             OpmqConfig(**kw)
+
+    @pytest.mark.parametrize("key", ["w_orth", "beta", "lr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_non_finite_float_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            OpmqConfig(**{key: value})
 
     def test_edges_accepted(self):
         OpmqConfig(k=1, v=1, batch_size=1, epochs=1, reinit_every=1, d_z=1,
