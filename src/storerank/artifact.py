@@ -6,7 +6,8 @@ holds the caller's fields plus ``arrays``: ``[name, dtype, shape, byte
 length, CRC32]`` per array.  Writes are atomic (``<path>.tmp``, then a
 rename).  A read fails with a ``ValueError`` that starts with the path
 and names the case: bad magic, truncated, corrupt or trailing bytes.
-A config dataclass stored in a header is rebuilt by ``config``.
+A config dataclass stored in a header is rebuilt by ``config``; any
+other failure to rebuild an object from a file is named by ``named``.
 """
 
 import contextlib
@@ -44,7 +45,7 @@ def write(path, magic, header, arrays):
 def read(path, magic):
     """``(header, arrays)`` of a file ``write`` made under ``magic``;
     ``arrays`` maps names to read-only arrays, in file order."""
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, named(path):
         want = magic + b"\n"
         head = f.read(len(want))
         if head != want:
@@ -57,10 +58,7 @@ def read(path, magic):
         crc, _, text = line[:-1].partition(b" ")
         if crc != b"%08x" % zlib.crc32(text):
             raise ValueError(f"{path}: corrupt header (CRC mismatch)")
-        try:
-            header = json.loads(text)
-        except ValueError as e:
-            raise ValueError(f"{path}: corrupt header ({e})") from None
+        header = json.loads(text)
         arrays = {}
         for name, dtype, shape, nbytes, crc in header.pop("arrays"):
             raw = f.read(nbytes)
@@ -73,6 +71,22 @@ def read(path, magic):
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after arrays")
     return header, arrays
+
+
+@contextlib.contextmanager
+def named(path):
+    """Make a failure to rebuild an object from the file at ``path`` (a
+    missing key or array, a value of the wrong type or one a constructor
+    refuses) a ``ValueError`` that starts with the path."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValueError(f"{path}: missing {e}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as e:
+        if str(e).startswith(f"{path}: "):
+            raise
+        kind = "" if isinstance(e, ValueError) else "wrong type: "
+        raise ValueError(f"{path}: {kind}{e}") from None
 
 
 def restore(path, arrays, tensors):

@@ -53,7 +53,7 @@ def k_blocks_for(h, block_size, rho):
 class AttentionParams:
     """Projection weights plus the block/sparsity knobs for one layer."""
 
-    def __init__(self, d_model, n_heads, block_size, rho, rng, force_own=True):
+    def __init__(self, d_model, n_heads, block_size, rho, rng):
         if d_model % n_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         if block_size < 1:
@@ -64,7 +64,6 @@ class AttentionParams:
         self.n_heads = n_heads
         self.block_size = block_size
         self.rho = float(rho)
-        self.force_own = force_own
         self.wq = T.glorot(rng, (d_model, d_model))
         self.wk = T.glorot(rng, (d_model, d_model))
         self.wv = T.glorot(rng, (d_model, d_model))
@@ -83,7 +82,7 @@ class RoutingPlan:
     """Frozen per-query block selection for one head (or a batch of heads).
 
     allowed: (n, H, n_blocks) bool, True on each query's k_blocks
-    selected blocks, which include its own block when force_own was set.
+    selected blocks, which always include its own block.
     gates: (n, H, n_blocks) raw gate scores (before own-block forcing).
     A route over several heads at once carries a head axis before H.
     """
@@ -142,12 +141,12 @@ def _select_blocks(aug, k_blocks):
     return np.stack([b < k_blocks for b in beaten], axis=-1)
 
 
-def moba_route(q, k, block_size, k_blocks, force_own=True):
+def moba_route(q, k, block_size, k_blocks):
     """Select k_blocks key blocks per query from gate = dot(q, block key mean).
 
     q, k: (H, d_head) for one instance or (..., H, d_head) batched over
-    any leading axes.  Ties broken toward the lower block index; the
-    query's own block is forced in unless force_own is False.
+    any leading axes.  The query's own block is always kept (its gate is
+    taken as +inf); the rest go by gate, ties toward the lower block index.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -160,10 +159,8 @@ def moba_route(q, k, block_size, k_blocks, force_own=True):
     if k_blocks < 1:
         raise ValueError("k_blocks must be >= 1")
     gates = q @ np.swapaxes(_block_means(k, block_size), -1, -2)
-    aug = gates
-    if force_own:
-        aug = gates.copy()
-        aug[..., np.arange(h), np.arange(h) // block_size] = np.inf
+    aug = gates.copy()
+    aug[..., np.arange(h), np.arange(h) // block_size] = np.inf
     return RoutingPlan(_select_blocks(aug, k_blocks), gates, block_size)
 
 
@@ -222,7 +219,7 @@ def _attention(x, params, routed, plans=None, return_plans=False):
     scale = 1.0 / math.sqrt(params.d_head)
     if routed and plans is None:
         kb = k_blocks_for(h, params.block_size, params.rho)
-        plan = moba_route(q, k, params.block_size, kb, force_own=params.force_own)
+        plan = moba_route(q, k, params.block_size, kb)
     elif routed:
         plan = RoutingPlan(np.stack([r.allowed for r in plans], axis=1),
                            np.stack([r.gates for r in plans], axis=1),
@@ -345,7 +342,7 @@ def dense_core(q, k, v, pool=None):
     return out
 
 
-def sparse_core(q, k, v, block_size, k_blocks, force_own=True, pool=None):
+def sparse_core(q, k, v, block_size, k_blocks, pool=None):
     """Routed block-sparse attention on raw (n_heads, H, d_head) arrays.
 
     The selected (query, block) pairs of all heads are grouped by block
@@ -360,7 +357,7 @@ def sparse_core(q, k, v, block_size, k_blocks, force_own=True, pool=None):
     pool = {} if pool is None else pool
     n_heads, h, dh = q.shape
     nb = -(-h // block_size)
-    plan = moba_route(q, k, block_size, k_blocks, force_own=force_own)
+    plan = moba_route(q, k, block_size, k_blocks)
     sel = plan.block_ids
 
     # pair p = (head e, query i, slot c) in row-major order; panel id e*nb + block

@@ -49,10 +49,9 @@ from typing import Callable, NamedTuple
 from .attention import bench_attention
 from .data import (SyntheticSpec, encode_features, gen_synthetic,
                    load_dataset_cache, random_split, save_dataset_cache)
-from .model import (StoreConfig, default_groups, evaluate, fit, load_store,
-                    save_store)
+from .model import (StoreConfig, check_sid_table, default_groups, evaluate,
+                    fit, load_store, save_store)
 from .options import Opt, dataclass_options, mismatch
-from .tensor import ACTIVATIONS
 from .tokenizer import (OpmqConfig, load_opmq, read_embeddings, read_sids,
                         save_opmq, tokenize_catalog, train_opmq,
                         train_rq_baseline, write_embeddings, write_sids)
@@ -63,6 +62,9 @@ PRESETS = {"public": (3, 16), "industrial": (32, 300)}
 BENCH_COLUMNS = ["H", "B", "k_blocks", "dense_flops", "sparse_flops",
                  "wall_time_dense_ms", "wall_time_sparse_ms",
                  "max_abs_diff_at_rho1"]
+# a sweep setting, then the last epoch's log fields
+SWEEP_COLUMNS = ["epochs", "k_sid", "layers", "rho", "val_auc", "val_gauc",
+                 "val_logloss", "train_loss", "flops_per_batch"]
 
 
 class CliError(Exception):
@@ -107,29 +109,29 @@ TRAIN_OPTIONS = {
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _read_config(path, command, options, label="config file"):
+def _read_config(path, command, options):
     """The JSON object at ``path``, checked against ``options``: no
     unknown key, every value fits its option, and a ``command`` key, if
-    any, names ``command``.  ``label`` names the file in errors."""
+    any, names ``command``.  Errors start with the path."""
     try:
         with open(path) as f:
             cfg = json.load(f)
     except OSError as e:
         raise CliError(f"config file: {e}")
     except json.JSONDecodeError as e:
-        raise CliError(f"config file {path}: {e}")
+        raise CliError(f"{path}: {e}")
     if not isinstance(cfg, dict):
-        raise CliError(f"config file {path}: expected a JSON object")
+        raise CliError(f"{path}: expected a JSON object")
     named = cfg.pop("command", command)
     if named != command:
-        raise CliError(f"{label}: written by {named!r}, not {command!r}")
+        raise CliError(f"{path}: written by {named!r}, not {command!r}")
     unknown = set(cfg) - set(options)
     if unknown:
-        raise CliError(f"{label}: unknown keys {sorted(unknown)}")
+        raise CliError(f"{path}: unknown keys {sorted(unknown)}")
     for k, v in cfg.items():
         reason = mismatch(k, v, options[k])
         if reason:
-            raise CliError(f"{label}: {reason}")
+            raise CliError(f"{path}: {reason}")
     return cfg
 
 
@@ -171,9 +173,9 @@ def _numbers(text, cast=int):
     try:
         values = [cast(x) for x in str(text).split(",") if x != ""]
     except ValueError:
-        raise CliError(f"expected comma-separated {cast.__name__}s, got {text!r}")
+        values = []
     if not values:
-        raise ValueError(f"expected at least one number, got {text!r}")
+        raise CliError(f"expected comma-separated {cast.__name__}s, got {text!r}")
     return values
 
 
@@ -188,10 +190,9 @@ def _out_dir(path):
     return path
 
 
-def _write_resolved(out_dir, command, resolved):
-    body = {"command": command, **resolved}
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
-        json.dump(body, f, indent=2, sort_keys=True)
+def _write_json(path, obj):
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -273,8 +274,10 @@ def cmd_train(cfg, out):
     if not cfg["use_raw_ids"] and not cfg["sids"]:
         raise CliError("need --sids <file> (or --raw-id for the ablation)")
     config = _config(StoreConfig, cfg)
-    sid_table = (read_sids(_require(cfg["sids"], "SID file"))
-                 if cfg["sids"] else None)
+    sid_table = None
+    if cfg["sids"]:
+        sid_table = read_sids(_require(cfg["sids"], "SID file"))
+        check_sid_table(sid_table, config)
     ds, tr, va = _split_encode(cfg["data"], cfg)
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])
     out = _out_dir(out)
@@ -290,17 +293,14 @@ def cmd_eval(cfg, out):
     model = load_store(_require(cfg["model"], "model artifact"))
     # the training run's split, read as that run's own config file
     path = os.path.join(os.path.dirname(cfg["model"]), "resolved_config.json")
-    train_cfg = _read_config(path, "train", TRAIN_OPTIONS, label=path)
+    train_cfg = _read_config(path, "train", TRAIN_OPTIONS)
     missing = sorted({"val_fraction", "split_seed"} - set(train_cfg))
     if missing:
         raise CliError(f"{path}: missing keys {missing}")
     ds, tr, va = _split_encode(cfg["data"], train_cfg)
     part = tr if cfg["split"] == "train" else va
     report = evaluate(model, part, batch_size=cfg["batch_size"])
-    out = _out_dir(out)
-    with open(os.path.join(out, "metrics.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(_out_dir(out), "metrics.json"), report)
     print(f"{cfg['split']}: auc={report['auc']:.4f} "
           f"gauc={report['gauc']:.4f} logloss={report['logloss']:.4f}")
 
@@ -331,27 +331,25 @@ def cmd_sweep(cfg, out):
                        "needs --embeddings to retrain the tokenizer per K")
     if not cfg["use_raw_ids"] and not (cfg["sids"] or cfg["embeddings"]):
         raise CliError("need --sids or --embeddings (or --raw-id)")
+    tables = {}     # K -> SID table; the --sids file serves K = --h
+    if cfg["sids"] and cfg["h"] in k_grid:
+        tables[cfg["h"]] = read_sids(_require(cfg["sids"], "SID file"))
+        check_sid_table(tables[cfg["h"]], _config(StoreConfig, cfg))
 
     ds, tr, va = _split_encode(cfg["data"], cfg)
     out = _out_dir(out)
     logs_dir = _out_dir(os.path.join(out, "logs"))
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])
 
-    tables = {}
-
     def sid_table_for(k):
         if cfg["use_raw_ids"]:
             return None
         if k not in tables:
-            if cfg["sids"] and k == cfg["h"]:
-                tables[k] = read_sids(_require(cfg["sids"], "SID file"))
-            else:
-                emb = read_embeddings(_require(cfg["embeddings"],
-                                               "embeddings file"))
-                tok = OpmqConfig(k=k, v=cfg["v"], epochs=cfg["tok_epochs"],
-                                 seed=cfg["seed"])
-                model, _ = train_opmq(emb, tok)
-                tables[k] = tokenize_catalog(emb, model)
+            emb = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
+            tok = OpmqConfig(k=k, v=cfg["v"], epochs=cfg["tok_epochs"],
+                             seed=cfg["seed"])
+            model, _ = train_opmq(emb, tok)
+            tables[k] = tokenize_catalog(emb, model)
         return tables[k]
 
     summary = []
@@ -367,19 +365,12 @@ def cmd_sweep(cfg, out):
                     tag = f"epochs{epochs}_k{k}_L{n_layers}_rho{rho:g}"
                     _write_jsonl(os.path.join(logs_dir, tag + ".jsonl"), log)
                     last = log[-1]
-                    summary.append({
-                        "epochs": epochs, "k_sid": k, "layers": n_layers,
-                        "rho": rho, "val_auc": last["val_auc"],
-                        "val_gauc": last["val_gauc"],
-                        "val_logloss": last["val_logloss"],
-                        "train_loss": last["train_loss"],
-                        "flops_per_batch": last["flops_per_batch"],
-                    })
+                    summary.append({"epochs": epochs, "k_sid": k,
+                                    "layers": n_layers, "rho": rho,
+                                    **{c: last[c] for c in SWEEP_COLUMNS[4:]}})
                     print(f"{tag}: val_auc={last['val_auc']:.4f} "
                           f"flops/batch={last['flops_per_batch']}")
-    _write_csv(os.path.join(out, "sweep.csv"),
-               ["epochs", "k_sid", "layers", "rho", "val_auc", "val_gauc",
-                "val_logloss", "train_loss", "flops_per_batch"], summary)
+    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_COLUMNS, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +391,7 @@ COMMANDS = {
             "help": "comma-separated cardinalities, e.g. 8,12"})),
     "train-tokenizer": Command(
         cmd_train_tokenizer, "fit a quantizer to embeddings",
-        {**dataclass_options(OpmqConfig, activation={"choices": ACTIVATIONS},
-                             orth_weights={"choices": ("hidden", "all")}),
+        {**dataclass_options(OpmqConfig),
          "embeddings": INPUT, "preset": PRESET,
          "backend": Opt("opmq", choices=("opmq", "rq"))},
         preset_keys=("k", "v")),
@@ -455,7 +445,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = resolve(args.command, args)
         COMMANDS[args.command].run(cfg, args.out)
-        _write_resolved(args.out, args.command, cfg)
+        _write_json(os.path.join(args.out, "resolved_config.json"),
+                    {"command": args.command, **cfg})
         return 0
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

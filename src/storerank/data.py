@@ -307,15 +307,13 @@ def save_dataset_cache(path, dataset):
 def load_dataset_cache(path):
     # only the schema is read: an older cache's "chronological" is ignored
     header, arrays = artifact.read(path, CACHE_MAGIC)
-    schema = DatasetSchema([(n, r) for n, r in header["schema"]])
-    labels = arrays[schema.label_col]
-    n = labels.size
-    cols = {}
-    for name in schema.feature_cols:
-        blob = arrays[name].tobytes().decode("utf-8")
-        vals = blob.split("\n") if n else []
-        if len(vals) != n:
-            raise ValueError(f"{path}: column {name!r} has {len(vals)} "
-                             f"values, expected {n}")
-        cols[name] = np.asarray(vals, dtype=object)
-    return Dataset(schema, cols, labels)
+    # a column of the wrong length is refused by Dataset, named here
+    with artifact.named(path):
+        schema = DatasetSchema([(n, r) for n, r in header["schema"]])
+        labels = arrays[schema.label_col]
+        cols = {}
+        for name in schema.feature_cols:
+            blob = arrays[name].tobytes().decode("utf-8")
+            vals = blob.split("\n") if labels.size else []
+            cols[name] = np.asarray(vals, dtype=object)
+        return Dataset(schema, cols, labels)

@@ -53,7 +53,6 @@ class StoreConfig:
     rho: float = 0.5        # attention density: share of key blocks kept
     lam: float = 0.1        # rotation diversity weight
     use_rotation: bool = True
-    use_ffn: bool = False
     use_raw_ids: bool = False
     hash_buckets: int = 1 << 17
     lr: float = 1e-3
@@ -76,6 +75,14 @@ class StoreConfig:
             raise ValueError("learning rates must be positive")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
+
+
+def check_sid_table(sid_table, config):
+    """Refuse a SID table whose K and V are not the config's h and v."""
+    if (sid_table.k, sid_table.v) != (config.h, config.v):
+        raise ValueError(f"SID table carries K={sid_table.k} codes of "
+                         f"V={sid_table.v}, model expects H={config.h}, "
+                         f"V={config.v}")
 
 
 def default_groups(schema, emb_dim=8, d_g=16):
@@ -103,12 +110,7 @@ class StoreModel:
         if sid_table is not None and config.use_raw_ids:
             raise ValueError("raw-id ablation and a SID table are mutually exclusive")
         if sid_table is not None:
-            if sid_table.k != config.h:
-                raise ValueError(f"SID table carries K={sid_table.k} codes, "
-                                 f"model expects H={config.h}")
-            if sid_table.v != config.v:
-                raise ValueError(f"SID table vocabulary V={sid_table.v}, "
-                                 f"config says {config.v}")
+            check_sid_table(sid_table, config)
         self.config = config
         self.groups = groups
         self.sid_table = sid_table
@@ -139,17 +141,6 @@ class StoreModel:
                        for _ in range(config.n_layers)]
         self.norms = [(T.Tensor(np.ones(config.d), requires_grad=True),
                        T.zeros((config.d,))) for _ in range(config.n_layers)]
-        if config.use_ffn:
-            self.ffns = [(T.glorot(rng, (config.d, 2 * config.d)),
-                          T.zeros((2 * config.d,)),
-                          T.glorot(rng, (2 * config.d, config.d)),
-                          T.zeros((config.d,))) for _ in range(config.n_layers)]
-            self.ffn_norms = [(T.Tensor(np.ones(config.d), requires_grad=True),
-                               T.zeros((config.d,)))
-                              for _ in range(config.n_layers)]
-        else:
-            self.ffns = None
-            self.ffn_norms = None
         # zero head: an untrained model predicts exactly 0.5 everywhere
         self.head_w = T.zeros((config.d, 1))
         self.head_b = T.zeros((1,))
@@ -218,19 +209,11 @@ class StoreModel:
             used.append(p)
             g, b = self.norms[li]
             x = T.layer_norm(T.add(a, x), g, b)
-            if self.ffns is not None:
-                x = self._ffn(x, li)
             if not np.all(np.isfinite(x.values)):
-                raise FloatingPointError(f"non-finite activation after layer {li}")
+                raise FloatingPointError(f"non-finite output after layer {li}")
         logits = T.affine(T.tmean(x, axis=1), self.head_w, self.head_b)
         probs = T.sigmoid(T.reshape(logits, (logits.shape[0],)))
         return (probs, used) if return_plans else probs
-
-    def _ffn(self, x, li):
-        n, h, d = x.shape
-        ff = T.mlp(T.reshape(x, (n * h, d)), self.ffns[li], "tanh")
-        g, b = self.ffn_norms[li]
-        return T.layer_norm(T.add(T.reshape(ff, (n, h, d)), x), g, b)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +327,6 @@ def model_flops(config, groups, rho=None, batch=1):
     macs += config.h * groups.d_c * groups.d_c            # rotated views
     macs += config.h * (config.d_s + groups.d_c) * config.d
     macs += config.d                                      # head
-    if config.use_ffn:
-        macs += config.n_layers * 4 * config.h * config.d * config.d
     flops = 2 * macs
     flops += config.n_layers * attention_flops(
         config.h, config.d, config.n_heads, config.block_size, kb)
@@ -439,12 +420,6 @@ def _store_arrays(model):
                 (f"attn.{i}.wv", layer.wv), (f"attn.{i}.wo", layer.wo)]
     for i, (g, b) in enumerate(model.norms):
         out += [(f"norm.{i}.gamma", g), (f"norm.{i}.beta", b)]
-    if model.ffns is not None:
-        for i, (w1, b1, w2, b2) in enumerate(model.ffns):
-            out += [(f"ffn.{i}.w1", w1), (f"ffn.{i}.b1", b1),
-                    (f"ffn.{i}.w2", w2), (f"ffn.{i}.b2", b2)]
-        for i, (g, b) in enumerate(model.ffn_norms):
-            out += [(f"ffn_norm.{i}.gamma", g), (f"ffn_norm.{i}.beta", b)]
     out += [("head_w", model.head_w), ("head_b", model.head_b)]
     out += [(f"rot.{i}", m) for i, m in enumerate(model.bank.mats)]
     return out
@@ -473,16 +448,17 @@ def save_store(path, model):
 def load_store(path):
     header, arrays = artifact.read(path, STORE_MAGIC)
     config = artifact.config(path, StoreConfig, header.get("config"))
-    groups = GroupConfig(tuple(
-        FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
-        for g in header["groups"]), header["d_g"])
-    sid_table = None
-    if header["sid_ids"] is not None:
-        sid_table = SidTable(header["sid_ids"], arrays.pop("sid_codes"),
-                             config.v)
-    model = StoreModel(config, groups, header["vocab_sizes"],
-                       sid_table=sid_table)
-    artifact.restore(path, arrays, _store_arrays(model))
+    with artifact.named(path):
+        groups = GroupConfig(tuple(
+            FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
+            for g in header["groups"]), header["d_g"])
+        sid_table = None
+        if header["sid_ids"] is not None:
+            sid_table = SidTable(header["sid_ids"], arrays.pop("sid_codes"),
+                                 config.v)
+        model = StoreModel(config, groups, header["vocab_sizes"],
+                           sid_table=sid_table)
+        artifact.restore(path, arrays, _store_arrays(model))
     return model
 
 

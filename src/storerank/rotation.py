@@ -111,7 +111,7 @@ class GroupFuser:
                     raise ValueError(f"group {grp.name!r}: missing feature {f!r}")
                 cols.append(features[f])
             x = cols[0] if len(cols) == 1 else T.concat(cols, axis=1)
-            outs.append(T.mlp(x, layer, "tanh"))
+            outs.append(T.mlp(x, layer))
         return outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
 
 

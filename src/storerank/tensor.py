@@ -6,8 +6,8 @@ There is no implicit broadcasting: elementwise ops require identical
 shapes, and the explicit ``broadcast_to`` / ``reshape`` ops cover the
 few places where shapes must be lifted.  A dense layer's bias row is
 added inside ``affine``, one node for ``x @ w + b``; ``mlp`` chains two
-of them around an activation.  ``layer_norm`` is one node too, bit for
-bit the graph of elementwise ops it stands for.
+of them around a tanh.  ``layer_norm`` is one node too, bit for bit the
+graph of elementwise ops it stands for.
 
 The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
@@ -369,19 +369,11 @@ def bias_grad(g):
     return g.sum(axis=0) if len(g) != 1 else g[0]
 
 
-ACTIVATIONS = ("tanh", "linear")
-
-
-def mlp(x, layer, activation):
-    """One-hidden-layer MLP: ``affine``, then tanh (or nothing for
-    "linear"), then ``affine``; ``layer`` is (w1, b1, w2, b2)."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+def mlp(x, layer):
+    """One-hidden-layer MLP: ``affine``, then tanh, then ``affine``;
+    ``layer`` is (w1, b1, w2, b2)."""
     w1, b1, w2, b2 = layer
-    h = affine(x, w1, b1)
-    if activation == "tanh":
-        h = tanh(h)
-    return affine(h, w2, b2)
+    return affine(tanh(affine(x, w1, b1)), w2, b2)
 
 
 def tsum(a, axis=None, keepdims=False):

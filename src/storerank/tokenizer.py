@@ -157,17 +157,10 @@ def write_embeddings(path, table):
                  lambda x: repr(float(x)))
 
 
-def _table(path, cls, *args):
-    """``cls(*args)``, its refusal prefixed with the file it was read from."""
-    try:
-        return cls(*args)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-
-
 def read_embeddings(path):
     _, ids, vectors = _read_table(path, ("dim",), float)
-    return _table(path, EmbeddingTable, ids, vectors)
+    with artifact.named(path):
+        return EmbeddingTable(ids, vectors)
 
 
 def write_sids(path, table):
@@ -178,7 +171,8 @@ def write_sids(path, table):
 
 def read_sids(path):
     (_, v), ids, codes = _read_table(path, ("K", "V"), int)
-    return _table(path, SidTable, ids, codes, v)
+    with artifact.named(path):
+        return SidTable(ids, codes, v)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +191,6 @@ class OpmqConfig:
     epochs: int = 50
     reinit_every: int = 500      # dead-codeword check interval, in steps
     seed: int = 0
-    activation: str = "tanh"     # "linear" exists for identity-map tests
-    orth_weights: str = "hidden"  # or "all": include both expert layers
 
     def __post_init__(self):
         check_finite(self)
@@ -209,19 +201,14 @@ class OpmqConfig:
                              "must be >= 1")
         if self.lr <= 0.0 or min(self.beta, self.w_orth) < 0.0:
             raise ValueError("lr must be positive, beta and w_orth >= 0")
-        if self.activation not in T.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.orth_weights not in ("hidden", "all"):
-            raise ValueError(f"unknown orth_weights {self.orth_weights!r}")
 
 
 class OpmqModel:
     """K expert encoders, K codebooks, one decoder on the latent sum.
 
-    Each expert is a ``T.mlp`` d_p -> d_z with hidden width d_p; the
-    decoder is one d_z -> d_p.  The weight matrix entering the
-    orthogonality penalty is the expert's hidden layer (or both layers
-    concatenated when orth_weights="all").
+    Each expert is a tanh ``T.mlp`` d_p -> d_z with hidden width d_p;
+    the decoder is one d_z -> d_p.  The weight matrix entering the
+    orthogonality penalty is the expert's hidden layer.
     """
 
     def __init__(self, d_p, config, rng):
@@ -253,13 +240,11 @@ class OpmqModel:
 
 
 def _expert_layers(x, model):
-    """Per expert, (hidden activations, latent) of a batch array (n, d_p):
+    """Per expert, (tanh hidden layer, latent) of a batch array (n, d_p):
     ``T.mlp``'s arithmetic, one product per expert and layer."""
     out = []
     for w1, b1, w2, b2 in model.experts:
-        h = x @ w1.values + b1.values
-        if model.config.activation == "tanh":
-            h = np.tanh(h)
+        h = np.tanh(x @ w1.values + b1.values)
         out.append((h, h @ w2.values + b2.values))
     return out
 
@@ -271,7 +256,6 @@ def _experts(x, model):
     operands.  A parameter takes one part here and at most one more from
     ``orth_penalty``, and two parts add the same in either order."""
     layers = _expert_layers(x, model)
-    tanh = model.config.activation == "tanh"
 
     def bwd(g):
         for (w1, b1, w2, b2), (a, _), gz in zip(model.experts, layers, g):
@@ -280,9 +264,7 @@ def _experts(x, model):
             if b2.requires_grad:
                 b2.accumulate_grad(T.bias_grad(gz))
             if w1.requires_grad or b1.requires_grad:
-                gh = gz @ w2.values.T
-                if tanh:
-                    gh = gh * (1.0 - a ** 2)
+                gh = gz @ w2.values.T * (1.0 - a ** 2)
                 if w1.requires_grad:
                     w1.accumulate_grad(x.T @ gh)
                 if b1.requires_grad:
@@ -388,19 +370,18 @@ def opmq_forward(e, model, sids=None):
     else:
         sids = np.asarray(sids, dtype=np.int64).reshape(n, model.config.k)
     quantized, aux = _quantize(z, model, sids)
-    recon = T.mlp(quantized, model.decoder, model.config.activation)
+    recon = T.mlp(quantized, model.decoder)
     return sids, recon, _mean_sq_error(x, recon), aux, z.values
 
 
 def orth_penalty(model):
-    """||V V^T - I||_F^2 over the L2-normalized flattened expert weights,
-    one node.  Its backward replays the graph of flatten, concat,
-    normalize, Gram-matrix and square ops, product for product and in
-    that graph's summation order (a row takes its normalized part first,
-    then the two parts of its square)."""
-    ws = [layer[:1] if model.config.orth_weights == "hidden" else layer[::2]
-          for layer in model.experts]
-    m = np.stack([np.concatenate([w.values.ravel() for w in row]) for row in ws])
+    """||V V^T - I||_F^2 over the experts' flattened, L2-normalized
+    hidden-layer weights, one node.  Its backward replays the graph of
+    flatten, concat, normalize, Gram-matrix and square ops, product for
+    product and in that graph's summation order (a row takes its
+    normalized part first, then the two parts of its square)."""
+    ws = [w1 for w1, _, _, _ in model.experts]
+    m = np.stack([w.values.ravel() for w in ws])
     sq = (m * m).sum(axis=1, keepdims=True)
     if np.any(sq <= 0.0):
         bad = int(np.argmin(sq))
@@ -418,12 +399,10 @@ def orth_penalty(model):
             g_scale = g_scale.sum(axis=1, keepdims=True)
         g_sq = g_scale * -0.5 * sq ** -1.5
         gm = g_normed * scale + g_sq * m + g_sq * m
-        for row, gr in zip(ws, gm):
-            for w, gw in zip(row, np.split(gr, [row[0].values.size])):
-                if w.requires_grad:
-                    w.accumulate_grad(gw.reshape(w.shape))
-    return T._result((diff * diff).sum(),
-                     [w for row in ws for w in row], bwd)
+        for w, gw in zip(ws, gm):
+            if w.requires_grad:
+                w.accumulate_grad(gw.reshape(w.shape))
+    return T._result((diff * diff).sum(), ws, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +588,7 @@ def save_opmq(path, model):
 def load_opmq(path):
     header, arrays = artifact.read(path, OPMQ_MAGIC)
     config = artifact.config(path, OpmqConfig, header.get("config"))
-    model = OpmqModel(header["d_p"], config, np.random.default_rng(0))
-    artifact.restore(path, arrays, _model_arrays(model))
+    with artifact.named(path):
+        model = OpmqModel(header["d_p"], config, np.random.default_rng(0))
+        artifact.restore(path, arrays, _model_arrays(model))
     return model

@@ -129,8 +129,8 @@ def store_run(small, path, **kw):
 class TestWholeFitsMatchFourOps:
     @pytest.mark.parametrize("kw", [
         {}, {"use_raw_ids": True, "hash_buckets": 4096},
-        {"rho": 1.0}, {"use_ffn": True},
-    ], ids=["sid", "raw4096", "vanilla", "ffn"])
+        {"rho": 1.0},
+    ], ids=["sid", "raw4096", "vanilla"])
     def test_store_fit(self, small, tmp_path, monkeypatch, kw):
         got = store_run(small, tmp_path / "new.strm", **kw)
         monkeypatch.setattr(T, "affine", four_op_affine)
@@ -164,21 +164,14 @@ def graph_size(loss):
 class TestGraphShrinks:
     def test_sid_forward_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
         # 2 fuser MLPs (4 layers), H = 3 token projections and the head
-        sites = {False: 8, True: 12}     # the FFN adds 2 MLPs (4 layers)
-        sizes = {}
-        for use_ffn in (False, True):
-            model = StoreModel(StoreConfig(use_ffn=use_ffn),
-                               default_groups(small["schema"]),
-                               small["tr"].vocab_sizes, sid_table=small["sids"])
-            inputs = slice_inputs(prepare_inputs(model, small["tr"]), np.arange(64))
-            new = graph_size(total_loss(model, inputs, inputs["labels"])[0])
-            with monkeypatch.context() as mp:
-                mp.setattr(T, "affine", four_op_affine)
-                ref = graph_size(total_loss(model, inputs, inputs["labels"])[0])
-            assert ref - new == 3 * sites[use_ffn]
-            sizes[use_ffn] = (ref, new)
-        # each layer norm is one node (the FFN adds a second per layer)
-        assert sizes == {False: (121, 97), True: (159, 123)}
+        model = StoreModel(StoreConfig(), default_groups(small["schema"]),
+                           small["tr"].vocab_sizes, sid_table=small["sids"])
+        inputs = slice_inputs(prepare_inputs(model, small["tr"]), np.arange(64))
+        new = graph_size(total_loss(model, inputs, inputs["labels"])[0])
+        monkeypatch.setattr(T, "affine", four_op_affine)
+        ref = graph_size(total_loss(model, inputs, inputs["labels"])[0])
+        # each layer norm is one node
+        assert (ref, new) == (121, 97) and ref - new == 3 * 8
 
     def test_tokenizer_step_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
         model = OpmqModel(small["table"].dim, OpmqConfig(), np.random.default_rng(0))

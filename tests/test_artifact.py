@@ -4,6 +4,7 @@ path, as a ValueError, and a failed write must leave the old file."""
 
 import errno
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -144,9 +145,9 @@ def test_failed_write_keeps_previous_file(saved, monkeypatch):
     ("tokenizer.opmq", "k", 2.5),
     ("tokenizer.opmq", "lr", "0.002"),
     ("tokenizer.opmq", "epochs", True),
-    ("tokenizer.opmq", "activation", 1),
+    ("tokenizer.opmq", "k", "3"),
     ("model.strm", "h", 2.5),
-    ("model.strm", "use_ffn", 0),
+    ("model.strm", "use_rotation", 0),
     ("model.strm", "rho", None),
 ])
 def test_a_header_value_of_the_wrong_type_is_named(tmp_path, name, key, value):
@@ -172,3 +173,65 @@ def test_header_values_of_their_field_types_load(tmp_path):
     header["config"].update(lr=1, d_z=None)
     artifact.write(path, b"OPMQ2", header, list(arrays.items()))
     assert load_opmq(path).config.lr == 1
+
+
+
+def set_first(d, value):
+    d[next(iter(d))] = value
+
+
+# per case, a header field outside ``config`` (or an array) made wrong,
+# and what the message says after the path
+BAD_FIELDS = {
+    "model.strm-groups": (lambda h, a: h.update(groups=[1]), ""),
+    "model.strm-d_g": (lambda h, a: h.update(d_g="x"), ""),
+    "model.strm-sid_ids": (lambda h, a: h.update(sid_ids=5), ""),
+    "model.strm-vocab_sizes": (lambda h, a: set_first(h["vocab_sizes"], "x"), ""),
+    "model.strm-no_groups": (lambda h, a: h.pop("groups"), "missing 'groups'"),
+    "model.strm-no_sid_codes": (lambda h, a: a.pop("sid_codes"),
+                                "missing 'sid_codes'"),
+    "tokenizer.opmq-d_p": (lambda h, a: h.update(d_p="x"), ""),
+    "tokenizer.opmq-no_d_p": (lambda h, a: h.pop("d_p"), "missing 'd_p'"),
+    "data.strd-schema": (lambda h, a: h.update(schema=5), ""),
+    "data.strd-no_schema": (lambda h, a: h.pop("schema"), "missing 'schema'"),
+    "data.strd-no_column": (lambda h, a: a.pop("f0"), "missing 'f0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_a_bad_header_field_outside_the_config_is_named(tmp_path, case):
+    name = case.split("-")[0]
+    make, save, load = FORMATS[name]
+    path = tmp_path / name
+    save(path, make())
+    magic = open(path, "rb").readline().rstrip(b"\n")
+    header, arrays = artifact.read(path, magic)
+    arrays = dict(arrays)
+    edit, says = BAD_FIELDS[case]
+    edit(header, arrays)
+    artifact.write(path, magic, header, list(arrays.items()))
+    with pytest.raises(ValueError) as e:
+        load(path)
+    assert str(e.value).startswith(f"{path}: {says}")
+
+
+def test_a_column_of_the_wrong_length_is_named(tmp_path):
+    path = tmp_path / "data.strd"
+    save_dataset_cache(path, small_dataset())
+    header, arrays = artifact.read(path, b"STRD2")
+    arrays = dict(arrays, f0=np.frombuffer(b"a\nb", dtype=np.uint8))
+    artifact.write(path, b"STRD2", header, list(arrays.items()))
+    with pytest.raises(ValueError, match="column 'f0'") as e:
+        load_dataset_cache(path)
+    assert str(e.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("text", [b"{x", b"[]", b"{}", b'{"arrays": [1]}'],
+                         ids=["not_json", "a_list", "no_arrays", "bad_array_entry"])
+def test_a_checksummed_header_that_is_not_a_container_header_is_named(
+        tmp_path, text):
+    path = tmp_path / "tokenizer.opmq"
+    path.write_bytes(b"OPMQ2\n" + b"%08x " % zlib.crc32(text) + text + b"\n")
+    with pytest.raises(ValueError) as e:
+        load_opmq(path)
+    assert str(e.value).startswith(f"{path}: ")

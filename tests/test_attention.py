@@ -24,9 +24,9 @@ from storerank.attention import (
 from oracles import fd_grad, max_rel_err, naive_attention, naive_topk_blocks
 
 
-def make_params(d_model=8, n_heads=2, block_size=2, rho=0.5, seed=0, **kw):
+def make_params(d_model=8, n_heads=2, block_size=2, rho=0.5, seed=0):
     return AttentionParams(d_model, n_heads, block_size, rho,
-                           np.random.default_rng(seed), **kw)
+                           np.random.default_rng(seed))
 
 
 class TestKBlocksFor:
@@ -90,12 +90,14 @@ class TestMobaRoute:
                 assert plan.block_ids[0, i].tolist() == want
 
     def test_ties_break_toward_lower_index(self):
-        # identical key blocks make every gate equal
+        # identical key blocks make every gate equal: beside its own block
+        # each query takes the lowest other one
         h, block, dh = 8, 2, 3
         k = np.tile(np.arange(dh, dtype=np.float64), (h, 1))
         q = np.random.default_rng(1).normal(size=(h, dh))
-        plan = moba_route(q, k, block, 2, force_own=False)
-        assert np.array_equal(plan.block_ids[0], np.tile([0, 1], (h, 1)))
+        plan = moba_route(q, k, block, 2)
+        want = [[0, max(1, i // block)] for i in range(h)]
+        assert plan.block_ids[0].tolist() == want
 
     def test_tie_oracle_agreement_on_integer_gates(self):
         rng = np.random.default_rng(2)
@@ -115,12 +117,10 @@ class TestMobaRoute:
         block = 2
         k = np.array([[-1.0, 0.0], [-1.0, 0.0], [5.0, 0.0], [5.0, 0.0]])
         q = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        forced = moba_route(q, k, block, 1, force_own=True)
-        free = moba_route(q, k, block, 1, force_own=False)
-        assert forced.block_ids[0, 0].tolist() == [0]
-        assert forced.block_ids[0, 1].tolist() == [0]
-        assert free.block_ids[0, 0].tolist() == [1]
-        assert free.block_ids[0, 1].tolist() == [1]
+        plan = moba_route(q, k, block, 1)
+        assert np.all(plan.gates[0, :2, 1] > plan.gates[0, :2, 0])
+        assert plan.block_ids[0, 0].tolist() == [0]
+        assert plan.block_ids[0, 1].tolist() == [0]
 
     def test_rows_sorted_distinct_contain_own(self):
         rng = np.random.default_rng(3)
@@ -137,7 +137,7 @@ class TestMobaRoute:
         # H=5, B=2: last block holds a single key; its mean is that key
         k = np.arange(10, dtype=np.float64).reshape(5, 2)
         q = np.ones((5, 2))
-        plan = moba_route(q, k, 2, 1, force_own=False)
+        plan = moba_route(q, k, 2, 1)
         expect = np.stack([k[0:2].mean(0), k[2:4].mean(0), k[4]])
         got = plan.gates[0][0]
         assert np.allclose(got, q[0] @ expect.T, atol=1e-12)

@@ -154,16 +154,18 @@ def test_bad_numbers_and_config_types_end_in_one_error_line(tmp_path, capsys):
     ("sweep", ["--rho-grid", ""], {}),
     ("sweep", [], {"epochs_grid": []}),
     ("gen-synthetic", [], {"static_cards": []}),
+    ("bench-attention", [], {"h_values": ""}),
 ])
 def test_an_empty_number_list_is_one_error_line(workspace, tmp_path, capsys,
                                                 command, flags, body):
+    # a bad flag or config value, as a number list that is not one, exits 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(body))
     data = ["--data", str(workspace / "data" / "data.strd"), "--sids",
             str(workspace / "sids" / "sids.csv")] if command == "sweep" else []
     out = tmp_path / "out"
     assert run(command, *data, *flags, "--config", str(cfg),
-               "--out", str(out)) != 0
+               "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
@@ -173,7 +175,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("command, body", [
         ("train-tokenizer", {"k": None}), ("train-tokenizer", {"epochs": 1.5}),
         ("train-tokenizer", {"k": True}), ("train-tokenizer", {"d_z": "3"}),
-        ("train", {"h": "3"}), ("train", {"use_ffn": 1}),
+        ("train", {"h": "3"}), ("train", {"use_rotation": 1}),
     ])
     def test_a_value_of_another_type_is_one_error_line(
             self, workspace, tmp_path, capsys, command, body):
@@ -186,7 +188,7 @@ class TestConfigTypes:
         assert run(command, *flags, "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config file: {next(iter(body))} must be")
+        assert err.startswith(f"error: {cfg}: {next(iter(body))} must be")
         assert err.count("\n") == 1
 
     def test_an_int_is_a_float_and_none_takes_the_flag_type(self, workspace, tmp_path):
@@ -222,9 +224,10 @@ class TestConfigTypes:
         assert not out.exists()
 
     def test_static_cards_need_one_positive_card(self, tmp_path, capsys):
-        for cards in ("", "8,0"):
+        # no card is a bad flag (exit 2); a zero card is a bad spec (exit 1)
+        for cards, code in (("", 2), ("8,0", 1)):
             assert run("gen-synthetic", "--out", str(tmp_path / "out"),
-                       "--static-cards", cards) == 1
+                       "--static-cards", cards) == code
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -335,12 +338,12 @@ class TestTokenizerCommands:
                                        b"OPMQ2")
         config = header["config"]
         old_layout = {"d_p": header["d_p"], "d_z": header["d_p"],
-                      **{k: config[k] for k in ("k", "v", "activation",
-                                                "orth_weights", "beta")}}
+                      "activation": "tanh", "orth_weights": "hidden",
+                      **{k: config[k] for k in ("k", "v", "beta")}}
         variants = {
             "missing": dict(header, config={k: v for k, v in config.items()
-                                            if k != "activation"}),
-            "relu": dict(header, config=dict(config, activation="relu")),
+                                            if k != "beta"}),
+            "unknown": dict(header, config=dict(config, activation="relu")),
             "text": dict(header, config=dict(config, k="2")),
             "old": old_layout,
         }
@@ -766,9 +769,95 @@ class TestReplay:
         again = tmp_path / "again"
         assert run("train", "--config", str(path), "--out", str(again)) == 2
         assert capsys.readouterr().err == \
-            "error: config file: unknown keys ['split']\n"
+            f"error: {path}: unknown keys ['split']\n"
         assert not again.exists()
         assert run("eval", "--model", str(run_dir / "model.strm"),
                    "--data", str(workspace / "data" / "data.strd"),
                    "--out", str(tmp_path / "ev")) == 2
         assert capsys.readouterr().err == f"error: {path}: unknown keys ['split']\n"
+
+
+class TestRefusedRunsLeaveNoOutput:
+    """A SID table whose K or V is not the model's is refused before the
+    output directory is made."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--h", "2"]),
+        ("train", ["--v", "8"]),
+        ("sweep", ["--h", "2"]),
+    ], ids=["train_h", "train_v", "sweep_h"])
+    def test_a_sid_table_of_another_shape(self, workspace, tmp_path, capsys,
+                                          command, flags):
+        out = tmp_path / "out"
+        assert run(command, "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--out", str(out), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SID table carries K=3 codes of V=16")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestOlderRuns:
+    """Files written while the model still had its FFN sublayer, linear
+    experts and "all" orthogonality weights name a key the program no
+    longer has: one error line, with the file and the key."""
+
+    def rewrite(self, path, magic, **config):
+        header, arrays = artifact.read(path, magic)
+        header["config"].update(config)
+        artifact.write(path, magic, header, list(arrays.items()))
+
+    def test_a_model_with_use_ffn(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(*TestTrainEval().raw_id_args(workspace, run_dir)) == 0
+        model = run_dir / "model.strm"
+        self.rewrite(model, b"STRM2", use_ffn=False)
+        capsys.readouterr()
+        assert run("eval", "--model", str(model),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert "unknown keys ['use_ffn']" in err and err.count("\n") == 1
+
+    def test_a_tokenizer_with_activation_and_orth_weights(
+            self, workspace, tmp_path, capsys):
+        tok = tmp_path / "tokenizer.opmq"
+        tok.write_bytes((workspace / "tok" / "tokenizer.opmq").read_bytes())
+        self.rewrite(tok, b"OPMQ2", activation="tanh", orth_weights="hidden")
+        capsys.readouterr()
+        assert run("tokenize", "--embeddings",
+                   str(workspace / "data" / "embeddings.csv"),
+                   "--tokenizer", str(tok), "--out", str(tmp_path / "s")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tok}: ")
+        assert "unknown keys ['activation', 'orth_weights']" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "use_ffn"), ("train-tokenizer", "activation"),
+        ("train-tokenizer", "orth_weights"),
+    ])
+    def test_a_resolved_config_passed_to_config(self, workspace, tmp_path,
+                                                capsys, command, key):
+        old = tmp_path / "resolved_config.json"
+        old.write_text(json.dumps({"command": command, key: False}))
+        out = tmp_path / "again"
+        assert run(command, "--config", str(old), "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {old}: unknown keys ['{key}']\n"
+        assert not out.exists()
+
+    def test_a_resolved_config_read_by_eval(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(*TestTrainEval().raw_id_args(workspace, run_dir)) == 0
+        path = run_dir / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(cfg, use_ffn=False)))
+        capsys.readouterr()
+        assert run("eval", "--model", str(run_dir / "model.strm"),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: unknown keys ['use_ffn']\n"

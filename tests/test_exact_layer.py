@@ -39,7 +39,7 @@ def graph_layer_norm(x, gamma, beta, eps=1e-5):
     return T.add(T.mul(normed, g), b)
 
 
-def argsort_selection(q, k, block_size, k_blocks, force_own=True):
+def argsort_selection(q, k, block_size, k_blocks):
     """(block_ids, gates) as a stable argsort of the forced gates, then a
     sort of the first k_blocks, selected them."""
     q = np.asarray(q, dtype=np.float64)
@@ -52,14 +52,13 @@ def argsort_selection(q, k, block_size, k_blocks, force_own=True):
         raise ValueError(f"k_blocks {k_blocks} out of range")
     gates = q @ np.swapaxes(A._block_means(k, block_size), -1, -2)
     aug = gates.copy()
-    if force_own:
-        aug[..., np.arange(h), np.arange(h) // block_size] = np.inf
+    aug[..., np.arange(h), np.arange(h) // block_size] = np.inf
     order = np.argsort(-aug, axis=-1, kind="stable")
     return np.sort(order[..., :k_blocks], axis=-1), gates
 
 
-def argsort_route(q, k, block_size, k_blocks, force_own=True):
-    ids, gates = argsort_selection(q, k, block_size, k_blocks, force_own)
+def argsort_route(q, k, block_size, k_blocks):
+    ids, gates = argsort_selection(q, k, block_size, k_blocks)
     allowed = np.zeros(gates.shape, dtype=bool)
     np.put_along_axis(allowed, ids, True, axis=-1)
     return A.RoutingPlan(allowed, gates, block_size)
@@ -187,11 +186,11 @@ def test_softmax_refuses_a_masked_row_at_every_length():
 # routing: sort-free selection under 8 blocks, the argsort's blocks
 # ---------------------------------------------------------------------------
 
-def check_route(q, k, block_size, k_blocks, force_own):
+def check_route(q, k, block_size, k_blocks):
     with np.errstate(all="ignore"):
-        plan = A.moba_route(q, k, block_size, k_blocks, force_own=force_own)
-        ids, gates = argsort_selection(q, k, block_size, k_blocks, force_own)
-        ref = argsort_route(q, k, block_size, k_blocks, force_own)
+        plan = A.moba_route(q, k, block_size, k_blocks)
+        ids, gates = argsort_selection(q, k, block_size, k_blocks)
+        ref = argsort_route(q, k, block_size, k_blocks)
     assert same_bits(plan.gates, gates)
     assert np.array_equal(plan.block_ids, ids)
     assert np.array_equal(plan.allowed, ref.allowed)
@@ -199,22 +198,20 @@ def check_route(q, k, block_size, k_blocks, force_own):
     assert np.array_equal(A.plan_to_mask(plan, h), A.plan_to_mask(ref, h))
 
 
-@pytest.mark.parametrize("force_own", [True, False])
 @pytest.mark.parametrize("h, block_size", [(3, 1), (5, 2), (7, 1), (12, 3), (9, 1),
                                            (40, 4), (33, 2)])
-def test_tie_heavy_integer_gates_select_the_argsort_blocks(h, block_size, force_own):
+def test_tie_heavy_integer_gates_select_the_argsort_blocks(h, block_size):
     rng = np.random.default_rng(h * 10 + block_size)
     n_blocks = -(-h // block_size)
     for k_blocks in range(1, n_blocks + 1):
         q = rng.integers(-2, 3, size=(6, h, 3)).astype(np.float64)
         k = rng.integers(-1, 2, size=(6, h, 3)).astype(np.float64)
-        check_route(q, k, block_size, k_blocks, force_own)
-        check_route(q[0], k[0], block_size, k_blocks, force_own)   # one instance
+        check_route(q, k, block_size, k_blocks)
+        check_route(q[0], k[0], block_size, k_blocks)   # one instance
 
 
-@pytest.mark.parametrize("force_own", [True, False])
 @pytest.mark.parametrize("h, block_size", [(3, 1), (5, 2), (6, 1), (20, 2), (36, 4)])
-def test_infinite_and_nan_gates_select_the_argsort_blocks(h, block_size, force_own):
+def test_infinite_and_nan_gates_select_the_argsort_blocks(h, block_size):
     rng = np.random.default_rng(h + block_size)
     n_blocks = -(-h // block_size)
     specials = np.array([np.inf, -np.inf, np.nan, 1e200, -1e200, 0.0])
@@ -227,7 +224,7 @@ def test_infinite_and_nan_gates_select_the_argsort_blocks(h, block_size, force_o
         if trial == 0:
             q[:4] = np.nan      # whole rows of NaN gates
         for k_blocks in sorted({1, max(1, n_blocks // 2), n_blocks}):
-            check_route(q, k, block_size, k_blocks, force_own)
+            check_route(q, k, block_size, k_blocks)
 
 
 def test_selection_rule_on_random_gates_of_every_width():
@@ -282,7 +279,6 @@ FITS = {
     "sid_batch_512": dict(rho=0.5, d=32, batch_size=512),
     "sid_h5_b2": dict(h=5, block_size=2, n_heads=4, rho=0.5),
     "raw_id": dict(use_raw_ids=True, hash_buckets=4096),
-    "ffn": dict(use_ffn=True),
 }
 
 

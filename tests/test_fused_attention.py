@@ -57,8 +57,7 @@ def graph_efficient_attention(x, params, plans=None, return_plans=False):
     outs, used = [], []
     for i, (qh, kh, vh) in enumerate(_project_heads(x3, params)):
         if plans is None:
-            plan = moba_route(qh.values, kh.values, params.block_size, kb,
-                              force_own=params.force_own)
+            plan = moba_route(qh.values, kh.values, params.block_size, kb)
         else:
             plan = plans[i]
         used.append(plan)
@@ -80,9 +79,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def make_params(d_model, n_heads, block_size, rho, seed=0, **kw):
+def make_params(d_model, n_heads, block_size, rho, seed=0):
     return AttentionParams(d_model, n_heads, block_size, rho,
-                           np.random.default_rng(seed), **kw)
+                           np.random.default_rng(seed))
 
 
 def run(attend, x_vals, params, residual, weights):
@@ -103,16 +102,13 @@ CASES = {
     "one_head": dict(n=5, h=9, d=8, heads=1, block=2, rho=0.5),
     "rank2": dict(n=None, h=10, d=8, heads=2, block=3, rho=0.5),
     "rho1": dict(n=4, h=8, d=8, heads=2, block=2, rho=1.0),
-    "no_own_block": dict(n=7, h=8, d=8, heads=2, block=2, rho=0.25,
-                         force_own=False),
 }
 
 
 def case_inputs(case, seed=1):
     rng = np.random.default_rng(seed)
-    kw = {"force_own": case["force_own"]} if "force_own" in case else {}
     params = make_params(case["d"], case["heads"], case["block"], case["rho"],
-                         seed=seed + 1, **kw)
+                         seed=seed + 1)
     shape = (case["h"], case["d"]) if case["n"] is None else (case["n"], case["h"], case["d"])
     return params, rng.normal(size=shape), rng.normal(size=shape)
 

@@ -29,7 +29,7 @@ import graph_ops as G
 
 def graph_encode_experts(x, model):
     x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    return [T.mlp(x, layer, model.config.activation) for layer in model.experts]
+    return [T.mlp(x, layer) for layer in model.experts]
 
 
 def graph_opmq_forward(e, model, sids=None):
@@ -50,8 +50,7 @@ def graph_opmq_forward(e, model, sids=None):
         aux_terms.append(T.add(
             T.tsum(T.mul(code_err, code_err)),
             T.mul(T.tsum(T.mul(commit_err, commit_err)), model.config.beta)))
-    recon = T.mlp(reduce(T.add, quantized), model.decoder,
-                  model.config.activation)
+    recon = T.mlp(reduce(T.add, quantized), model.decoder)
     err = T.sub(x, recon)
     loss_recon = T.mul(T.tsum(T.mul(err, err)), 1.0 / n)
     aux = T.mul(reduce(T.add, aux_terms), 1.0 / n)
@@ -59,13 +58,8 @@ def graph_opmq_forward(e, model, sids=None):
 
 
 def graph_orth_penalty(model):
-    rows = []
-    for w1, _, w2, _ in model.experts:
-        flats = [T.reshape(w1, (1, w1.values.size))]
-        if model.config.orth_weights == "all":
-            flats.append(T.reshape(w2, (1, w2.values.size)))
-        rows.append(flats[0] if len(flats) == 1 else T.concat(flats, axis=1))
-    m = T.concat(rows, axis=0)
+    m = T.concat([T.reshape(w1, (1, w1.values.size))
+                  for w1, _, _, _ in model.experts], axis=0)
     sq = T.tsum(T.mul(m, m), axis=1, keepdims=True)
     if np.any(sq.values <= 0.0):
         bad = int(np.argmin(sq.values))
@@ -115,10 +109,8 @@ CASES = {
     "batch_below_v": (5, 16, dict(k=3, v=16)),       # RowSparse codebook grads
     "one_row": (1, 16, dict(k=3, v=16)),
     "one_expert": (64, 16, dict(k=1, v=16)),
-    "linear": (32, 8, dict(k=2, v=8, activation="linear")),
-    "orth_all": (32, 8, dict(k=3, v=8, orth_weights="all")),
     "d_z_below_d_p": (32, 8, dict(k=3, v=8, d_z=5)),
-    "d_z_above_d_p": (17, 6, dict(k=2, v=4, d_z=9, orth_weights="all")),
+    "d_z_above_d_p": (17, 6, dict(k=2, v=4, d_z=9)),
     "no_commitment": (32, 8, dict(k=2, v=8, beta=0.0)),
     "one_dim": (9, 1, dict(k=2, v=3)),
 }
@@ -234,10 +226,9 @@ def cluster_table(n, d, seed):
 @pytest.mark.parametrize("n, cfg", [
     # every epoch ends on a batch of one item; reseeding every 3 steps
     (129, OpmqConfig(epochs=4, seed=5, reinit_every=3)),
-    (90, OpmqConfig(epochs=3, seed=6, orth_weights="all", d_z=8, batch_size=40)),
-    (40, OpmqConfig(k=1, v=24, epochs=3, seed=7, batch_size=16,
-                    activation="linear")),
-], ids=["public", "orth_all_d_z", "one_expert_v_above_batch"])
+    (90, OpmqConfig(epochs=3, seed=6, d_z=8, batch_size=40)),
+    (40, OpmqConfig(k=1, v=24, epochs=3, seed=7, batch_size=16)),
+], ids=["public", "d_z", "one_expert_v_above_batch"])
 def test_train_opmq_matches_graph(tmp_path, monkeypatch, n, cfg):
     table = cluster_table(n, 12, seed=n)
 

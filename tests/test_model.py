@@ -537,12 +537,6 @@ class TestFlops:
                      - attention_flops(8, cfg.d, cfg.n_heads, 2, 2))
         assert dense - sparse == cfg.n_layers * per_layer
 
-    def test_ffn_adds_cost(self):
-        groups = self.groups()
-        plain = model_flops(StoreConfig(use_raw_ids=True), groups)
-        ffn = model_flops(StoreConfig(use_raw_ids=True, use_ffn=True), groups)
-        assert ffn > plain
-
 
 class TestFit:
     def setup_method(self):

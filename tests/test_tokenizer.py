@@ -147,10 +147,11 @@ class TestEncodeExperts:
     """The experts' forward on plain arrays, ``OpmqModel.encode_values``."""
 
     def test_identity_expert_is_identity(self):
-        m = make_model(d_p=2, k=1, activation="linear")
+        # identity weights around the tanh: the latent is tanh of the input
+        m = make_model(d_p=2, k=1)
         set_identity_expert(m, 0)
         (z,) = m.encode_values(np.array([1.0, 2.0])[None])
-        assert np.array_equal(z, [[1.0, 2.0]])
+        assert np.array_equal(z, np.tanh([[1.0, 2.0]]))
 
     def test_output_count_and_dims(self):
         m = make_model(d_p=4, k=3, v=5)
@@ -221,15 +222,15 @@ class TestNearestCodeword:
 
 class TestOpmqForward:
     def test_perfect_reconstruction_gives_zero_loss(self):
-        # identity expert and decoder, codebook containing the input itself
-        m = make_model(d_p=2, k=1, v=2, activation="linear")
+        # identity expert, a codebook holding its latent, and a decoder
+        # whose hidden layer is zero and whose output bias is the input
+        m = make_model(d_p=2, k=1, v=2)
         set_identity_expert(m, 0)
         w1, b1, w2, b2 = m.decoder
-        w1.values[...] = np.eye(2)
+        w1.values[...] = 0.0
         b1.values[...] = 0.0
-        w2.values[...] = np.eye(2)
-        b2.values[...] = 0.0
-        m.codebooks[0].values[...] = np.array([[1.0, 2.0], [9.0, 9.0]])
+        b2.values[...] = [1.0, 2.0]
+        m.codebooks[0].values[...] = np.array([np.tanh([1.0, 2.0]), [9.0, 9.0]])
         sids, recon, loss, aux, _ = opmq_forward(np.array([1.0, 2.0])[None], m)
         assert sids.tolist() == [[0]]
         assert np.array_equal(recon.values, [[1.0, 2.0]])
@@ -261,7 +262,7 @@ class TestOpmqForward:
             for z, off in zip(latents, offsets):
                 q = T.add(z, T.Tensor(off))
                 total = q if total is None else T.add(total, q)
-            recon = T.mlp(total, m.decoder, m.config.activation)
+            recon = T.mlp(total, m.decoder)
             err = T.sub(T.Tensor(x), recon)
             return T.mul(T.tsum(T.mul(err, err)), 1.0 / x.shape[0])
 
@@ -325,12 +326,6 @@ class TestOrthPenalty:
         g = T.grad(orth_penalty(m), [m.experts[0][0]])[0]
         assert np.any(g != 0.0)
 
-    def test_all_mode_sees_second_layer(self):
-        m = make_model(d_p=2, k=2, seed=19, orth_weights="all")
-        m.experts[1][0].values[...] = m.experts[0][0].values
-        # identical w1 but independent w2: rows no longer parallel
-        assert orth_penalty(m).values < 2.0 - 1e-3
-
     def test_penalty_matches_fd(self):
         m = make_model(d_p=2, k=2, seed=20)
         leaves = [m.experts[0][0], m.experts[1][0]]
@@ -344,8 +339,7 @@ class TestOpmqConfig:
     @pytest.mark.parametrize("kw", [
         dict(k=0), dict(v=0), dict(batch_size=0), dict(epochs=0),
         dict(reinit_every=0), dict(d_z=0), dict(lr=0.0), dict(lr=-1.0),
-        dict(beta=-0.1), dict(w_orth=-0.1), dict(activation="relu"),
-        dict(orth_weights="both"),
+        dict(beta=-0.1), dict(w_orth=-0.1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -359,7 +353,7 @@ class TestOpmqConfig:
 
     def test_edges_accepted(self):
         OpmqConfig(k=1, v=1, batch_size=1, epochs=1, reinit_every=1, d_z=1,
-                   beta=0.0, w_orth=0.0, activation="linear", orth_weights="all")
+                   beta=0.0, w_orth=0.0)
 
 
 class TestTrainOpmq:
