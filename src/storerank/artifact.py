@@ -6,8 +6,9 @@ holds the caller's fields plus ``arrays``: ``[name, dtype, shape, byte
 length, CRC32]`` per array.  Writes are atomic (``<path>.tmp``, then a
 rename).  A read fails with a ``ValueError`` that starts with the path
 and names the case: bad magic, truncated, corrupt or trailing bytes.
-A config dataclass stored in a header is rebuilt by ``config``; any
-other failure to rebuild an object from a file is named by ``named``.
+A config dataclass stored in a header is rebuilt by ``config``, and
+``typed`` checks another header field's type; any other failure to
+rebuild an object from a file is named by ``named``.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import zlib
 
 import numpy as np
 
-from .options import dataclass_options, mismatch
+from .options import Opt, dataclass_options, mismatch
 
 
 def write(path, magic, header, arrays):
@@ -100,6 +101,38 @@ def restore(path, arrays, tensors):
                              f"layout has {w}")
     for name, t in tensors:
         t.values[...] = arrays[name]
+
+
+def typed(path, header, key, kind):
+    """``header[key]`` if it has the type ``kind``: a type, by the rule
+    of ``options.mismatch``; ``[kind]``, a list of such values; a tuple
+    of kinds, a list of one value of each; ``{str: kind}``, an object of
+    such values; any other dict, an object with its keys, each of its
+    kind.  Else a ``ValueError`` that starts with the path and names the
+    field, or the part of it, that is wrong."""
+    reason = _mistyped(key, header[key], kind)
+    if reason:
+        raise ValueError(f"{path}: {reason}")
+    return header[key]
+
+
+def _mistyped(key, value, kind):
+    if isinstance(kind, type):
+        return mismatch(key, value, Opt(kind(), kind))
+    if isinstance(kind, (list, tuple)):
+        many = isinstance(kind, list)
+        if not isinstance(value, list) or not (many or len(value) == len(kind)):
+            want = "a list" if many else f"a list of {len(kind)} values"
+            return f"{key} must be {want}, got {value!r}"
+        parts = [(f"{key}[{i}]", x, kind[0] if many else kind[i])
+                 for i, x in enumerate(value)]
+    elif not isinstance(value, dict):
+        return f"{key} must be an object, got {value!r}"
+    elif str in kind:
+        parts = [(f"{key}[{k!r}]", x, kind[str]) for k, x in value.items()]
+    else:
+        parts = [(f"{key}.{k}", value.get(k), t) for k, t in kind.items()]
+    return next(filter(None, (_mistyped(*part) for part in parts)), None)
 
 
 def config(path, cls, fields):

@@ -50,7 +50,7 @@ from .attention import bench_attention
 from .data import (SyntheticSpec, encode_features, gen_synthetic,
                    load_dataset_cache, random_split, save_dataset_cache)
 from .model import (StoreConfig, check_sid_table, default_groups, evaluate,
-                    fit, load_store, save_store)
+                    fit, load_store, save_store, sid_rows)
 from .options import Opt, dataclass_options, mismatch
 from .tokenizer import (OpmqConfig, load_opmq, read_embeddings, read_sids,
                         save_opmq, tokenize_catalog, train_opmq,
@@ -262,6 +262,12 @@ def _split_encode(data_path, cfg):
     return ds, tr, va
 
 
+def _check_coverage(sid_table, train, val):
+    # fit would refuse an item without codes only once --out exists
+    for part in (train, val):
+        sid_rows(sid_table, part.raw_items)
+
+
 def _check_raw_id(cfg):
     # the flag contract: the raw-id ablation and a tokenizer artifact are
     # mutually exclusive, and this must fail before any data is touched
@@ -279,6 +285,8 @@ def cmd_train(cfg, out):
         sid_table = read_sids(_require(cfg["sids"], "SID file"))
         check_sid_table(sid_table, config)
     ds, tr, va = _split_encode(cfg["data"], cfg)
+    if sid_table is not None:
+        _check_coverage(sid_table, tr, va)
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])
     out = _out_dir(out)
     model, log = fit(tr, va, config, groups, sid_table=sid_table)
@@ -337,6 +345,8 @@ def cmd_sweep(cfg, out):
         check_sid_table(tables[cfg["h"]], _config(StoreConfig, cfg))
 
     ds, tr, va = _split_encode(cfg["data"], cfg)
+    if cfg["h"] in tables:
+        _check_coverage(tables[cfg["h"]], tr, va)
     out = _out_dir(out)
     logs_dir = _out_dir(os.path.join(out, "logs"))
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])

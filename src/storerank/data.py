@@ -309,7 +309,8 @@ def load_dataset_cache(path):
     header, arrays = artifact.read(path, CACHE_MAGIC)
     # a column of the wrong length is refused by Dataset, named here
     with artifact.named(path):
-        schema = DatasetSchema([(n, r) for n, r in header["schema"]])
+        schema = DatasetSchema([(n, r) for n, r in artifact.typed(
+            path, header, "schema", [(str, str)])])
         labels = arrays[schema.label_col]
         cols = {}
         for name in schema.feature_cols:

@@ -85,6 +85,18 @@ def check_sid_table(sid_table, config):
                          f"V={config.v}")
 
 
+def sid_rows(sid_table, items):
+    """The row of each raw item id of ``items`` in ``sid_table``; an id
+    the table lacks is refused."""
+    index = sid_table.index
+    rows = np.array([index.get(str(s), -1) for s in items], dtype=np.int64)
+    if rows.size and rows.min() < 0:
+        miss = [str(s) for s in items[rows < 0][:3]]
+        raise ValueError(f"{int((rows < 0).sum())} item ids lack SID codes "
+                         f"(first: {miss})")
+    return rows
+
+
 def default_groups(schema, emb_dim=8, d_g=16):
     """Two-group partition: the group key alone, then every static column.
 
@@ -276,13 +288,7 @@ def prepare_inputs(model, data):
     out = {"static": feats, "labels": data.labels}
     items = data.raw_items
     if model.sid_tables is not None:
-        index = model.sid_table.index
-        rows = np.array([index.get(str(s), -1) for s in items], dtype=np.int64)
-        if rows.size and rows.min() < 0:
-            miss = [str(s) for s in items[rows < 0][:3]]
-            raise ValueError(f"{int((rows < 0).sum())} item ids lack SID codes "
-                             f"(first: {miss})")
-        out["sid"] = model.sid_table.codes[rows]
+        out["sid"] = model.sid_table.codes[sid_rows(model.sid_table, items)]
     else:
         buckets = model.config.hash_buckets
         out["raw"] = np.array([zlib.crc32(str(s).encode()) % buckets
@@ -445,18 +451,24 @@ def save_store(path, model):
     artifact.write(path, STORE_MAGIC, header, arrays)
 
 
+# a feature group in a model.strm header
+_GROUP_FIELDS = {"name": str, "features": [str], "emb_dim": int}
+
+
 def load_store(path):
     header, arrays = artifact.read(path, STORE_MAGIC)
     config = artifact.config(path, StoreConfig, header.get("config"))
     with artifact.named(path):
         groups = GroupConfig(tuple(
             FeatureGroup(g["name"], tuple(g["features"]), g["emb_dim"])
-            for g in header["groups"]), header["d_g"])
+            for g in artifact.typed(path, header, "groups", [_GROUP_FIELDS])),
+            artifact.typed(path, header, "d_g", int))
         sid_table = None
         if header["sid_ids"] is not None:
-            sid_table = SidTable(header["sid_ids"], arrays.pop("sid_codes"),
-                                 config.v)
-        model = StoreModel(config, groups, header["vocab_sizes"],
+            sid_table = SidTable(artifact.typed(path, header, "sid_ids", [str]),
+                                 arrays.pop("sid_codes"), config.v)
+        model = StoreModel(config, groups,
+                           artifact.typed(path, header, "vocab_sizes", {str: int}),
                            sid_table=sid_table)
         artifact.restore(path, arrays, _store_arrays(model))
     return model

@@ -17,7 +17,10 @@ keeps the moments of such a table for just the rows touched so far, in
 one compact array in first-touch order, and turns them into dense
 moments once every row is touched or a dense gradient arrives.  It gives
 bit for bit what the dense gradient would give, and ``np.asarray`` turns
-a ``RowSparse`` into exactly that dense gradient.
+a ``RowSparse`` into exactly that dense gradient.  The lookups' sums,
+dense or row-sparse, are one ``np.bincount``.  The dense moments of
+every parameter sit in one flat pair of arrays, which ``Adam`` advances
+in one elementwise update on the concatenated gradients.
 
 A node keeps the first gradient a backward closure hands it without a
 copy when it is a fresh array (writeable float64, owning its memory);
@@ -34,6 +37,8 @@ drops the loss tensor.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -299,17 +304,25 @@ def lookup_grad(table, indices, g):
     """Hand ``table`` the gradient ``g`` of its rows looked up at
     ``indices``, in the form ``embedding`` describes; for fused nodes."""
     n_rows = len(table.values)
-    if n_rows <= indices.size or table._backward is not None:
-        full = np.zeros_like(table.values)
-        np.add.at(full, indices, g)
-        table.accumulate_grad(full)
-        return
     # % folds negative indices onto the rows np.take read them from
-    rows, inv = np.unique(indices % n_rows, return_inverse=True)
-    # each row sums its lookups in lookup order, as the dense add.at does
-    summed = np.zeros((rows.size,) + table.values.shape[1:])
-    np.add.at(summed, inv.reshape(indices.shape), g)
+    rows = indices % n_rows
+    if n_rows <= indices.size or table._backward is not None:
+        table.accumulate_grad(_row_sums(rows, g, table.values.shape))
+        return
+    rows, inv = np.unique(rows, return_inverse=True)
+    summed = _row_sums(inv, g, (rows.size,) + table.values.shape[1:])
     table.accumulate_grad(RowSparse(rows, summed, table.values.shape))
+
+
+def _row_sums(slots, g, shape):
+    """A zero array of ``shape`` plus, at row ``slots[i]``, lookup i's
+    gradient ``g[i]``, for the lookups in order: bit for bit
+    ``np.add.at``, whose per-entry sums run in the same order.  One
+    ``np.bincount`` over the flattened (row, column) entries does it."""
+    width = math.prod(shape[1:])
+    flat = slots.reshape(-1, 1) * width + np.arange(width)
+    return np.bincount(flat.ravel(), weights=g.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +621,15 @@ class Adam:
     keeps moving, bit for bit the dense update (unlike a lazy Adam, which
     leaves absent rows alone).  Once every row has been touched, or a
     dense gradient arrives, the moments are scattered into dense arrays
-    and the parameter takes the dense update for good.  ``moments(i)``
-    gives parameter i's moments as dense arrays, in either form.
+    and the parameter takes the dense update for good.
+
+    The dense moments of all parameters live in one flat pair of arrays,
+    each parameter's at its own span, so one ``_advance`` on the
+    concatenated gradients updates them all.  The update is elementwise,
+    so this is bit for bit a call per parameter.  The arrays are laid
+    out again only when a parameter's moments turn dense.
+    ``moments(i)`` gives copies of parameter i's moments as dense
+    arrays, in either form.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -617,19 +637,36 @@ class Adam:
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         # per parameter, its moments of touched rows, or None once they
-        # are the dense arrays in self._m and self._v
+        # are dense; a rank-0 parameter's are dense from the start
         self._rows = [_RowMoments(p.values.shape) if p.ndim else None
                       for p in self.params]
-        self._m = [None if p.ndim else np.zeros(()) for p in self.params]
-        self._v = [None if p.ndim else np.zeros(()) for p in self.params]
+        # (parameter index, start, stop) of each dense parameter's span
+        # of the flat moments self._m and self._v
+        self._spans = []
+        self._m = self._v = np.zeros(0)
+        self._lay_out({i: (np.zeros(1), np.zeros(1))
+                       for i, rows in enumerate(self._rows) if rows is None})
         self.step_count = 0
+
+    def _lay_out(self, joining):
+        """Lay the flat moments out again, adding the dense moments
+        ``joining`` maps parameter indices to."""
+        moments = {i: (self._m[a:b], self._v[a:b]) for i, a, b in self._spans}
+        moments.update(joining)
+        stops = np.cumsum([0] + [self.params[i].values.size for i in moments])
+        self._spans = list(zip(moments, stops[:-1], stops[1:]))
+        self._m, self._v = (np.concatenate([np.zeros(0)] + [
+            m[k].ravel() for m in moments.values()]) for k in (0, 1))
 
     def moments(self, i):
         """Copies of parameter i's first and second moments, dense."""
+        shape = self.params[i].values.shape
         rows = self._rows[i]
         if rows is not None:
-            return rows.dense(self.params[i].values.shape)
-        return self._m[i].copy(), self._v[i].copy()
+            return rows.dense(shape)
+        a, b = next((a, b) for j, a, b in self._spans if j == i)
+        return (self._m[a:b].reshape(shape).copy(),
+                self._v[a:b].reshape(shape).copy())
 
     def _advance(self, m, v, g, t):
         """Update the moments m, v in place; return the parameter decrement.
@@ -656,25 +693,36 @@ class Adam:
     def step(self, grads):
         if len(grads) != len(self.params):
             raise ValueError("Adam.step: grads/params length mismatch")
-        self.step_count += 1
-        t = self.step_count
-        for i, (p, g) in enumerate(zip(self.params, grads)):
+        for p, g in zip(self.params, grads):
             if g.shape != p.values.shape:
                 raise ValueError(f"Adam.step: grad shape {g.shape} vs param {p.shape}")
-            rows = self._rows[i]
-            if rows is not None:
-                if isinstance(g, RowSparse):
-                    touched = rows.touch(g.rows)
-                    n = touched.size
-                    if n < len(p.values):
-                        g_rows = np.zeros((n,) + g.shape[1:])
-                        g_rows[rows.slot[g.rows]] = g.values
-                        p.values[touched] -= self._advance(
-                            rows.m[:n], rows.v[:n], g_rows, t)
-                        continue
-                self._m[i], self._v[i] = rows.dense(p.values.shape)
-                self._rows[i] = None
-            p.values -= self._advance(self._m[i], self._v[i], np.asarray(g), t)
+        self.step_count += 1
+        t = self.step_count
+        joining = {}
+        for i, (p, g, rows) in enumerate(zip(self.params, grads, self._rows)):
+            if rows is None:
+                continue
+            if isinstance(g, RowSparse):
+                touched = rows.touch(g.rows)
+                n = touched.size
+                if n < len(p.values):
+                    g_rows = np.zeros((n,) + g.shape[1:])
+                    g_rows[rows.slot[g.rows]] = g.values
+                    p.values[touched] -= self._advance(
+                        rows.m[:n], rows.v[:n], g_rows, t)
+                    continue
+            joining[i] = rows.dense(p.values.shape)
+            self._rows[i] = None
+        if joining:
+            self._lay_out(joining)
+        if not self._spans:
+            return
+        flat = np.concatenate([np.asarray(grads[i]).ravel()
+                               for i, _, _ in self._spans])
+        dec = self._advance(self._m, self._v, flat, t)
+        for i, a, b in self._spans:
+            p = self.params[i]
+            p.values -= dec[a:b].reshape(p.values.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -275,13 +275,22 @@ def _experts(x, model):
 
 def nearest_codewords(z, codebook):
     """Batched argmin_j ||z - s_j||^2 over latents (n, d_z), first index
-    on ties.
+    on ties: bit for bit the scan of explicit differences, ``_scan``.
 
-    Distances are formed as explicit differences, not the expanded
-    cross-term identity, so results match a per-codeword scan bitwise.
-    Chunked to bound the (chunk, V, d_z) temporary, which is squared in
-    place: a second one as large costs more in page faults than the
-    arithmetic.
+    A cheap screen settles most rows, and the scan takes the rest.  The
+    screen forms f_j = ||s_j||^2 - 2 s_j . z, the squared distance less
+    ||z||^2, laid out (V, n) so that its reductions run across rows.
+    With N = ||z||^2 + max_j ||s_j||^2, f and the scan's distances are
+    each within about 2 (d_z + 2) 2^-53 N of exact, in any summation
+    order, plus 2^-1075 per product that underflows.  The scan's pick
+    thus has f within four such errors of the row's least f, and
+    ``bound`` = (d_z + 3) (2^-49 N + 2^-1071) is over twice that, so
+    the threshold, least f + ``bound``, rounds to no less than the
+    pick's f.  Every codeword with f at or below the threshold is a
+    candidate, and a row with one candidate takes it.  Every other row
+    takes the scan: one with tied or near-tied codewords, one with a NaN
+    (which has no candidate) and one with N above 2^1020, whose terms
+    could overflow.  Chunked to bound the temporaries.
     """
     z = np.asarray(z, dtype=np.float64)
     codebook = np.asarray(codebook, dtype=np.float64)
@@ -289,13 +298,36 @@ def nearest_codewords(z, codebook):
         raise ValueError("codebook must be a nonempty (V, d_z) matrix")
     if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
         raise ValueError(f"expected (n, {codebook.shape[1]}) latents, got {z.shape}")
+    v, d = codebook.shape
+    sq = np.einsum("ij,ij->i", codebook, codebook)[:, None]
+    sq_max = sq.max()
+    scaled = -2.0 * codebook
+    # candidate j at weight v + j: a row with one candidate sums to v
+    # plus its index, a row with none to 0 and one with more to >= 2v
+    weights = np.arange(v, 2 * v, dtype=np.float64)
     out = np.empty(z.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 22) // (codebook.shape[0] * codebook.shape[1]))
+    chunk = max(1, (1 << 22) // (v * d))
     for a in range(0, z.shape[0], chunk):
-        diff = z[a:a + chunk, None, :] - codebook[None, :, :]
-        diff *= diff
-        out[a:a + chunk] = np.argmin(diff.sum(axis=-1), axis=1)
+        part = z[a:a + chunk]
+        f = scaled @ part.T
+        f += sq
+        norms = np.einsum("ij,ij->i", part, part) + sq_max
+        bound = ((d + 3) * 2.0 ** -49) * norms + (d + 3) * 2.0 ** -1071
+        score = weights @ (f <= np.minimum.reduce(f, axis=0) + bound)
+        settled = (score >= v) & (score < 2 * v) & (norms <= 2.0 ** 1020)
+        out[a:a + len(part)] = score - v
+        rest = np.flatnonzero(~settled)
+        if rest.size:
+            out[a + rest] = _scan(part[rest], codebook)
     return out
+
+
+def _scan(z, codebook):
+    """argmin_j ||z - s_j||^2 from explicit differences, first index on
+    ties; the (n, V, d_z) temporary is squared in place."""
+    diff = z[:, None, :] - codebook[None, :, :]
+    diff *= diff
+    return np.argmin(diff.sum(axis=-1), axis=1)
 
 
 def _quantize(z, model, sids):
@@ -589,6 +621,7 @@ def load_opmq(path):
     header, arrays = artifact.read(path, OPMQ_MAGIC)
     config = artifact.config(path, OpmqConfig, header.get("config"))
     with artifact.named(path):
-        model = OpmqModel(header["d_p"], config, np.random.default_rng(0))
+        model = OpmqModel(artifact.typed(path, header, "d_p", int), config,
+                          np.random.default_rng(0))
         artifact.restore(path, arrays, _model_arrays(model))
     return model

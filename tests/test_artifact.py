@@ -180,19 +180,38 @@ def set_first(d, value):
     d[next(iter(d))] = value
 
 
+def set_group(h, **fields):
+    h["groups"][0].update(fields)
+
+
 # per case, a header field outside ``config`` (or an array) made wrong,
-# and what the message says after the path
+# and what the message says after the path: a value of the wrong type
+# is named by its field
 BAD_FIELDS = {
-    "model.strm-groups": (lambda h, a: h.update(groups=[1]), ""),
-    "model.strm-d_g": (lambda h, a: h.update(d_g="x"), ""),
-    "model.strm-sid_ids": (lambda h, a: h.update(sid_ids=5), ""),
-    "model.strm-vocab_sizes": (lambda h, a: set_first(h["vocab_sizes"], "x"), ""),
+    "model.strm-groups": (lambda h, a: h.update(groups=[1]),
+                          "groups[0] must be an object, got 1"),
+    "model.strm-group_features": (lambda h, a: set_group(h, features="f0"),
+                                  "groups[0].features must be a list"),
+    "model.strm-group_emb_dim": (lambda h, a: set_group(h, emb_dim=None),
+                                 "groups[0].emb_dim must be of type int"),
+    "model.strm-d_g": (lambda h, a: h.update(d_g="x"),
+                       "d_g must be of type int, got 'x'"),
+    "model.strm-sid_ids": (lambda h, a: h.update(sid_ids=5),
+                           "sid_ids must be a list, got 5"),
+    "model.strm-sid_id": (lambda h, a: h["sid_ids"].__setitem__(1, 1),
+                          "sid_ids[1] must be of type str, got 1"),
+    "model.strm-vocab_sizes": (lambda h, a: set_first(h["vocab_sizes"], "x"),
+                               "vocab_sizes['"),
     "model.strm-no_groups": (lambda h, a: h.pop("groups"), "missing 'groups'"),
     "model.strm-no_sid_codes": (lambda h, a: a.pop("sid_codes"),
                                 "missing 'sid_codes'"),
-    "tokenizer.opmq-d_p": (lambda h, a: h.update(d_p="x"), ""),
+    "tokenizer.opmq-d_p": (lambda h, a: h.update(d_p="x"),
+                           "d_p must be of type int, got 'x'"),
     "tokenizer.opmq-no_d_p": (lambda h, a: h.pop("d_p"), "missing 'd_p'"),
-    "data.strd-schema": (lambda h, a: h.update(schema=5), ""),
+    "data.strd-schema": (lambda h, a: h.update(schema=5),
+                         "schema must be a list, got 5"),
+    "data.strd-schema_column": (lambda h, a: h["schema"].__setitem__(0, ["f0"]),
+                                "schema[0] must be a list of 2 values"),
     "data.strd-no_schema": (lambda h, a: h.pop("schema"), "missing 'schema'"),
     "data.strd-no_column": (lambda h, a: a.pop("f0"), "missing 'f0'"),
 }

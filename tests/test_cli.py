@@ -14,7 +14,7 @@ import storerank
 from storerank import artifact
 from storerank.cli import BENCH_COLUMNS, build_parser, main
 from storerank.data import load_dataset_cache
-from storerank.tokenizer import read_sids
+from storerank.tokenizer import SidTable, read_sids, write_sids
 
 
 def run(*argv):
@@ -778,8 +778,9 @@ class TestReplay:
 
 
 class TestRefusedRunsLeaveNoOutput:
-    """A SID table whose K or V is not the model's is refused before the
-    output directory is made."""
+    """A SID table whose K or V is not the model's, or that lacks codes
+    for some of the dataset's items, is refused before the output
+    directory is made."""
 
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--h", "2"]),
@@ -794,6 +795,20 @@ class TestRefusedRunsLeaveNoOutput:
                    "--out", str(out), *flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: SID table carries K=3 codes of V=16")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_sid_table_that_misses_items(self, workspace, tmp_path, capsys,
+                                           command):
+        full = read_sids(workspace / "sids" / "sids.csv")
+        cut = tmp_path / "sids.csv"
+        write_sids(cut, SidTable(full.ids[:49], full.codes[:49], full.v))
+        out = tmp_path / "out"
+        assert run(command, "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(cut), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "item ids lack SID codes" in err
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -21,6 +21,8 @@ from storerank.tokenizer import (EmbeddingTable, OpmqConfig, OpmqModel,
                                  tokenize_catalog, train_opmq)
 
 import graph_ops as G
+from test_sparse_grad import DenseAdam, dense_lookup_grad
+from test_tokenizer import explicit_scan
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,34 @@ def test_train_opmq_matches_graph(tmp_path, monkeypatch, n, cfg):
     monkeypatch.setattr(tok, "opmq_forward", graph_opmq_forward)
     monkeypatch.setattr(tok, "orth_penalty", graph_orth_penalty)
     want = run(tmp_path / "graph.opmq")
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("n, cfg", [
+    (300, OpmqConfig(epochs=4, seed=2, reinit_every=5, batch_size=64)),
+    # a batch below V: row-sparse codebook gradients
+    (60, OpmqConfig(k=2, v=24, epochs=3, seed=3, batch_size=8, d_z=5)),
+], ids=["clustered", "batch_below_v"])
+def test_train_opmq_matches_the_scan_and_per_parameter_adam(
+        tmp_path, monkeypatch, n, cfg):
+    """A fit with the screened search, the flat Adam and the bincount
+    lookup backward saves the same bytes and logs the same floats as one
+    with the explicit scan, one Adam update per parameter and
+    ``np.add.at``."""
+    table = cluster_table(n, 12, seed=n)
+
+    def run(path):
+        model, log = train_opmq(table, cfg)
+        save_opmq(path, model)
+        return path.read_bytes(), log, tokenize_catalog(table, model).codes
+
+    got = run(tmp_path / "shipped.opmq")
+    monkeypatch.setattr(tok, "nearest_codewords", explicit_scan)
+    monkeypatch.setattr(T, "Adam", DenseAdam)
+    monkeypatch.setattr(T, "lookup_grad", dense_lookup_grad)
+    want = run(tmp_path / "reference.opmq")
     assert got[0] == want[0]
     assert got[1] == want[1]
     assert np.array_equal(got[2], want[2])

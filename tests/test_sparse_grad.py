@@ -18,6 +18,13 @@ from storerank import tensor as T
 from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random_split
 
 
+def dense_lookup_grad(table, indices, g):
+    """The dense embedding backward: ``np.add.at`` into a full zero table."""
+    full = np.zeros_like(table.values)
+    np.add.at(full, indices, g)
+    table.accumulate_grad(full)
+
+
 def dense_embedding(table, indices):
     """Embedding lookup whose backward adds into a full zero table."""
     indices = np.asarray(indices)
@@ -25,9 +32,7 @@ def dense_embedding(table, indices):
 
     def bwd(g):
         if table.requires_grad:
-            full = np.zeros_like(table.values)
-            np.add.at(full, indices, g)
-            table.accumulate_grad(full)
+            dense_lookup_grad(table, indices, g)
     return T._result(out_vals, (table,), bwd)
 
 
@@ -159,6 +164,59 @@ class TestBackward:
         assert same_bits(got[0], got[1])
 
 
+class TestLookupGrad:
+    """``lookup_grad`` called directly, against ``np.add.at`` into zeros."""
+
+    @pytest.mark.parametrize("n_rows", [5, 40], ids=["dense", "row_sparse"])
+    @pytest.mark.parametrize("lookups", [
+        [-1, 3, -5, 0, 3, -1, 4, -2, 0, 1],     # negative indices
+        [[2, -3, 2], [0, 0, -1], [4, 1, 2]],    # a 2-d index array
+    ], ids=["negative", "two_dim"])
+    def test_matches_add_at(self, rng, n_rows, lookups):
+        idx = np.asarray(lookups)
+        g = rng.normal(size=idx.shape + (3,))
+        table = T.Tensor(rng.normal(size=(n_rows, 3)), requires_grad=True)
+        T.lookup_grad(table, idx, g)
+        want = T.Tensor(table.values, requires_grad=True)
+        dense_lookup_grad(want, idx, g)
+        assert isinstance(table.grad, T.RowSparse) == (n_rows > idx.size)
+        assert same_bits(table.grad, want.grad)
+
+    @pytest.mark.parametrize("n_rows", [4, 64], ids=["dense", "row_sparse"])
+    def test_negative_zero_gradients(self, n_rows):
+        # a row summing -0.0 lookups, or -0.0 and 0.0, is 0.0 in add.at
+        idx = np.array([1, 1, 2, 3, 3])
+        g = np.array([[-0.0, -0.0], [-0.0, 0.0], [-0.0, 1.0],
+                      [0.0, -0.0], [-0.0, -2.0]])
+        table = T.Tensor(np.ones((n_rows, 2)), requires_grad=True)
+        T.lookup_grad(table, idx, g)
+        want = T.Tensor(table.values, requires_grad=True)
+        dense_lookup_grad(want, idx, g)
+        assert same_bits(table.grad, want.grad)
+        grad = np.asarray(table.grad)
+        assert not np.signbit(grad[grad == 0.0]).any()
+
+    @pytest.mark.parametrize("n_rows", [7, 200], ids=["dense", "row_sparse"])
+    def test_three_dim_indices_into_a_one_dim_table(self, rng, n_rows):
+        idx = rng.integers(-n_rows, n_rows, size=(3, 4, 5))
+        g = rng.normal(size=idx.shape)
+        table = T.Tensor(rng.normal(size=n_rows), requires_grad=True)
+        T.lookup_grad(table, idx, g)
+        want = T.Tensor(table.values, requires_grad=True)
+        dense_lookup_grad(want, idx, g)
+        assert same_bits(table.grad, want.grad)
+
+    def test_an_op_result_table_gets_the_dense_sum(self, rng):
+        leaf = T.Tensor(rng.normal(size=(50, 2)), requires_grad=True)
+        idx = np.array([[3, -1], [3, 7]])
+        g = rng.normal(size=(2, 2, 2))
+        got, want = T.mul(leaf, 2.0), T.mul(leaf, 2.0)
+        T.lookup_grad(got, idx, g)
+        dense_lookup_grad(want, idx, g)
+        assert type(got.grad) is np.ndarray
+        assert same_bits(got.grad, want.grad)
+
+
 def sparse_batches():
     """Per-step index sets into an 8-row table: rows {0, 2} at step 1
     only, row 5 at steps 2-5, then the other rows over two sparse steps,
@@ -269,6 +327,65 @@ class TestOptimizers:
         for i in range(2):
             m, v = new.moments(i)
             assert same_bits(m, ref.m[i]) and same_bits(v, ref.v[i])
+
+
+class TestFlatMoments:
+    """Every dense parameter's moments in one flat pair of arrays."""
+
+    SHAPES = [(3, 4), (10, 2), (), (5,), (40, 3), (2, 3, 4)]
+
+    def run(self, make, embed):
+        rng = np.random.default_rng(11)
+        params = [T.Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in self.SHAPES]
+        opt = make(params, lr=0.05)
+        history = []
+        # the 10-row table is looked up on a few rows, then on every row
+        # at step 4, when it joins the flat moments; the 40-row one is
+        # looked up on a few rows each step
+        for step in range(7):
+            idx1 = np.arange(10) if step == 3 else rng.integers(0, 10, size=3)
+            idx4 = rng.integers(0, 40, size=4)
+            loss = T.add(T.tsum(T.mul(embed(params[1], idx1),
+                                      T.Tensor(rng.normal(size=(idx1.size, 2))))),
+                         T.tsum(T.mul(embed(params[4], idx4),
+                                      T.Tensor(rng.normal(size=(4, 3))))))
+            for i in (0, 2, 3, 5):
+                loss = T.add(loss, T.tsum(T.mul(
+                    T.mul(params[i], params[i]),
+                    T.Tensor(rng.normal(size=self.SHAPES[i])))))
+            opt.step(T.grad(loss, params))
+            history.append([p.values.copy() for p in params])
+        return opt, history
+
+    def test_matches_dense_adam(self):
+        new, got = self.run(T.Adam, T.embedding)
+        ref, want = self.run(DenseAdam, dense_embedding)
+        assert new._rows[1] is None and new._rows[4] is not None
+        for a, b in zip(got, want):
+            assert all(same_bits(x, y) for x, y in zip(a, b))
+        for i in range(len(self.SHAPES)):
+            m, v = new.moments(i)
+            assert same_bits(m, ref.m[i]) and same_bits(v, ref.v[i])
+
+    def test_moments_are_copies(self):
+        opt, _ = self.run(T.Adam, T.embedding)
+        for i in range(len(self.SHAPES)):
+            before = [a.copy() for a in opt.moments(i)]
+            for a in opt.moments(i):
+                a[...] = 7.0
+            after = opt.moments(i)
+            assert same_bits(after[0], before[0]) and same_bits(after[1], before[1])
+
+    def test_a_refused_step_changes_nothing(self, rng):
+        params = [T.Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(3,), (4, 2)]]
+        start = [p.values.copy() for p in params]
+        opt = T.Adam(params, lr=0.05)
+        with pytest.raises(ValueError, match="grad shape"):
+            opt.step([np.ones(3), np.ones((2, 4))])
+        assert opt.step_count == 0
+        assert all(same_bits(p.values, s) for p, s in zip(params, start))
 
 
 @pytest.fixture(scope="module")

@@ -174,6 +174,28 @@ class TestEncodeExperts:
             m.encode_values(np.ones(4))
 
 
+def explicit_scan(z, codebook):
+    """argmin_j ||z - s_j||^2 from explicit differences, first index on
+    ties: the search the screen of ``nearest_codewords`` must reproduce."""
+    diff = z[:, None, :] - codebook[None, :, :]
+    return np.argmin((diff * diff).sum(axis=-1), axis=1)
+
+
+def close_calls(rng, n, v, d):
+    """(latents, codebook) full of ties and near-ties: two equal
+    codewords, and a quarter of the latents each on a codeword, halfway
+    between two, within a few ulps of one, and drawn at random."""
+    book = rng.normal(size=(v, d))
+    book[1] = book[0]
+    z = rng.normal(size=(n, d))
+    q = n // 4
+    i, j = rng.integers(0, v, size=(2, q))
+    z[:q] = book[i]
+    z[q:2 * q] = (book[i] + book[j]) / 2
+    z[2 * q:3 * q] = book[i] * (1.0 + 4e-16 * rng.normal(size=(q, d)))
+    return z, book
+
+
 class TestNearestCodeword:
     def test_basic(self):
         book = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -210,6 +232,75 @@ class TestNearestCodeword:
         parts = np.concatenate([nearest_codewords(queries[i:i + 7], book)
                                 for i in range(0, 3000, 7)])
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1.0, 1e150,
+                                       1e154, 1e160])
+    def test_matches_the_scan_at_every_scale(self, scale):
+        # underflowing products, and terms that overflow or nearly do
+        z, book = close_calls(np.random.default_rng(12), 400, 12, 6)
+        z, book = z * scale, book * scale
+        assert np.array_equal(nearest_codewords(z, book), explicit_scan(z, book))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_distances_that_overflow_match_the_scan(self):
+        # ||z||^2 is finite, but both distances overflow: the scan takes
+        # the first, though the second is nearer
+        z = np.array([[1.3407e154], [-1.3407e154], [1e150]])
+        book = np.array([[-2e150], [-1e150]])
+        assert explicit_scan(z, book).tolist() == [0, 0, 1]
+        assert nearest_codewords(z, book).tolist() == [0, 0, 1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_values_match_the_scan(self):
+        rng = np.random.default_rng(13)
+        z, book = close_calls(rng, 80, 9, 4)
+        z[::5, 1] = np.nan
+        z[1::5, 2] = np.inf
+        z[2::5, 0] = -np.inf
+        z[3::5, :2] = [np.inf, -np.inf]
+        assert np.array_equal(nearest_codewords(z, book), explicit_scan(z, book))
+        for bad in (np.nan, np.inf):
+            worse = book.copy()
+            worse[4, 3] = bad
+            assert np.array_equal(nearest_codewords(z, worse),
+                                  explicit_scan(z, worse))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 300])
+    def test_matches_the_scan_at_every_width(self, d):
+        # numpy sums a row of 8 or more pairwise, in blocks of 128
+        z, book = close_calls(np.random.default_rng(d), 200, 10, d)
+        assert np.array_equal(nearest_codewords(z, book), explicit_scan(z, book))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 3.0 ** 20])
+    def test_integer_lattice_ties_match_the_scan(self, scale):
+        rng = np.random.default_rng(14)
+        book = rng.integers(-2, 3, size=(20, 4)) * scale
+        z = rng.integers(-2, 3, size=(500, 4)) * scale
+        z[::2] += 0.5 * scale
+        assert np.array_equal(nearest_codewords(z, book), explicit_scan(z, book))
+
+    def test_scanned_rows_past_the_first_chunk(self):
+        # V * d_z = 4800: chunks of 873 rows, with close calls in each
+        z, book = close_calls(np.random.default_rng(15), 3000, 300, 16)
+        z = z[np.random.default_rng(16).permutation(3000)]
+        assert np.array_equal(nearest_codewords(z, book), explicit_scan(z, book))
+
+    def test_the_screen_settles_clear_rows_and_scans_close_calls(self, monkeypatch):
+        scanned, scan = [], tok._scan
+
+        def counting_scan(z, codebook):
+            scanned.append(len(z))
+            return scan(z, codebook)
+        monkeypatch.setattr(tok, "_scan", counting_scan)
+        rng = np.random.default_rng(17)
+        nearest_codewords(rng.normal(size=(500, 8)), rng.normal(size=(16, 8)))
+        assert sum(scanned) == 0
+        # ties (latents halfway between two codewords, or at the
+        # duplicated one) are scanned; random latents are not
+        z, book = close_calls(rng, 200, 16, 8)
+        nearest_codewords(z, book)
+        assert 0 < sum(scanned) < 100
 
     def test_errors(self):
         with pytest.raises(ValueError):
