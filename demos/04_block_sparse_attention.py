@@ -10,19 +10,18 @@ and this demo prints that result as measured rather than as hoped.
 
 import numpy as np
 
-from storerank import tensor as T
-from storerank.attention import (AttentionParams, attention_flops,
-                                 bench_attention, dense_attention,
-                                 efficient_attention, k_blocks_for)
+from storerank.attention import (attention_flops, bench_attention, dense_core,
+                                 k_blocks_for, sparse_core)
 
 rng = np.random.default_rng(0)
 
 # --- correctness tie-down at rho = 1 ----------------------------------------
 
-params = AttentionParams(d_model=64, n_heads=4, block_size=8, rho=1.0, rng=rng)
-x = T.Tensor(rng.normal(size=(2, 64, 64)))
-gap = np.max(np.abs(efficient_attention(x, params).values
-                    - dense_attention(x, params).values))
+# the routed kernel with every block selected against the dense one, the
+# pair that bench_attention's max_abs_diff_at_rho1 ties down
+q, k, v = (rng.normal(size=(4, 64, 16)) for _ in range(3))
+gap = np.max(np.abs(sparse_core(q, k, v, block_size=8, k_blocks=8)
+                    - dense_core(q, k, v)))
 print(f"routed vs dense at rho=1 : max abs gap {gap:.2e}")
 
 # --- arithmetic cost vs density ---------------------------------------------

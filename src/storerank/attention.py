@@ -8,14 +8,16 @@ only to its top k_blocks blocks, with its own block always included and
 score ties broken toward the lower block index.  Routing is computed
 outside the autodiff graph and is therefore constant during backward.
 
-Training and scoring run one autodiff node per layer
-(``dense_attention`` / ``efficient_attention``): it projects Q/K/V,
-routes every head at once with one ``moba_route``, masks the scores of
-unselected blocks with one additive -inf mask, and has an analytic
-backward that reuses the saved probabilities (the dense node, which
-the model runs when routing would keep every block, masks nothing).
-The mask is numerically identical to gathering the selected keys and,
-at the few tokens per instance this model attends over, faster.
+Training and scoring run one autodiff node per layer,
+``efficient_attention``, on batched (n, H, d_model) input: it projects
+Q/K/V, decides whether the layer routes (only when ``k_blocks_for``
+keeps fewer than every block), routes every head at once with one
+``moba_route``, masks the scores of unselected blocks with one additive
+-inf mask, and has an analytic backward that reuses the saved
+probabilities.  It returns the one ``RoutingPlan`` it used, or None when
+it routed nothing, and replays a plan it is given.  The mask is
+numerically identical to gathering the selected keys and, at the few
+tokens per instance this model attends over, faster.
 
 ``dense_core`` / ``sparse_core`` are graph-free numpy kernels for the
 wall-clock race at long sequences (``bench_attention``, asserted by
@@ -79,12 +81,12 @@ class AttentionParams:
 
 @dataclass
 class RoutingPlan:
-    """Frozen per-query block selection for one head (or a batch of heads).
+    """Frozen per-query block selection of one layer, all heads at once.
 
-    allowed: (n, H, n_blocks) bool, True on each query's k_blocks
-    selected blocks, which always include its own block.
-    gates: (n, H, n_blocks) raw gate scores (before own-block forcing).
-    A route over several heads at once carries a head axis before H.
+    allowed: (n, n_heads, H, n_blocks) bool, True on each query's
+    k_blocks selected blocks, which always include its own block.
+    gates: (n, n_heads, H, n_blocks) raw gate scores (before own-block
+    forcing).  ``moba_route`` over other leading axes gives those axes.
     """
     allowed: np.ndarray
     gates: np.ndarray
@@ -175,30 +177,24 @@ def plan_to_mask(plan, h):
     return np.where(allowed, 0.0, -np.inf)
 
 
-def _lift(x):
-    if x.ndim == 2:
-        return T.reshape(x, (1,) + x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"attention input must be rank 2 or 3, got {x.ndim}")
-
-
 def _heads(a, n_heads):
     """(n, H, n_heads * d_head) -> a (n, n_heads, H, d_head) view."""
     n, h, d = a.shape
     return a.reshape(n, h, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _attention(x, params, routed, plans=None, return_plans=False):
-    """(output, per-head plans) of one layer, one autodiff node with
-    parents (x, wq, wk, wv, wo) for all heads, the projections and the
-    softmax (a rank-2 x is lifted to a batch of one and back).
+def efficient_attention(x, params, plan=None):
+    """(output, routing plan) of one layer on x of shape (n, H, d_model):
+    one autodiff node with parents (x, wq, wk, wv, wo) for all heads,
+    the projections and the softmax.
 
-    ``routed`` masks each query's softmax to its routed blocks, taken
-    from ``plans`` (one RoutingPlan per head) or else from one
-    ``moba_route`` over every head; with ``return_plans`` the plans used
-    come back per head, else the list is empty.  The backward is
-    analytic and reuses the saved probabilities.
+    The layer routes exactly when ``k_blocks_for`` keeps fewer than all
+    ceil(H / B) key blocks: one ``moba_route`` over every head, then
+    each query's softmax masked to its routed blocks.  A given ``plan``
+    is replayed as is, which is what gradient checks need.  The plan
+    used comes back; a layer that routes nothing masks nothing and
+    returns None.  The backward is analytic and reuses the saved
+    probabilities.
 
     It runs the same products, in the same shapes and order, as the
     graph of per-head matmul / softmax ops it replaces, so values and
@@ -209,32 +205,26 @@ def _attention(x, params, routed, plans=None, return_plans=False):
     the projections that follow.  With one-key blocks a fresh route's
     gates are q @ k^T, the scores' own product, and are reused.
     """
-    x3, squeeze = _lift(x)
-    n, h, d = x3.shape
-    heads = params.n_heads
+    if x.ndim != 3:
+        raise ValueError(f"attention input must be (n, H, d_model), got shape {x.shape}")
+    n, h, d = x.shape
+    heads, block_size = params.n_heads, params.block_size
     wq, wk, wv, wo = params.params()
-    xv = x3.values
+    xv = x.values
     qkv = xv @ np.concatenate([wq.values, wk.values, wv.values], axis=1)
     q, k, v = (_heads(qkv[..., i * d:(i + 1) * d], heads) for i in range(3))
     scale = 1.0 / math.sqrt(params.d_head)
-    if routed and plans is None:
-        kb = k_blocks_for(h, params.block_size, params.rho)
-        plan = moba_route(q, k, params.block_size, kb)
-    elif routed:
-        plan = RoutingPlan(np.stack([r.allowed for r in plans], axis=1),
-                           np.stack([r.gates for r in plans], axis=1),
-                           params.block_size)
-    if routed and plans is None and params.block_size == 1:
+    kb = k_blocks_for(h, block_size, params.rho)
+    fresh = plan is None and kb < -(-h // block_size)
+    if fresh:
+        plan = moba_route(q, k, block_size, kb)
+    if fresh and block_size == 1:
         s = plan.gates * scale
     else:
         s = q @ np.swapaxes(k, -1, -2)
         s *= scale
-    used = []
-    if routed:
+    if plan is not None:
         s += plan_to_mask(plan, h)
-        if return_plans:
-            used = [RoutingPlan(plan.allowed[:, e], plan.gates[:, e], plan.block_size)
-                    for e in range(heads)]
     p = T.softmax_values(s)
     merged = np.empty((n, h, d))
     np.matmul(p, v, out=_heads(merged, heads))
@@ -252,33 +242,14 @@ def _attention(x, params, routed, plans=None, return_plans=False):
         # back: a product of other shapes need not round the same
         _heads(gk, heads)[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
         np.matmul(np.swapaxes(p, -1, -2), go, out=_heads(gv, heads))
-        # x3 takes the q, k, v parts in that order, one addition each, as
+        # x takes the q, k, v parts in that order, one addition each, as
         # from the graph's three projection nodes: float sums depend on order
         for w, gw in zip((wq, wk, wv), (gq, gk, gv)):
-            if x3.requires_grad:
-                x3.accumulate_grad(gw @ np.swapaxes(w.values, -1, -2))
+            if x.requires_grad:
+                x.accumulate_grad(gw @ np.swapaxes(w.values, -1, -2))
             if w.requires_grad:
                 w.accumulate_grad(xv.reshape(-1, d).T @ gw.reshape(-1, d))
-    out = T._result(merged @ wo.values, (x3, wq, wk, wv, wo), bwd)
-    return (T.reshape(out, out.shape[1:]) if squeeze else out), used
-
-
-def dense_attention(x, params):
-    """Full softmax attention over all H tokens, multi-head, output projection."""
-    return _attention(x, params, routed=False)[0]
-
-
-def efficient_attention(x, params, plans=None, return_plans=False):
-    """Block-sparse attention: each query's softmax is restricted to its
-    routed blocks via an additive -inf mask.
-
-    ``plans`` (one RoutingPlan per head) replays a frozen routing, which
-    is what gradient checks need; otherwise routing is derived from the
-    current Q/K values, outside the graph.  Per-head plans are built only
-    for ``return_plans``.
-    """
-    out, used = _attention(x, params, True, plans, return_plans)
-    return (out, used) if return_plans else out
+    return T._result(merged @ wo.values, (x, wq, wk, wv, wo), bwd), plan
 
 
 def attention_flops(h, d_model, n_heads, block_size, k_blocks, include_projections=True):

@@ -232,26 +232,25 @@ def cmd_gen_synthetic(cfg, out):
 def cmd_train_tokenizer(cfg, out):
     config = _config(OpmqConfig, cfg)
     table = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
-    out = _out_dir(out)
     if cfg["backend"] == "opmq":
         model, log = train_opmq(table, config)
-        save_opmq(os.path.join(out, "tokenizer.opmq"), model)
-        _write_jsonl(os.path.join(out, "tokenizer_log.jsonl"), log)
     else:
         sids, stage_rms = train_rq_baseline(table, config)
+        log = [{"stage": i + 1, "rms": r} for i, r in enumerate(stage_rms)]
+    out = _out_dir(out)
+    if cfg["backend"] == "opmq":
+        save_opmq(os.path.join(out, "tokenizer.opmq"), model)
+    else:
         write_sids(os.path.join(out, "sids.csv"), sids)
-        _write_jsonl(os.path.join(out, "tokenizer_log.jsonl"),
-                     [{"stage": i + 1, "rms": r}
-                      for i, r in enumerate(stage_rms)])
+    _write_jsonl(os.path.join(out, "tokenizer_log.jsonl"), log)
     print(f"trained {cfg['backend']} tokenizer on {len(table.ids)} items -> {out}")
 
 
 def cmd_tokenize(cfg, out):
     table = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
     model = load_opmq(_require(cfg["tokenizer"], "tokenizer artifact"))
-    out = _out_dir(out)
     sids = tokenize_catalog(table, model)
-    write_sids(os.path.join(out, "sids.csv"), sids)
+    write_sids(os.path.join(_out_dir(out), "sids.csv"), sids)
     print(f"tokenized {len(sids)} items -> {out}")
 
 
@@ -262,10 +261,11 @@ def _split_encode(data_path, cfg):
     return ds, tr, va
 
 
-def _check_coverage(sid_table, train, val):
-    # fit would refuse an item without codes only once --out exists
+def _check_coverage(table, train, val):
+    # fit would refuse an item without codes only once --out exists; a
+    # SID table made from an embedding table has the same items
     for part in (train, val):
-        sid_rows(sid_table, part.raw_items)
+        sid_rows(table, part.raw_items)
 
 
 def _check_raw_id(cfg):
@@ -339,14 +339,23 @@ def cmd_sweep(cfg, out):
                        "needs --embeddings to retrain the tokenizer per K")
     if not cfg["use_raw_ids"] and not (cfg["sids"] or cfg["embeddings"]):
         raise CliError("need --sids or --embeddings (or --raw-id)")
+    # every setting is built, so refused, before any is fitted
+    settings = [_config(StoreConfig, {**cfg, "epochs": epochs, "h": k,
+                                      "n_layers": n_layers, "rho": rho})
+                for epochs in epochs_grid for k in k_grid
+                for n_layers in layers_grid for rho in rho_grid]
     tables = {}     # K -> SID table; the --sids file serves K = --h
     if cfg["sids"] and cfg["h"] in k_grid:
         tables[cfg["h"]] = read_sids(_require(cfg["sids"], "SID file"))
         check_sid_table(tables[cfg["h"]], _config(StoreConfig, cfg))
+    emb = None      # the catalog that every other K's SID table comes from
+    if not cfg["use_raw_ids"] and set(k_grid) - set(tables):
+        emb = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
 
     ds, tr, va = _split_encode(cfg["data"], cfg)
-    if cfg["h"] in tables:
-        _check_coverage(tables[cfg["h"]], tr, va)
+    for table in (*tables.values(), emb):
+        if table is not None:
+            _check_coverage(table, tr, va)
     out = _out_dir(out)
     logs_dir = _out_dir(os.path.join(out, "logs"))
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])
@@ -355,7 +364,6 @@ def cmd_sweep(cfg, out):
         if cfg["use_raw_ids"]:
             return None
         if k not in tables:
-            emb = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
             tok = OpmqConfig(k=k, v=cfg["v"], epochs=cfg["tok_epochs"],
                              seed=cfg["seed"])
             model, _ = train_opmq(emb, tok)
@@ -363,23 +371,17 @@ def cmd_sweep(cfg, out):
         return tables[k]
 
     summary = []
-    for epochs in epochs_grid:
-        for k in k_grid:
-            for n_layers in layers_grid:
-                for rho in rho_grid:
-                    config = _config(StoreConfig, {
-                        **cfg, "epochs": epochs, "h": k,
-                        "n_layers": n_layers, "rho": rho})
-                    _, log = fit(tr, va, config, groups,
-                                 sid_table=sid_table_for(k))
-                    tag = f"epochs{epochs}_k{k}_L{n_layers}_rho{rho:g}"
-                    _write_jsonl(os.path.join(logs_dir, tag + ".jsonl"), log)
-                    last = log[-1]
-                    summary.append({"epochs": epochs, "k_sid": k,
-                                    "layers": n_layers, "rho": rho,
-                                    **{c: last[c] for c in SWEEP_COLUMNS[4:]}})
-                    print(f"{tag}: val_auc={last['val_auc']:.4f} "
-                          f"flops/batch={last['flops_per_batch']}")
+    for config in settings:
+        _, log = fit(tr, va, config, groups, sid_table=sid_table_for(config.h))
+        tag = (f"epochs{config.epochs}_k{config.h}_L{config.n_layers}"
+               f"_rho{config.rho:g}")
+        _write_jsonl(os.path.join(logs_dir, tag + ".jsonl"), log)
+        last = log[-1]
+        summary.append({"epochs": config.epochs, "k_sid": config.h,
+                        "layers": config.n_layers, "rho": config.rho,
+                        **{c: last[c] for c in SWEEP_COLUMNS[4:]}})
+        print(f"{tag}: val_auc={last['val_auc']:.4f} "
+              f"flops/batch={last['flops_per_batch']}")
     _write_csv(os.path.join(out, "sweep.csv"), SWEEP_COLUMNS, summary)
 
 

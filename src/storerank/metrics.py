@@ -1,9 +1,10 @@
 """Ranking evaluation metrics: AUC, GAUC and LogLoss.
 
 AUC is the tie-aware Mann-Whitney statistic computed by rank-sum in
-O(n log n).  Average tied ranks are integer multiples of 0.5, so for
-realistic sizes every intermediate sum is exactly representable and the
-result is bit-identical to an O(n^2) pairwise count.
+O(n log n), by GAUC's rank code over a single group.  Average tied
+ranks are integer multiples of 0.5, so for realistic sizes every
+intermediate sum is exactly representable and the result is
+bit-identical to an O(n^2) pairwise count.
 
 GAUC: the impression-weighted mean of per-group AUC, where groups with
 a single label class are excluded from both numerator and denominator.
@@ -32,39 +33,13 @@ def _as_arrays(labels, scores):
     return labels, scores
 
 
-def _tied_ranks(scores):
-    """1-based ranks with ties assigned the mean rank of their run."""
-    uniq, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    return ((starts + ends) / 2.0)[inv]
+def _rank_sums(labels, scores, groups):
+    """Per group, in sorted key order: (size, positives, the sum of the
+    positives' 1-based midranks within the group).
 
-
-def auc(labels, scores):
-    """Probability that a random positive outscores a random negative,
-    ties counted half.  Raises on single-class input (AUC is undefined)."""
-    labels, scores = _as_arrays(labels, scores)
-    n_pos = int((labels == 1).sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("auc undefined: need at least one positive and one negative")
-    ranks = _tied_ranks(scores)
-    num = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
-    return num / float(n_pos * n_neg)
-
-
-def gauc(labels, scores, groups):
-    """Impression-weighted mean of per-group AUC.
-
-    Groups lacking either class contribute nothing (neither weight nor
-    value).  Raises when no group has both classes.  One sort on
-    (group, score) gives every row its tied rank within its group, so
-    the cost is O(n log n) however many groups there are.
+    One sort on (group, score) gives every row its tied rank, so the
+    cost is O(n log n) however many groups there are.
     """
-    labels, scores = _as_arrays(labels, scores)
-    groups = np.asarray(groups)
-    if groups.shape != labels.shape:
-        raise ValueError("groups must align with labels")
     order = np.lexsort((scores, groups))
     g, s, y = groups[order], scores[order], labels[order].astype(np.float64)
     n = g.size
@@ -78,9 +53,35 @@ def gauc(labels, scores, groups):
     # mean 1-based position of each tied run, less its group's offset
     ranks = ((run_start + run_end + 1) / 2.0)[np.cumsum(run_first) - 1]
     ranks -= np.flatnonzero(group_first)[group_id]
-    size = np.bincount(group_id).astype(np.float64)
-    n_pos = np.bincount(group_id, weights=y)
-    rank_pos = np.bincount(group_id, weights=ranks * y)
+    return (np.bincount(group_id).astype(np.float64),
+            np.bincount(group_id, weights=y),
+            np.bincount(group_id, weights=ranks * y))
+
+
+def auc(labels, scores):
+    """Probability that a random positive outscores a random negative,
+    ties counted half.  Raises on single-class input (AUC is undefined)."""
+    labels, scores = _as_arrays(labels, scores)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("auc undefined: need at least one positive and one negative")
+    rank_pos = _rank_sums(labels, scores, np.zeros(n_pos + n_neg, np.int8))[2][0]
+    num = float(rank_pos) - n_pos * (n_pos + 1) / 2.0
+    return num / float(n_pos * n_neg)
+
+
+def gauc(labels, scores, groups):
+    """Impression-weighted mean of per-group AUC.
+
+    Groups lacking either class contribute nothing (neither weight nor
+    value).  Raises when no group has both classes.
+    """
+    labels, scores = _as_arrays(labels, scores)
+    groups = np.asarray(groups)
+    if groups.shape != labels.shape:
+        raise ValueError("groups must align with labels")
+    size, n_pos, rank_pos = _rank_sums(labels, scores, groups)
     both = (n_pos > 0) & (n_pos < size)
     if not both.any():
         raise ValueError("gauc undefined: no group has both classes")

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import artifact
 from . import tensor as T
-from .attention import AttentionParams, attention_flops, dense_attention, \
-    efficient_attention, k_blocks_for
+from .attention import AttentionParams, attention_flops, efficient_attention, \
+    k_blocks_for
 from .data import batch_iter
 from .metrics import auc, gauc, logloss
 from .options import check_finite
@@ -195,37 +195,26 @@ class StoreModel:
             toks.append(T.reshape(t, (n, 1, cfg.d)))
         return T.concat(toks, axis=1)
 
-    def forward(self, inputs, plans=None, return_plans=False):
-        """Click probabilities in (0, 1) for one batch.
+    def forward(self, inputs, plans=None):
+        """(click probabilities in (0, 1), routing plans) for one batch.
 
-        Layers route (``efficient_attention``) only when ``k_blocks_for``
-        keeps fewer than all ceil(h / block_size) key blocks; otherwise
-        they run ``dense_attention``, the same values without routing.
-        ``plans`` (one list of per-head RoutingPlans per layer) replays a
-        frozen routing, which dense layers ignore; ``return_plans`` hands
-        back the routing used (``[]`` per dense layer) for such a replay.
+        The plans are each layer's ``efficient_attention`` plan, None
+        where the layer routed nothing; passed back as ``plans`` they
+        replay that frozen routing.
         """
-        cfg = self.config
         x = self.build_tokens(inputs)
-        routed = (k_blocks_for(cfg.h, cfg.block_size, cfg.rho)
-                  < -(-cfg.h // cfg.block_size))
         used = []
-        for li in range(cfg.n_layers):
-            if routed:
-                out = efficient_attention(x, self.layers[li],
-                                          plans=None if plans is None else plans[li],
-                                          return_plans=return_plans)
-                a, p = out if return_plans else (out, [])
-            else:
-                a, p = dense_attention(x, self.layers[li]), []
-            used.append(p)
+        for li, layer in enumerate(self.layers):
+            a, plan = efficient_attention(x, layer,
+                                          None if plans is None else plans[li])
+            used.append(plan)
             g, b = self.norms[li]
             x = T.layer_norm(T.add(a, x), g, b)
             if not np.all(np.isfinite(x.values)):
                 raise FloatingPointError(f"non-finite output after layer {li}")
         logits = T.affine(T.tmean(x, axis=1), self.head_w, self.head_b)
         probs = T.sigmoid(T.reshape(logits, (logits.shape[0],)))
-        return (probs, used) if return_plans else probs
+        return probs, used
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +241,7 @@ def total_loss(model, inputs, labels, plans=None):
     Returns (graph scalar, component floats); the diversity term is <= 0
     and only touches the rotation matrices.
     """
-    probs = model.forward(inputs, plans=plans)
+    probs = model.forward(inputs, plans)[0]
     bce = bce_loss(probs, labels)
     if not model.config.use_rotation:
         return bce, {"bce": float(bce.values), "diversity": 0.0,
@@ -308,7 +297,7 @@ def predict(model, inputs, batch_size=1024):
     """Scores for a whole partition, in file order."""
     scores = []
     for idx in batch_iter(inputs["labels"].size, batch_size):
-        scores.append(model.forward(slice_inputs(inputs, idx)).values)
+        scores.append(model.forward(slice_inputs(inputs, idx))[0].values)
     return np.concatenate(scores) if scores else np.zeros(0)
 
 

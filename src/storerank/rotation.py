@@ -94,9 +94,6 @@ class GroupFuser:
                 T.zeros((config.d_g,)),
             ))
 
-    def params(self):
-        return [p for layer in self.layers for p in layer]
-
     def fuse_groups(self, features):
         """Concatenate MLP_k(g_k) over groups.
 

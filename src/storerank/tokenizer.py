@@ -91,9 +91,6 @@ class EmbeddingTable(_ItemTable):
     def dim(self):
         return self.vectors.shape[1]
 
-    def vector(self, item_id):
-        return self.vectors[self.index[str(item_id)]]
-
 
 class SidTable(_ItemTable):
     """Item id -> K integer codes, each in [0, V)."""
@@ -109,9 +106,6 @@ class SidTable(_ItemTable):
     @property
     def k(self):
         return self.codes.shape[1]
-
-    def sids(self, item_id):
-        return self.codes[self.index[str(item_id)]]
 
 
 def _write_table(path, header, ids, rows, fmt):
@@ -159,6 +153,8 @@ def write_embeddings(path, table):
 
 def read_embeddings(path):
     _, ids, vectors = _read_table(path, ("dim",), float)
+    if not ids:
+        raise ValueError(f"{path}: no items")
     with artifact.named(path):
         return EmbeddingTable(ids, vectors)
 

@@ -26,8 +26,8 @@ from oracles import (fd_grad, grouped_gauc, max_rel_err, naive_logloss,
 
 from storerank import tensor as T
 from storerank.attention import (AttentionParams, attention_flops,
-                                 bench_attention, dense_attention,
-                                 efficient_attention, k_blocks_for)
+                                 bench_attention, efficient_attention,
+                                 k_blocks_for)
 from storerank.cli import main as cli_main
 from storerank.data import (SyntheticSpec, encode_features, gen_synthetic,
                             random_split)
@@ -39,6 +39,7 @@ from storerank.rotation import FeatureGroup, GroupConfig
 from storerank.tokenizer import (OpmqConfig, OpmqModel, SidTable,
                                  mean_baseline_loss, nearest_codewords,
                                  orth_penalty, tokenize_catalog, train_opmq)
+from test_fused_attention import full_plan
 
 
 def elapsed_under(t0, budget_s):
@@ -132,7 +133,7 @@ def test_01_gradients_elementary_ops_and_full_model():
         assert worst < 1e-4, f"{name}: rel err {worst:.2e} >= 1e-4"
 
     model, inputs = _assembled_model(batch=4)
-    _, plans = model.forward(inputs, return_plans=True)
+    _, plans = model.forward(inputs)
     leaves = model.params() + model.bank.mats
 
     def build():
@@ -161,8 +162,8 @@ def test_02_full_density_matches_dense_on_100_configs():
         n = int(rng.integers(1, 4))
         params = AttentionParams(d_model, n_heads, block, rho=1.0, rng=rng)
         x = T.Tensor(rng.normal(size=(n, h, d_model)))
-        diff = np.max(np.abs(efficient_attention(x, params).values
-                             - dense_attention(x, params).values))
+        routed, _ = efficient_attention(x, params, full_plan(x, params))
+        diff = np.max(np.abs(routed.values - efficient_attention(x, params)[0].values))
         worst = max(worst, float(diff))
     assert worst < 1e-6, f"max abs deviation {worst:.2e} >= 1e-6"
     elapsed_under(t0, 60)

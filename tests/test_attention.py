@@ -12,7 +12,6 @@ from storerank.attention import (
     AttentionParams,
     attention_flops,
     bench_attention,
-    dense_attention,
     dense_core,
     efficient_attention,
     k_blocks_for,
@@ -22,6 +21,7 @@ from storerank.attention import (
 )
 
 from oracles import fd_grad, max_rel_err, naive_attention, naive_topk_blocks
+from test_fused_attention import full_plan
 
 
 def make_params(d_model=8, n_heads=2, block_size=2, rho=0.5, seed=0):
@@ -188,12 +188,20 @@ class TestPlanToMask:
             plan_to_mask(plan, 6)
 
 
+def dense_instance(x, params):
+    """The layer's output for one (H, d_model) instance; ``params`` keep
+    every block, so nothing is routed."""
+    out, plan = efficient_attention(T.Tensor(x[None]), params)
+    assert plan is None
+    return out.values[0]
+
+
 class TestDenseAttention:
     def test_matches_naive_per_head(self):
         rng = np.random.default_rng(5)
-        p = make_params(d_model=8, n_heads=2, seed=6)
+        p = make_params(d_model=8, n_heads=2, rho=1.0, seed=6)
         x = rng.normal(size=(7, 8))
-        out = dense_attention(T.Tensor(x), p).values
+        out = dense_instance(x, p)
         q, k, v = x @ p.wq.values, x @ p.wk.values, x @ p.wv.values
         heads = [naive_attention(q[:, i * 4:(i + 1) * 4],
                                  k[:, i * 4:(i + 1) * 4],
@@ -204,30 +212,30 @@ class TestDenseAttention:
     def test_single_token(self):
         p = make_params(d_model=4, n_heads=1, block_size=1, rho=1.0)
         x = np.random.default_rng(7).normal(size=(1, 4))
-        out = dense_attention(T.Tensor(x), p).values
+        out = dense_instance(x, p)
         # softmax over one key is 1, so attention passes v straight through
         want = (x @ p.wv.values) @ p.wo.values
         assert np.allclose(out, want, atol=1e-12)
 
     def test_identical_tokens_give_identical_rows(self):
-        p = make_params(d_model=8, n_heads=2)
+        p = make_params(d_model=8, n_heads=2, rho=1.0)
         x = np.tile(np.random.default_rng(8).normal(size=(1, 8)), (5, 1))
-        out = dense_attention(T.Tensor(x), p).values
+        out = dense_instance(x, p)
         assert np.allclose(out, out[0], atol=1e-12)
 
     def test_batched_matches_per_instance(self):
         rng = np.random.default_rng(9)
-        p = make_params(d_model=8, n_heads=2)
+        p = make_params(d_model=8, n_heads=2, rho=1.0)
         xb = rng.normal(size=(3, 6, 8))
-        out = dense_attention(T.Tensor(xb), p).values
+        out, _ = efficient_attention(T.Tensor(xb), p)
         for b in range(3):
-            single = dense_attention(T.Tensor(xb[b]), p).values
-            assert np.allclose(out[b], single, atol=1e-13)
+            single = dense_instance(xb[b], p)
+            assert np.allclose(out.values[b], single, atol=1e-13)
 
     def test_rank_validation(self):
-        p = make_params()
+        p = make_params(rho=1.0)
         with pytest.raises(ValueError):
-            dense_attention(T.Tensor(np.zeros(8)), p)
+            efficient_attention(T.Tensor(np.zeros(8)), p)
 
 
 class TestEfficientAttention:
@@ -240,9 +248,9 @@ class TestEfficientAttention:
             block = int(rng.integers(1, 6))
             p = make_params(d_model=d_model, n_heads=n_heads,
                             block_size=block, rho=1.0, seed=100 + trial)
-            x = rng.normal(size=(h, d_model))
-            dense = dense_attention(T.Tensor(x), p).values
-            sparse = efficient_attention(T.Tensor(x), p).values
+            x = T.Tensor(rng.normal(size=(1, h, d_model)))
+            dense = efficient_attention(x, p)[0].values
+            sparse = efficient_attention(x, p, full_plan(x, p))[0].values
             assert np.max(np.abs(dense - sparse)) < 1e-6
 
     def test_matches_gathered_softmax(self):
@@ -251,42 +259,42 @@ class TestEfficientAttention:
         p = make_params(d_model=8, n_heads=2, block_size=2, rho=0.5, seed=12)
         h = 9
         x = rng.normal(size=(h, 8))
-        out, plans = efficient_attention(T.Tensor(x), p, return_plans=True)
+        out, plan = efficient_attention(T.Tensor(x[None]), p)
         q, k, v = x @ p.wq.values, x @ p.wk.values, x @ p.wv.values
         heads = []
-        for hi, plan in enumerate(plans):
+        for hi in range(2):
             qh = q[:, hi * 4:(hi + 1) * 4]
             kh = k[:, hi * 4:(hi + 1) * 4]
             vh = v[:, hi * 4:(hi + 1) * 4]
             rows = np.zeros((h, 4))
             for i in range(h):
                 cols = [j for j in range(h)
-                        if j // 2 in set(plan.block_ids[0, i].tolist())]
+                        if j // 2 in set(plan.block_ids[0, hi, i].tolist())]
                 s = qh[i] @ kh[cols].T / 2.0
                 w = np.exp(s - s.max())
                 w /= w.sum()
                 rows[i] = w @ vh[cols]
             heads.append(rows)
         want = np.concatenate(heads, axis=1) @ p.wo.values
-        assert np.max(np.abs(out.values - want)) < 1e-12
+        assert np.max(np.abs(out.values[0] - want)) < 1e-12
 
     def test_plan_replay_is_deterministic(self):
         rng = np.random.default_rng(13)
         p = make_params(d_model=8, n_heads=2, block_size=2, rho=0.5)
-        x = rng.normal(size=(8, 8))
-        out1, plans = efficient_attention(T.Tensor(x), p, return_plans=True)
-        out2 = efficient_attention(T.Tensor(x), p, plans=plans)
+        x = rng.normal(size=(1, 8, 8))
+        out1, plan = efficient_attention(T.Tensor(x), p)
+        out2, _ = efficient_attention(T.Tensor(x), p, plan)
         assert np.array_equal(out1.values, out2.values)
 
     def test_gradients_match_fd_with_frozen_plan(self):
         rng = np.random.default_rng(14)
         p = make_params(d_model=6, n_heads=2, block_size=2, rho=0.5, seed=15)
         x = T.Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
-        _, plans = efficient_attention(x, p, return_plans=True)
+        _, plan = efficient_attention(x, p)
         leaves = [x] + p.params()
 
         def build():
-            return T.tsum(efficient_attention(x, p, plans=plans))
+            return T.tsum(efficient_attention(x, p, plan)[0])
 
         got = T.grad(build(), leaves)
         want = fd_grad(build, leaves)
@@ -298,11 +306,11 @@ class TestEfficientAttention:
         # bitwise identical to replaying the captured plan
         rng = np.random.default_rng(16)
         p = make_params(d_model=8, n_heads=2, block_size=3, rho=0.5)
-        x = T.Tensor(rng.normal(size=(7, 8)), requires_grad=True)
-        live = T.tsum(efficient_attention(x, p))
+        x = T.Tensor(rng.normal(size=(1, 7, 8)), requires_grad=True)
+        live = T.tsum(efficient_attention(x, p)[0])
         g_live = T.grad(live, [x] + p.params())
-        _, plans = efficient_attention(x, p, return_plans=True)
-        frozen = T.tsum(efficient_attention(x, p, plans=plans))
+        _, plan = efficient_attention(x, p)
+        frozen = T.tsum(efficient_attention(x, p, plan)[0])
         g_frozen = T.grad(frozen, [x] + p.params())
         for a, b in zip(g_live, g_frozen):
             assert np.array_equal(a, b)

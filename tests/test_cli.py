@@ -14,7 +14,8 @@ import storerank
 from storerank import artifact
 from storerank.cli import BENCH_COLUMNS, build_parser, main
 from storerank.data import load_dataset_cache
-from storerank.tokenizer import SidTable, read_sids, write_sids
+from storerank.tokenizer import (EmbeddingTable, SidTable, read_embeddings,
+                                 read_sids, write_embeddings, write_sids)
 
 
 def run(*argv):
@@ -778,9 +779,10 @@ class TestReplay:
 
 
 class TestRefusedRunsLeaveNoOutput:
-    """A SID table whose K or V is not the model's, or that lacks codes
-    for some of the dataset's items, is refused before the output
-    directory is made."""
+    """A SID table whose K or V is not the model's, one that lacks codes
+    for some of the dataset's items, embeddings that would make such a
+    table or that the tokenizer cannot read, and a sweep setting the
+    model refuses are all refused before the output directory is made."""
 
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--h", "2"]),
@@ -810,6 +812,55 @@ class TestRefusedRunsLeaveNoOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "item ids lack SID codes" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--rho-grid", "0.5,0"], "rho must be in (0, 1], got 0.0"),
+        (["--layers-grid", "1,0"], "all counts and widths must be >= 1"),
+    ], ids=["rho", "layers"])
+    def test_a_sweep_setting_the_model_refuses(self, workspace, tmp_path, capsys,
+                                               flags, reason):
+        out = tmp_path / "out"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--out", str(out), *flags) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--k-grid", "3,2"]], ids=["h", "k_grid"])
+    def test_sweep_embeddings_that_miss_items(self, workspace, tmp_path, capsys,
+                                              flags):
+        full = read_embeddings(workspace / "data" / "embeddings.csv")
+        cut = tmp_path / "embeddings.csv"
+        write_embeddings(cut, EmbeddingTable(full.ids[:49], full.vectors[:49]))
+        out = tmp_path / "out"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--embeddings", str(cut), "--out", str(out), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "item ids lack SID codes" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_embeddings_narrower_than_the_tokenizer(self, workspace, tmp_path,
+                                                   capsys):
+        emb = tmp_path / "embeddings.csv"
+        write_embeddings(emb, EmbeddingTable(["a", "b"], np.ones((2, 8))))
+        out = tmp_path / "out"
+        assert run("tokenize", "--embeddings", str(emb),
+                   "--tokenizer", str(workspace / "tok" / "tokenizer.opmq"),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == ("error: expected (n, 16) embeddings, "
+                                           "got (2, 8)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend", ["opmq", "rq"])
+    def test_an_empty_embedding_table(self, tmp_path, capsys, backend):
+        emb = tmp_path / "embeddings.csv"
+        emb.write_text("item_id,dim=4\n")
+        out = tmp_path / "out"
+        assert run("train-tokenizer", "--embeddings", str(emb),
+                   "--backend", backend, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {emb}: no items\n"
         assert not out.exists()
 
 

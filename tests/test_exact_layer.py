@@ -247,10 +247,10 @@ def test_a_replayed_route_scores_its_own_input():
     # gates are reused as scores only for a fresh route over the same q, k:
     # plans replayed on another input mask that input's own scores
     params, x, _ = case_inputs(CASES["workload"])
-    _, plans = A.efficient_attention(T.Tensor(x), params, return_plans=True)
+    _, plan = A.efficient_attention(T.Tensor(x), params)
     other = x[::-1].copy()
-    got = A.efficient_attention(T.Tensor(other), params, plans=plans).values
-    want = graph_efficient_attention(T.Tensor(other), params, plans=plans).values
+    got = A.efficient_attention(T.Tensor(other), params, plan)[0].values
+    want = graph_efficient_attention(T.Tensor(other), params, plan)[0].values
     assert same_bits(got, want)
 
 
@@ -279,6 +279,9 @@ FITS = {
     "sid_batch_512": dict(rho=0.5, d=32, batch_size=512),
     "sid_h5_b2": dict(h=5, block_size=2, n_heads=4, rho=0.5),
     "raw_id": dict(use_raw_ids=True, hash_buckets=4096),
+    # layers that route nothing
+    "sid_rho_one": dict(rho=1.0),
+    "sid_block_ge_h": dict(rho=0.5, block_size=4),
 }
 
 

@@ -3,11 +3,12 @@
 ``graph_dense_attention`` / ``graph_efficient_attention`` below are the
 per-head autodiff graphs (three projections, a ``narrow`` per head, and
 per head a transpose, scale, mask add, softmax and two matmuls) that
-``attention._attention`` replaces with one node.  The node claims
-the same arithmetic, so every case compares outputs and gradients with
-exact equality, down to the bytes of a saved model.
+``attention.efficient_attention`` replaces with one node.  The node
+claims the same arithmetic, so every case compares outputs and
+gradients with exact equality, down to the bytes of a saved model.
 """
 
+import copy
 import json
 import math
 from dataclasses import replace
@@ -39,35 +40,48 @@ def _project_heads(x3, params):
 
 
 def graph_dense_attention(x, params):
-    x3, squeeze = A._lift(x)
     scale = 1.0 / math.sqrt(params.d_head)
     outs = []
-    for qh, kh, vh in _project_heads(x3, params):
+    for qh, kh, vh in _project_heads(x, params):
         scores = T.mul(T.matmul(qh, G.transpose_last(kh)), scale)
         outs.append(T.matmul(G.softmax(scores, axis=-1), vh))
-    out = T.matmul(T.concat(outs, axis=2), params.wo)
-    return T.reshape(out, out.shape[1:]) if squeeze else out
+    return T.matmul(T.concat(outs, axis=2), params.wo)
 
 
-def graph_efficient_attention(x, params, plans=None, return_plans=False):
-    x3, squeeze = A._lift(x)
-    n, h, _ = x3.shape
+def graph_efficient_attention(x, params, plan=None):
+    """(output, plan) as the node returns them, but routing each head on
+    its own, and always: at full selection the mask is all zeros."""
+    n, h, _ = x.shape
     kb = A.k_blocks_for(h, params.block_size, params.rho)
     scale = 1.0 / math.sqrt(params.d_head)
     outs, used = [], []
-    for i, (qh, kh, vh) in enumerate(_project_heads(x3, params)):
-        if plans is None:
-            plan = moba_route(qh.values, kh.values, params.block_size, kb)
+    for i, (qh, kh, vh) in enumerate(_project_heads(x, params)):
+        if plan is None:
+            head = moba_route(qh.values, kh.values, params.block_size, kb)
         else:
-            plan = plans[i]
-        used.append(plan)
+            head = RoutingPlan(plan.allowed[:, i], plan.gates[:, i], plan.block_size)
+        used.append(head)
         scores = T.mul(T.matmul(qh, G.transpose_last(kh)), scale)
-        scores = T.add(scores, T.Tensor(A.plan_to_mask(plan, h)))
+        scores = T.add(scores, T.Tensor(A.plan_to_mask(head, h)))
         outs.append(T.matmul(G.softmax(scores, axis=-1), vh))
     out = T.matmul(T.concat(outs, axis=2), params.wo)
-    if squeeze:
-        out = T.reshape(out, out.shape[1:])
-    return (out, used) if return_plans else out
+    return out, RoutingPlan(np.stack([r.allowed for r in used], axis=1),
+                            np.stack([r.gates for r in used], axis=1),
+                            params.block_size)
+
+
+def dense_attention(x, params):
+    """The node on ``params``'s weights at rho = 1: it routes nothing."""
+    full = copy.copy(params)
+    full.rho = 1.0
+    return A.efficient_attention(x, full)[0]
+
+
+def full_plan(x, params):
+    """A replayable plan that sends every query of ``x`` to every block."""
+    n, h, _ = x.shape
+    shape = (n, params.n_heads, h, -(-h // params.block_size))
+    return RoutingPlan(np.ones(shape, dtype=bool), np.zeros(shape), params.block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +114,7 @@ CASES = {
     "workload": dict(n=512, h=3, d=32, heads=2, block=1, rho=0.5),
     "short_last_block": dict(n=6, h=7, d=12, heads=3, block=3, rho=0.5),
     "one_head": dict(n=5, h=9, d=8, heads=1, block=2, rho=0.5),
-    "rank2": dict(n=None, h=10, d=8, heads=2, block=3, rho=0.5),
+    "rank2": dict(n=None, h=10, d=8, heads=2, block=3, rho=0.5),   # x[None]
     "rho1": dict(n=4, h=8, d=8, heads=2, block=2, rho=1.0),
 }
 
@@ -110,7 +124,8 @@ def case_inputs(case, seed=1):
     params = make_params(case["d"], case["heads"], case["block"], case["rho"],
                          seed=seed + 1)
     shape = (case["h"], case["d"]) if case["n"] is None else (case["n"], case["h"], case["d"])
-    return params, rng.normal(size=shape), rng.normal(size=shape)
+    x, w = rng.normal(size=shape), rng.normal(size=shape)
+    return (params, x[None], w[None]) if case["n"] is None else (params, x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +136,9 @@ def case_inputs(case, seed=1):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_efficient_attention_matches_graph(name, residual):
     params, x, w = case_inputs(CASES[name])
-    got_out, got = run(lambda t: A.efficient_attention(t, params), x, params, residual, w)
-    want_out, want = run(lambda t: graph_efficient_attention(t, params), x, params,
+    got_out, got = run(lambda t: A.efficient_attention(t, params)[0], x, params,
+                       residual, w)
+    want_out, want = run(lambda t: graph_efficient_attention(t, params)[0], x, params,
                          residual, w)
     assert same_bits(got_out, want_out)
     for g, r in zip(got, want):
@@ -132,8 +148,9 @@ def test_efficient_attention_matches_graph(name, residual):
 @pytest.mark.parametrize("residual", [False, True])
 @pytest.mark.parametrize("name", ["workload", "short_last_block", "one_head", "rank2"])
 def test_dense_attention_matches_graph(name, residual):
-    params, x, w = case_inputs(CASES[name])
-    got_out, got = run(lambda t: A.dense_attention(t, params), x, params, residual, w)
+    params, x, w = case_inputs({**CASES[name], "rho": 1.0})
+    got_out, got = run(lambda t: A.efficient_attention(t, params)[0], x, params,
+                       residual, w)
     want_out, want = run(lambda t: graph_dense_attention(t, params), x, params,
                          residual, w)
     assert same_bits(got_out, want_out)
@@ -143,20 +160,20 @@ def test_dense_attention_matches_graph(name, residual):
 
 def test_plans_are_per_head_and_replay_into_the_graph():
     params, x, _ = case_inputs(CASES["short_last_block"])
-    _, plans = A.efficient_attention(T.Tensor(x), params, return_plans=True)
-    _, want = graph_efficient_attention(T.Tensor(x), params, return_plans=True)
-    assert len(plans) == len(want) == params.n_heads
-    for p, r in zip(plans, want):
-        assert np.array_equal(p.block_ids, r.block_ids)
-        assert same_bits(p.gates, r.gates)
-        assert p.block_size == r.block_size
+    _, plan = A.efficient_attention(T.Tensor(x), params)
+    _, want = graph_efficient_attention(T.Tensor(x), params)
+    assert plan.allowed.shape == want.allowed.shape == (6, params.n_heads, 7, 3)
+    for e in range(params.n_heads):
+        assert np.array_equal(plan.allowed[:, e], want.allowed[:, e])
+        assert same_bits(plan.gates[:, e], want.gates[:, e])
+    assert plan.block_size == want.block_size
     # plans cross over both ways: the node replays the graph's and vice versa
-    a = A.efficient_attention(T.Tensor(x), params, plans=want).values
-    b = graph_efficient_attention(T.Tensor(x), params, plans=plans).values
+    a = A.efficient_attention(T.Tensor(x), params, want)[0].values
+    b = graph_efficient_attention(T.Tensor(x), params, plan)[0].values
     assert same_bits(a, b)
 
 
-@pytest.mark.parametrize("attend", [A.efficient_attention, A.dense_attention,
+@pytest.mark.parametrize("attend", [A.efficient_attention, dense_attention,
                                     graph_efficient_attention, graph_dense_attention])
 def test_non_finite_scores_are_refused_as_softmax_refuses_them(attend):
     params, x, _ = case_inputs(CASES["short_last_block"])
@@ -167,13 +184,54 @@ def test_non_finite_scores_are_refused_as_softmax_refuses_them(attend):
 
 
 # ---------------------------------------------------------------------------
+# one entry point: the node decides whether to route
+# ---------------------------------------------------------------------------
+
+def test_the_plan_is_none_exactly_when_every_block_is_kept():
+    rng = np.random.default_rng(5)
+    for h in range(1, 10):
+        for block in range(1, 5):
+            for rho in (0.25, 0.5, 1.0):
+                params = make_params(4, 2, block, rho)
+                x = T.Tensor(rng.normal(size=(3, h, 4)))
+                _, plan = A.efficient_attention(x, params)
+                keeps_all = A.k_blocks_for(h, block, rho) == -(-h // block)
+                assert (plan is None) == keeps_all, (h, block, rho)
+                if plan is not None:
+                    assert plan.allowed.shape == (3, 2, h, -(-h // block))
+
+
+@pytest.mark.parametrize("name", ["workload", "short_last_block", "one_head", "rank2"])
+def test_a_plan_keeping_every_block_replays_the_dense_bits(name):
+    params, x, w = case_inputs(CASES[name])
+    assert params.rho == 0.5
+    got_out, got = run(lambda t: A.efficient_attention(t, params, full_plan(t, params))[0],
+                       x, params, True, w)
+    want_out, want = run(lambda t: dense_attention(t, params), x, params, True, w)
+    assert same_bits(got_out, want_out)
+    for g, r in zip(got, want):
+        assert same_bits(g, r)
+
+
+@pytest.mark.parametrize("shape, reason", [
+    ((8,), r"\(n, H, d_model\), got shape \(8,\)"),
+    ((5, 8), r"\(n, H, d_model\), got shape \(5, 8\)"),
+    ((2, 1, 5, 8), "rank 4"),       # no Tensor holds it, so no layer sees it
+])
+def test_input_that_is_not_one_batch_is_refused(shape, reason):
+    params = make_params(8, 2, 2, 0.5)
+    with pytest.raises(ValueError, match=reason):
+        A.efficient_attention(T.Tensor(np.zeros(shape)), params)
+
+
+# ---------------------------------------------------------------------------
 # structure: one node per layer, and far fewer nodes per forward
 # ---------------------------------------------------------------------------
 
 def test_layer_output_has_exactly_the_layer_parents():
     params, x, _ = case_inputs(CASES["workload"])
     xt = T.Tensor(x, requires_grad=True)
-    for out in (A.efficient_attention(xt, params), A.dense_attention(xt, params)):
+    for out in (A.efficient_attention(xt, params)[0], dense_attention(xt, params)):
         assert len(out._parents) == 5
         assert all(a is b for a, b in zip(out._parents, [xt] + params.params()))
 
@@ -206,9 +264,10 @@ def test_sid_layer_builds_at_most_half_the_per_head_graph(name):
     model, inputs = _sid_model()
     x = model.build_tokens(inputs)
     layer = model.layers[0]
-    fused, graph = ((A.efficient_attention, graph_efficient_attention)
+    fused, graph = ((lambda *a: A.efficient_attention(*a)[0],
+                     lambda *a: graph_efficient_attention(*a)[0])
                     if name == "efficient" else
-                    (A.dense_attention, graph_dense_attention))
+                    (dense_attention, graph_dense_attention))
     got = _own_nodes(fused(x, layer), x)
     per_head = _own_nodes(graph(x, layer), x)
     # the node itself plus the four projection leaves
@@ -222,7 +281,7 @@ def test_sid_forward_shrinks_by_the_per_head_nodes(monkeypatch):
     monkeypatch.setattr(M, "efficient_attention", graph_efficient_attention)
     graph = len(T._toposort(M.total_loss(model, inputs, inputs["labels"])[0]))
     x = model.build_tokens(inputs)
-    per_layer = _own_nodes(graph_efficient_attention(x, model.layers[0]), x) - 5
+    per_layer = _own_nodes(graph_efficient_attention(x, model.layers[0])[0], x) - 5
     assert fused == graph - model.config.n_layers * per_layer
 
 
@@ -246,7 +305,7 @@ def _fit_bytes(tmp_path, tag, cfg, use_sids):
 FITS = {
     "sid": dict(use_raw_ids=False),
     "raw_id": dict(use_raw_ids=True, hash_buckets=4096),
-    "vanilla": dict(use_raw_ids=False, rho=1.0),     # runs dense_attention
+    "vanilla": dict(use_raw_ids=False, rho=1.0),     # the node routes nothing
 }
 
 
@@ -257,7 +316,6 @@ def test_fit_writes_the_graph_path_bytes(name, tmp_path, monkeypatch):
     use_sids = not cfg.use_raw_ids
     got = _fit_bytes(tmp_path, "fused", cfg, use_sids)
     monkeypatch.setattr(M, "efficient_attention", graph_efficient_attention)
-    monkeypatch.setattr(M, "dense_attention", graph_dense_attention)
     want = _fit_bytes(tmp_path, "graph", cfg, use_sids)
     assert got[0] == want[0]
     assert got[1] == want[1]

@@ -34,7 +34,10 @@ class TestAuc:
             labels[0], labels[1] = 0, 1
             # coarse grid forces plenty of ties
             scores = rng.integers(0, 20, size=n) / 19.0
-            assert M.auc(labels, scores) == pairwise_auc(labels, scores)
+            # signed zeros tie with each other; all-tied scores give 0.5
+            signed_zeros = rng.choice([-0.0, 0.0, 1.0], size=n)
+            for s in (scores, signed_zeros, np.full(n, -0.0), np.full(n, 0.7)):
+                assert M.auc(labels, s) == pairwise_auc(labels, s)
 
     def test_invariant_under_monotone_transform(self, rng):
         labels = rng.integers(0, 2, size=150)

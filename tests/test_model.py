@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_grad, max_rel_err
+from test_fused_attention import full_plan
 
 from storerank import attention as A
 from storerank import model as M
@@ -187,7 +188,7 @@ class TestBuildTokens:
             inputs = {"static": {"user_id": rng.integers(4, size=n)},
                       "raw": rng.integers(32, size=n)}
             assert m.build_tokens(inputs).shape == (n, h, d)
-            assert m.forward(inputs).shape == (n,)
+            assert m.forward(inputs)[0].shape == (n,)
 
     def test_wrong_code_width_rejected(self):
         m, cfg = tiny_model(h=2)
@@ -202,7 +203,7 @@ class TestForward:
         m, cfg = tiny_model(h=3, v=4, d=6, n_heads=2, n_layers=2)
         rng = np.random.default_rng(5)
         inputs = tiny_inputs(rng, 8, {"user_id": 3}, cfg.h, cfg.v, m.groups)
-        assert np.array_equal(m.forward(inputs).values, np.full(8, 0.5))
+        assert np.array_equal(m.forward(inputs)[0].values, np.full(8, 0.5))
 
     def test_probabilities_in_open_interval(self):
         m, cfg = tiny_model(h=2, n_layers=2)
@@ -210,7 +211,7 @@ class TestForward:
         m.head_w.values = rng.normal(size=m.head_w.shape)
         m.head_b.values = rng.normal(size=m.head_b.shape)
         inputs = tiny_inputs(rng, 16, {"user_id": 3}, cfg.h, cfg.v, m.groups)
-        p = m.forward(inputs).values
+        p = m.forward(inputs)[0].values
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_nonfinite_activation_names_layer(self):
@@ -226,10 +227,10 @@ class TestForward:
         rng = np.random.default_rng(8)
         m.head_w.values = rng.normal(size=m.head_w.shape)
         inputs = tiny_inputs(rng, 5, {"user_id": 3}, cfg.h, cfg.v, m.groups)
-        p1, plans = m.forward(inputs, return_plans=True)
-        p2 = m.forward(inputs, plans=plans)
+        p1, plans = m.forward(inputs)
+        p2, _ = m.forward(inputs, plans)
         assert np.array_equal(p1.values, p2.values)
-        assert len(plans) == cfg.n_layers and len(plans[0]) == cfg.n_heads
+        assert len(plans) == cfg.n_layers and plans[0].allowed.shape[1] == cfg.n_heads
 
     def test_full_model_gradcheck_frozen_routing(self):
         m, cfg = tiny_model(h=2, v=4, d_s=2, d=4, n_heads=2, seed=4)
@@ -237,7 +238,7 @@ class TestForward:
         m.head_w.values = 0.5 * rng.normal(size=m.head_w.shape)
         m.head_b.values = 0.5 * rng.normal(size=m.head_b.shape)
         inputs = tiny_inputs(rng, 3, {"user_id": 3}, cfg.h, cfg.v, m.groups)
-        _, plans = m.forward(inputs, return_plans=True)
+        _, plans = m.forward(inputs)
         leaves = m.params() + m.bank.mats
 
         def build():
@@ -294,17 +295,26 @@ class TestAblations:
         ablation_fit(tmp_path)              # rho = 0.5 routes 2 of 3 blocks
         assert route_calls
 
-    def test_vanilla_equals_efficient_at_full_density(self, tmp_path,
-                                                      monkeypatch, route_calls):
+    def test_vanilla_equals_efficient_at_full_density(self, tmp_path, monkeypatch):
         """A fit that keeps every block writes the bytes and log of the
-        same fit forced through the routed node."""
+        same fit forced through the mask by a plan that keeps every block."""
+        masks, to_mask = [], A.plan_to_mask
+
+        def counted(*args):
+            masks.append(1)
+            return to_mask(*args)
+        monkeypatch.setattr(A, "plan_to_mask", counted)
+
+        def routed(x, params, plan=None):
+            return A.efficient_attention(x, params, full_plan(x, params))
         for kw in FULL_DENSITY:
             got = ablation_fit(tmp_path, **kw)
+            assert masks == []
             with monkeypatch.context() as mp:
-                mp.setattr(M, "dense_attention", A.efficient_attention)
+                mp.setattr(M, "efficient_attention", routed)
                 want = ablation_fit(tmp_path, **kw)
-            assert route_calls, "the forced fit did not route"
-            route_calls.clear()
+            assert masks, "the forced fit did not mask"
+            masks.clear()
             assert got[0] == want[0]
             assert got[1] == want[1]
 
@@ -462,7 +472,8 @@ class TestBatchPlumbing:
         inputs = prepare_inputs(m, self.tr)
         row = 17
         assert np.array_equal(inputs["sid"][row],
-                              m.sid_table.sids(self.tr.raw_items[row]))
+                              m.sid_table.codes[m.sid_table.index[
+                                  str(self.tr.raw_items[row])]])
 
     def test_missing_item_fails_loudly(self):
         m, _ = self.model()

@@ -87,8 +87,9 @@ class TestGroupFuser:
         def build():
             return T.tsum(T.mul(fuser.fuse_groups(feats), w))
 
-        got = T.grad(build(), fuser.params())
-        want = fd_grad(build, fuser.params())
+        params = [p for layer in fuser.layers for p in layer]
+        got = T.grad(build(), params)
+        want = fd_grad(build, params)
         for g, fd in zip(got, want):
             assert max_rel_err(g, fd) < 1e-6
 

@@ -60,12 +60,13 @@ class TestEmbeddingTable:
     def test_lookup(self):
         t = EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
         assert t.dim == 2 and len(t) == 2
-        assert np.array_equal(t.vector("b"), [3.0, 4.0])
+        assert np.array_equal(t.vectors[t.index["b"]], [3.0, 4.0])
         assert "a" in t and "c" not in t
 
     def test_integer_ids_become_strings(self):
         t = EmbeddingTable([5], [[1.0]])
-        assert np.array_equal(t.vector(5), t.vector("5"))
+        assert t.ids == ["5"] and 5 in t
+        assert np.array_equal(t.vectors[t.index["5"]], [1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +114,7 @@ class TestSidTable:
     def test_lookup(self):
         t = SidTable(["x", "y"], [[0, 3], [2, 1]], v=4)
         assert t.k == 2 and t.v == 4
-        assert t.sids("y").tolist() == [2, 1]
+        assert t.codes[t.index["y"]].tolist() == [2, 1]
 
     def test_csv_round_trip_byte_identical(self, tmp_path):
         t = SidTable(np.arange(9), np.arange(18).reshape(9, 2) % 7, v=7)
@@ -572,7 +573,7 @@ class TestTokenizeCatalog:
         table = EmbeddingTable(["only"], [[0.1, 0.2]])
         model = make_model(d_p=2, k=3, v=2)
         s = tokenize_catalog(table, model)
-        assert len(s) == 1 and s.sids("only").shape == (3,)
+        assert len(s) == 1 and s.codes[s.index["only"]].shape == (3,)
 
     def test_dimension_mismatch(self):
         model = make_model(d_p=4)
