@@ -17,7 +17,8 @@ keeps fewer than every block), routes every head at once with one
 probabilities.  It returns the one ``RoutingPlan`` it used, or None when
 it routed nothing, and replays a plan it is given.  The mask is
 numerically identical to gathering the selected keys and, at the few
-tokens per instance this model attends over, faster.
+tokens per instance this model attends over, faster.  On leaves that
+need no gradient (a frozen model scoring) the node keeps no backward.
 
 ``dense_core`` / ``sparse_core`` are graph-free numpy kernels for the
 wall-clock race at long sequences (``bench_attention``, asserted by
@@ -198,9 +199,11 @@ def efficient_attention(x, params, plan=None):
 
     It runs the same products, in the same shapes and order, as the
     graph of per-head matmul / softmax ops it replaces, so values and
-    gradients are bit for bit those of that graph.  Only the memory
-    layout differs, which a product's bits do not depend on: Q, K and V
-    are strided per-head views of one product with [wq | wk | wv], and
+    gradients are bit for bit those of that graph.  A product's bits
+    follow its shapes: one product with [wq | wk | wv] has three times
+    the columns and, at most widths, rounds otherwise, so Q, K and V are
+    three products, as in the graph.  They do not follow memory layout:
+    Q, K and V are strided per-head views of those products, and
     per-head products land straight in the (n, H, d_model) layout of
     the projections that follow.  With one-key blocks a fresh route's
     gates are q @ k^T, the scores' own product, and are reused.
@@ -211,8 +214,7 @@ def efficient_attention(x, params, plan=None):
     heads, block_size = params.n_heads, params.block_size
     wq, wk, wv, wo = params.params()
     xv = x.values
-    qkv = xv @ np.concatenate([wq.values, wk.values, wv.values], axis=1)
-    q, k, v = (_heads(qkv[..., i * d:(i + 1) * d], heads) for i in range(3))
+    q, k, v = (_heads(xv @ w.values, heads) for w in (wq, wk, wv))
     scale = 1.0 / math.sqrt(params.d_head)
     kb = k_blocks_for(h, block_size, params.rho)
     fresh = plan is None and kb < -(-h // block_size)

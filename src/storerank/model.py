@@ -14,6 +14,13 @@ A raw-id ablation swaps the K code embeddings for a single hashed item
 embedding repeated at every position, leaving every other component
 untouched, so code-vs-raw comparisons isolate the tokenization.
 
+The token build is one autodiff node (``_tokens``), each layer an
+attention node and one residual + LayerNorm node, all bit for bit the
+per-op graphs they replace.  Training and scoring run the one
+``forward``: ``predict`` runs it on a frozen view of the model, whose
+leaves need no gradient, so no node keeps a backward and the fused
+nodes work in place.
+
 Training alternates within each step: the dense parameters take an Adam
 step while the rotation matrices take a plain gradient step followed by
 polar re-projection back onto the orthogonal manifold.
@@ -21,6 +28,7 @@ polar re-projection back onto the orthogonal manifold.
 
 from __future__ import annotations
 
+import copy
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -34,7 +42,7 @@ from .data import batch_iter
 from .metrics import auc, gauc, logloss
 from .options import check_finite
 from .rotation import FeatureGroup, GroupConfig, GroupFuser, RotationBank, \
-    diversity_penalty, rotate, rotation_step
+    diversity_penalty, rotation_step
 from .tokenizer import SidTable
 
 
@@ -109,6 +117,65 @@ def default_groups(schema, emb_dim=8, d_g=16):
     return GroupConfig(tuple(groups), d_g)
 
 
+def _tokens(c, lookups, mats, proj_w, proj_b):
+    """The (n, H, d) token sequence as one node: token i is
+    ``[table_i[idx_i] ; C R_i] @ proj_w + proj_b`` for the i-th
+    (table, idx) of ``lookups``, with C itself where ``mats`` is None.
+    Its parents are C, the distinct tables, the rotations, proj_w and
+    proj_b.
+
+    Each position runs the per-op graph's products in its shapes (a
+    lookup, C @ R_i, and one (n, d_s + d_c) @ proj_w product), written
+    into preallocated buffers, so values are bit for bit that graph's.
+    The backward replays the graph position by position, 0 first, in
+    its order: proj_w, proj_b, the table and C each take one part per
+    position, and C's parts arrive in position order.  Only when a
+    parent needs a gradient are the positions' inputs kept; otherwise
+    one buffer serves every position.
+    """
+    n, d_c = c.shape
+    d_s, d = lookups[0][0].shape[1], proj_w.shape[1]
+    tables = list({id(t): t for t, _ in lookups}.values())
+    parents = [c] + tables + list(mats or ()) + [proj_w, proj_b]
+    keep = any(p.requires_grad for p in parents)
+    cats = np.empty((len(lookups) if keep else 1, n, d_s + d_c))
+    out = np.empty((n, len(lookups), d))
+    for i, (table, idx) in enumerate(lookups):
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("embedding indices must be integers")
+        cat = cats[i if keep else 0]
+        np.take(table.values, idx, axis=0, out=cat[:, :d_s])
+        if mats is None:
+            cat[:, d_s:] = c.values
+        else:
+            np.matmul(c.values, mats[i].values, out=cat[:, d_s:])
+        np.matmul(cat, proj_w.values, out=out[:, i])
+        out[:, i] += proj_b.values
+
+    def bwd(g):
+        for i, (table, idx) in enumerate(lookups):
+            # the graph's reshape and affine nodes copy the slice first,
+            # keeping its layout
+            gt = np.array(g[:, i])
+            gcat = gt @ proj_w.values.T
+            if proj_w.requires_grad:
+                proj_w.accumulate_grad(cats[i].T @ gt)
+            if proj_b.requires_grad:
+                proj_b.accumulate_grad(T.bias_grad(gt))
+            if table.requires_grad:
+                T.lookup_grad(table, idx, gcat[:, :d_s])
+            gv = gcat[:, d_s:]
+            if mats is None:
+                if c.requires_grad:
+                    c.accumulate_grad(gv)
+                continue
+            if c.requires_grad:
+                c.accumulate_grad(gv @ mats[i].values.T)
+            if mats[i].requires_grad:
+                mats[i].accumulate_grad(c.values.T @ gv)
+    return T._result(out, parents, bwd)
+
+
 class StoreModel:
     """Token builder plus attention stack; all parameters live in Tensors.
 
@@ -169,6 +236,14 @@ class StoreModel:
                for f, tbl in self.static_tables.items()}
         return self.fuser.fuse_groups(emb)
 
+    def frozen(self):
+        """A view of the model for scoring: the same arrays, held in
+        leaves that need no gradient, so no node of its forward keeps a
+        backward or the arrays only a backward reads."""
+        memo = {id(t): T.Tensor(t.values) for _, t in _store_arrays(self)}
+        memo[id(self.sid_table)] = self.sid_table
+        return copy.deepcopy(self, memo)
+
     def build_tokens(self, inputs):
         """(n, H, d) sequence; token i = proj([s_i ; C R_i]).
 
@@ -177,23 +252,15 @@ class StoreModel:
         """
         cfg = self.config
         c = self.static_block(inputs)
-        n = c.shape[0]
         if self.sid_tables is not None:
             codes = np.asarray(inputs["sid"])
             if codes.ndim != 2 or codes.shape[1] != cfg.h:
                 raise ValueError(f"sid codes must be (n, {cfg.h}), got {codes.shape}")
+            lookups = [(t, codes[:, i]) for i, t in enumerate(self.sid_tables)]
         else:
-            raw = np.asarray(inputs["raw"])
-        toks = []
-        for i in range(cfg.h):
-            if self.sid_tables is not None:
-                s = T.embedding(self.sid_tables[i], codes[:, i])
-            else:
-                s = T.embedding(self.raw_table, raw)
-            view = rotate(c, self.bank, i) if cfg.use_rotation else c
-            t = T.affine(T.concat([s, view], axis=1), self.proj_w, self.proj_b)
-            toks.append(T.reshape(t, (n, 1, cfg.d)))
-        return T.concat(toks, axis=1)
+            lookups = [(self.raw_table, np.asarray(inputs["raw"]))] * cfg.h
+        return _tokens(c, lookups, self.bank.mats if cfg.use_rotation else None,
+                       self.proj_w, self.proj_b)
 
     def forward(self, inputs, plans=None):
         """(click probabilities in (0, 1), routing plans) for one batch.
@@ -209,7 +276,7 @@ class StoreModel:
                                           None if plans is None else plans[li])
             used.append(plan)
             g, b = self.norms[li]
-            x = T.layer_norm(T.add(a, x), g, b)
+            x = T.layer_norm(a, g, b, residual=x)
             if not np.all(np.isfinite(x.values)):
                 raise FloatingPointError(f"non-finite output after layer {li}")
         logits = T.affine(T.tmean(x, axis=1), self.head_w, self.head_b)
@@ -294,10 +361,12 @@ def slice_inputs(inputs, idx):
 
 
 def predict(model, inputs, batch_size=1024):
-    """Scores for a whole partition, in file order."""
+    """Scores for a whole partition, in file order: ``forward`` on a
+    frozen view of the model, so no graph for a gradient is built."""
+    view = model.frozen()
     scores = []
     for idx in batch_iter(inputs["labels"].size, batch_size):
-        scores.append(model.forward(slice_inputs(inputs, idx))[0].values)
+        scores.append(view.forward(slice_inputs(inputs, idx))[0].values)
     return np.concatenate(scores) if scores else np.zeros(0)
 
 

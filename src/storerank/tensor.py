@@ -6,8 +6,15 @@ There is no implicit broadcasting: elementwise ops require identical
 shapes, and the explicit ``broadcast_to`` / ``reshape`` ops cover the
 few places where shapes must be lifted.  A dense layer's bias row is
 added inside ``affine``, one node for ``x @ w + b``; ``mlp`` chains two
-of them around a tanh.  ``layer_norm`` is one node too, bit for bit the
-graph of elementwise ops it stands for.
+of them around a tanh.  ``layer_norm`` is one node too, with or without
+a residual summand, bit for bit the graph of elementwise ops it stands
+for.
+
+A node whose parents need no gradient keeps no backward (``_result``
+drops it), so a forward over leaves built with ``requires_grad=False``
+builds no graph to differentiate; fused nodes then skip their
+backward-only work and compute in place.  There is no global switch:
+whether a gradient is needed is read off the parents.
 
 The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
@@ -411,9 +418,12 @@ def tmean(a, axis=None, keepdims=False):
 
 def softmax_values(x, axis=-1):
     """Stable softmax along one axis of a plain array, for fused nodes:
-    -inf entries give exact zeros, and an all -inf slice is refused."""
+    -inf entries give exact zeros.  A slice holding a NaN or +inf score
+    is refused as non-finite, and an all -inf slice as masked."""
     m = reduce_keepdims(np.maximum, x, axis)
     if not np.all(np.isfinite(m)):
+        if np.any(np.isnan(m) | (m == np.inf)):
+            raise FloatingPointError("softmax: non-finite scores (NaN or +inf)")
         raise FloatingPointError("softmax: a full slice is masked to -inf")
     e = np.exp(x - m)
     return e / reduce_keepdims(np.add, e, axis)
@@ -448,47 +458,69 @@ def sigmoid_values(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-row (last axis) zero-mean unit-variance, then affine gamma/beta,
-    as one node with parents (x, gamma, beta).
+def layer_norm(x, gamma, beta, residual=None, eps=1e-5):
+    """Per-row (last axis) zero-mean unit-variance of x, or of
+    x + residual, then affine gamma/beta, as one node with parents
+    (x, gamma, beta) and the residual when there is one.
 
     gamma/beta are rank-1 of size d = x.shape[-1]; eps guards constant rows.
     Values and gradients are bit for bit those of the composite graph
-    (mean, centre, mean square, ``(var + eps) ** -0.5``, scale, then
-    gamma and beta broadcast over the leading axes).  The backward
-    replays that graph's products in its accumulation order: the centred
-    rows take their normalising part, then the variance part twice (one
-    per factor of the square); x takes the centred gradient plus the
-    mean's share as one sum; gamma and beta sum over each leading axis
-    longer than one, in axis order.
+    (``add(x, residual)``, mean, centre, mean square,
+    ``(var + eps) ** -0.5``, scale, then gamma and beta broadcast over
+    the leading axes).  The backward replays that graph's products in its
+    accumulation order: the centred rows take their normalising part,
+    then the variance part twice (one per factor of the square); the sum
+    takes the centred gradient plus the mean's share as one array, which
+    x and the residual each receive, as from the add; gamma and beta sum
+    over each leading axis longer than one, in axis order.
+
+    When no parent needs a gradient the node keeps nothing: it centres,
+    scales and shifts one array in place, the sum's when there is one.
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"layer_norm: gamma/beta must have shape ({d},)")
+    parents = (x, gamma, beta)
+    y = x.values
+    if residual is not None:
+        _check_same_shape(x, residual, "layer_norm")
+        parents += (residual,)
+        y = y + residual.values
     inv_d = 1.0 / d
+    mean = y.sum(axis=-1, keepdims=True) * inv_d
     # the composite's operands are C-ordered full arrays, so its results
     # are too; a row reduction's bits follow its input's layout
-    centered = np.subtract(x.values, x.values.sum(axis=-1, keepdims=True) * inv_d,
-                           order="C")
+    if y is not x.values and y.flags.c_contiguous:
+        centered = np.subtract(y, mean, out=y)
+    else:
+        centered = np.subtract(y, mean, order="C")
     ve = (centered * centered).sum(axis=-1, keepdims=True) * inv_d + float(eps)
     inv_std = ve ** -0.5
+    if not any(p.requires_grad for p in parents):
+        centered *= inv_std
+        centered *= gamma.values
+        centered += beta.values
+        return _result(centered, parents, None)
     normed = centered * inv_std
     lifted = [ax for ax in range(x.ndim - 1) if x.shape[ax] != 1]
+    summands = [p for p in (x, residual) if p is not None and p.requires_grad]
 
     def bwd(g):
-        if x.requires_grad:
+        if summands:
             gn = g * gamma.values
             g_sq = (gn * centered).sum(axis=-1, keepdims=True) * -0.5 \
                 * ve ** -1.5 * inv_d
             part = g_sq * centered
             gc = np.multiply(gn, inv_std, order="C") + part + part
-            x.accumulate_grad(gc + (-gc).sum(axis=-1, keepdims=True) * inv_d)
+            gy = gc + (-gc).sum(axis=-1, keepdims=True) * inv_d
+            for p in summands:
+                p.accumulate_grad(gy)
         for p, gp in ((gamma, g * normed), (beta, g)):
             if p.requires_grad:
                 for ax in lifted:
                     gp = gp.sum(axis=ax, keepdims=True)
                 p.accumulate_grad(gp.reshape(d))
-    return _result(normed * gamma.values + beta.values, (x, gamma, beta), bwd)
+    return _result(normed * gamma.values + beta.values, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

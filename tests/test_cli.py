@@ -499,6 +499,28 @@ class TestTrainEval:
             f"error: {model}: bad StoreConfig in header: lam must be finite, "
             "got inf\n")
 
+    @pytest.mark.parametrize("name, index, value, message", [
+        ("proj_w", (0, 0), np.nan, "softmax: non-finite scores (NaN or +inf)"),
+        ("head_w", (3, 0), np.nan, "scores must be finite"),
+        ("norm.1.gamma", (5,), np.inf, "non-finite output after layer 1"),
+    ])
+    def test_eval_names_non_finite_weights(self, workspace, tmp_path, capsys,
+                                           name, index, value, message):
+        # a CRC-valid model.strm whose weights score nothing finite
+        out = tmp_path / "run"
+        assert run(*self.train_args(workspace, out)) == 0
+        model = out / "model.strm"
+        header, arrays = artifact.read(model, b"STRM2")
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+        artifact.write(model, b"STRM2", header, list(arrays.items()))
+        capsys.readouterr()
+        assert run("eval", "--model", str(model),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(tmp_path / "ev")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ev").exists()
+
     def raw_id_args(self, workspace, out, buckets=256):
         return ["train", "--data", str(workspace / "data" / "data.strd"),
                 "--raw-id", "--out", str(out), "--epochs", "1",

@@ -1,10 +1,15 @@
-"""The cheaper transformer layer against the graph and the routing it replaced.
+"""The cheaper ranker forward against the graphs and the routing it replaced.
 
-``graph_layer_norm`` is the 17-op composite that ``T.layer_norm`` now
-runs as one node, ``argsort_route`` the stable-argsort routing that
-``moba_route`` now does without sorting under 8 blocks.  Both claim the
-same bits: values, every gradient, block selections and whole fits down
-to the bytes of a saved model and its log.
+``graph_layer_norm`` is the 17-op composite that ``T.layer_norm`` runs
+as one node, and ``graph_residual_norm`` that composite after the
+residual ``add`` that the node takes as a fourth parent.
+``graph_build_tokens`` is the per-op token build (per position a lookup,
+a rotation, a concat, an affine and a reshape, then a concat) that
+``model._tokens`` runs as one node.  ``argsort_route`` is the
+stable-argsort routing that ``moba_route`` does without sorting under 8
+blocks.  All claim the same bits: values, every gradient, block
+selections, the scores of ``predict``'s graph-free forward and whole
+fits down to the bytes of a saved model and its log.
 """
 
 import json
@@ -15,7 +20,9 @@ import pytest
 from storerank import attention as A
 from storerank import model as M
 from storerank import tensor as T
-from storerank.data import SyntheticSpec, encode_features, gen_synthetic, random_split
+from storerank.data import (SyntheticSpec, batch_iter, encode_features, gen_synthetic,
+                            random_split)
+from storerank.rotation import FeatureGroup, GroupConfig, rotate
 from storerank.tokenizer import SidTable
 
 import graph_ops as G
@@ -37,6 +44,36 @@ def graph_layer_norm(x, gamma, beta, eps=1e-5):
     g = T.broadcast_to(T.reshape(gamma, lift), x.shape)
     b = T.broadcast_to(T.reshape(beta, lift), x.shape)
     return T.add(T.mul(normed, g), b)
+
+
+def graph_residual_norm(x, gamma, beta, residual=None, eps=1e-5):
+    """``T.layer_norm``'s signature, run as ``add`` then the composite."""
+    return graph_layer_norm(x if residual is None else T.add(x, residual),
+                            gamma, beta, eps)
+
+
+def graph_build_tokens(model, inputs):
+    """``StoreModel.build_tokens`` as the per-op graph."""
+    cfg = model.config
+    c = model.static_block(inputs)
+    n = c.shape[0]
+    toks = []
+    for i in range(cfg.h):
+        if model.sid_tables is not None:
+            s = T.embedding(model.sid_tables[i], np.asarray(inputs["sid"])[:, i])
+        else:
+            s = T.embedding(model.raw_table, np.asarray(inputs["raw"]))
+        view = rotate(c, model.bank, i) if cfg.use_rotation else c
+        t = T.affine(T.concat([s, view], axis=1), model.proj_w, model.proj_b)
+        toks.append(T.reshape(t, (n, 1, cfg.d)))
+    return T.concat(toks, axis=1)
+
+
+def per_op_references(mp):
+    """Route a model through the per-op graphs and the argsort routing."""
+    mp.setattr(T, "layer_norm", graph_residual_norm)
+    mp.setattr(M.StoreModel, "build_tokens", graph_build_tokens)
+    mp.setattr(A, "moba_route", argsort_route)
 
 
 def argsort_selection(q, k, block_size, k_blocks):
@@ -69,18 +106,45 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_grads(got, want):
+    """Same kind of gradient (dense or ``RowSparse``, over the same
+    rows), the same bits and, for a dense one, the same layout."""
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(g, T.RowSparse):
+            assert np.array_equal(g.rows, w.rows)
+        else:
+            assert g.strides == w.strides
+        assert same_bits(g, w)
+    return len(got) == len(want)
+
+
+HEADS = ["weighted", "pooled", "transposed"]
+
+
+def head_loss(out, head):
+    """A loss that weights ``out``, takes its mean over the sequence as
+    the model's pooling does, or weights its transpose, so the gradient
+    arrives in three memory layouts: the bits of a row reduction follow
+    the layout of what it reduces."""
+    if head == "weighted":
+        w = np.sin(np.arange(out.values.size)).reshape(out.shape)
+        return T.tsum(T.mul(out, T.Tensor(w)))
+    if head == "pooled":
+        pooled = T.tmean(out, axis=1) if out.ndim == 3 else T.tmean(out, axis=0)
+        return T.tsum(T.mul(pooled, pooled))
+    t = G.transpose_last(out)
+    return T.tsum(T.mul(t, T.Tensor(np.cos(np.arange(t.values.size)).reshape(t.shape))))
+
+
 # ---------------------------------------------------------------------------
 # layer norm: one node, the composite's bits
 # ---------------------------------------------------------------------------
 
 def ln_run(norm, x_vals, gamma_vals, beta_vals, head, frozen, x_kind):
-    """Output and (x, gamma, beta) gradients of a loss through ``norm``.
-
-    x enters as a residual ``add`` node, as in a model layer, or as a
-    Fortran-ordered leaf.  The loss ``head`` weights the output, takes
-    its mean over the sequence as the model's pooling does, or weights
-    its transpose, so the gradient arrives in three memory layouts: the
-    bits of a row reduction follow the layout of what it reduces."""
+    """Output and (x, gamma, beta) gradients of a ``head_loss`` through
+    ``norm``.  x enters as a residual ``add`` node, as in a model layer,
+    or as a Fortran-ordered leaf."""
     x = T.Tensor(x_vals.copy(), requires_grad=True)
     if x_kind == "residual":
         x_in = T.add(x, T.Tensor(np.full(x_vals.shape, 0.25)))
@@ -89,16 +153,7 @@ def ln_run(norm, x_vals, gamma_vals, beta_vals, head, frozen, x_kind):
     gamma = T.Tensor(gamma_vals.copy(), requires_grad=not frozen)
     beta = T.Tensor(beta_vals.copy(), requires_grad=not frozen)
     out = norm(x_in, gamma, beta)
-    if head == "weighted":
-        w = np.sin(np.arange(out.values.size)).reshape(out.shape)
-        loss = T.tsum(T.mul(out, T.Tensor(w)))
-    elif head == "pooled":
-        pooled = T.tmean(out, axis=1) if out.ndim == 3 else T.tmean(out, axis=0)
-        loss = T.tsum(T.mul(pooled, pooled))
-    else:
-        t = G.transpose_last(out)
-        loss = T.tsum(T.mul(t, T.Tensor(np.cos(np.arange(t.values.size)).reshape(t.shape))))
-    T.backward(loss)
+    T.backward(head_loss(out, head))
     return out.values, [x_in.grad, gamma.grad, beta.grad, x.grad]
 
 
@@ -136,6 +191,10 @@ def test_layer_norm_is_the_composite_bit_for_bit(name, head, frozen, x_kind):
             assert g.strides == r.strides       # downstream products see one layout
     if frozen:
         assert got[1][1] is None and got[1][2] is None
+    # with no parent needing a gradient, the in-place forward's bits
+    x_in = x + 0.25 if x_kind == "residual" else np.asfortranarray(x)
+    out = T.layer_norm(T.Tensor(x_in), T.Tensor(gamma), T.Tensor(beta))
+    assert out._backward is None and same_bits(out.values, want[0])
 
 
 def test_layer_norm_is_one_node_with_three_parents():
@@ -146,6 +205,184 @@ def test_layer_norm_is_one_node_with_three_parents():
     out = T.layer_norm(x, gamma, beta)
     assert out._parents == (x, gamma, beta)
     assert len(T._toposort(graph_layer_norm(x, gamma, beta))) == 17 + 3
+
+
+# ---------------------------------------------------------------------------
+# residual + layer norm: one node, the add and the composite's bits
+# ---------------------------------------------------------------------------
+
+RESIDUAL_SHAPES = {
+    "h1_d18": (37, 1, 18),
+    "h3_d20": (512, 3, 20),
+    "h5_d18": (64, 5, 18),
+    "h3_d32": (512, 3, 32),
+    "one_row": (1, 3, 20),
+    "rank2": (7, 20),
+}
+
+
+def residual_run(norm, a_vals, x_vals, gamma_vals, beta_vals, head, frozen, order):
+    """Output and (a, x, gamma, beta) gradients of LN(a + x) through
+    ``norm``, with a and x leaves in C or Fortran order; ``frozen``
+    leaves gamma and beta without a gradient."""
+    a = T.Tensor(np.array(a_vals, order=order), requires_grad=True)
+    x = T.Tensor(np.array(x_vals, order=order), requires_grad=True)
+    gamma = T.Tensor(gamma_vals.copy(), requires_grad=not frozen)
+    beta = T.Tensor(beta_vals.copy(), requires_grad=not frozen)
+    out = norm(a, gamma, beta, residual=x)
+    T.backward(head_loss(out, head))
+    return out, [a.grad, x.grad, gamma.grad, beta.grad]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("name", sorted(RESIDUAL_SHAPES))
+def test_residual_norm_is_the_add_and_composite_bit_for_bit(name, head, frozen, order):
+    shape = RESIDUAL_SHAPES[name]
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-1] + (1,))
+    x = rng.normal(size=shape)
+    a[(0,) * (len(shape) - 1)] = 2.5 - x[(0,) * (len(shape) - 1)]     # a constant row
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    got = residual_run(T.layer_norm, a, x, gamma, beta, head, frozen, order)
+    want = residual_run(graph_residual_norm, a, x, gamma, beta, head, frozen, order)
+    assert same_bits(got[0].values, want[0].values)
+    assert got[0].values.strides == want[0].values.strides
+    for g, r in zip(got[1], want[1]):
+        assert (g is None) == (r is None)
+        if g is not None:
+            assert same_bits(g, r) and g.strides == r.strides
+    # the sum's one gradient reaches both summands, as from the add
+    assert got[1][0] is got[1][1]
+    # and with no parent needing a gradient, the in-place forward's bits
+    const = [T.Tensor(np.array(v, order=order)) for v in (a, x)]
+    out = T.layer_norm(const[0], T.Tensor(gamma), T.Tensor(beta), residual=const[1])
+    assert out._backward is None
+    assert same_bits(out.values, want[0].values)
+    assert np.array_equal(const[0].values, np.array(a, order=order))
+
+
+def test_residual_norm_is_one_node_with_four_parents():
+    rng = np.random.default_rng(1)
+    a, x = (T.Tensor(rng.normal(size=(4, 3, 8)), requires_grad=True) for _ in range(2))
+    gamma, beta = T.Tensor(np.ones(8), requires_grad=True), T.zeros((8,))
+    assert T.layer_norm(a, gamma, beta, residual=x)._parents == (a, gamma, beta, x)
+    assert len(T._toposort(graph_residual_norm(a, gamma, beta, residual=x))) == 18 + 4
+    with pytest.raises(ValueError, match="shape mismatch"):
+        T.layer_norm(a, gamma, beta, residual=T.Tensor(np.zeros((4, 2, 8))))
+
+
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("name", ["workload", "short_last_block", "d18_3_heads",
+                                  "d20_4_heads"])
+def test_a_layer_is_the_per_op_layer_bit_for_bit(name, head):
+    """An attention layer then LN(a + x): x takes the residual part
+    first, then the q, k and v parts, as in the per-op graph."""
+    params, x_vals, _ = case_inputs(CASES[name])
+    d = x_vals.shape[-1]
+    rng = np.random.default_rng(d)
+    gamma_vals, beta_vals = rng.normal(size=d), rng.normal(size=d)
+
+    def run(norm):
+        x = T.Tensor(x_vals.copy(), requires_grad=True)
+        gamma = T.Tensor(gamma_vals.copy(), requires_grad=True)
+        beta = T.Tensor(beta_vals.copy(), requires_grad=True)
+        out = norm(A.efficient_attention(x, params)[0], gamma, beta, residual=x)
+        return out.values, T.grad(head_loss(out, head), [x, gamma, beta] + params.params())
+
+    got, want = run(T.layer_norm), run(graph_residual_norm)
+    assert same_bits(got[0], want[0])
+    assert same_grads(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# the token node: the per-op build's bits
+# ---------------------------------------------------------------------------
+
+TOKEN_GROUPS = GroupConfig((FeatureGroup("audience", ("user_id",), 4),
+                            FeatureGroup("context", ("f0", "f1"), 3)), 6)
+TOKEN_VOCAB = {"user_id": 40, "f0": 7, "f1": 5}
+
+# batch size and config: H in {1, 3, 5}, token widths 18, 20 and 32,
+# code tables or the hashed table (row-sparse or dense gradients), with
+# and without rotations
+TOKEN_CASES = {
+    "h1_d18": (37, dict(h=1, d=18, n_heads=3, d_s=5)),
+    "h3_d20": (512, dict(h=3, d=20, n_heads=4)),
+    "h5_d32": (64, dict(h=5, d=32, d_s=16)),
+    "h3_d18_one_row": (1, dict(h=3, d=18, n_heads=3)),
+    "h3_raw_row_sparse": (300, dict(h=3, d=20, use_raw_ids=True, hash_buckets=4096)),
+    "h5_raw_dense": (300, dict(h=5, d=18, n_heads=3, use_raw_ids=True, hash_buckets=64)),
+    "h5_no_rotation": (31, dict(h=5, d=20, use_rotation=False)),
+    "h3_raw_no_rotation": (40, dict(h=3, d=18, n_heads=3, use_raw_ids=True,
+                                    hash_buckets=4096, use_rotation=False)),
+}
+
+
+def moved_off_init(model, rng):
+    """``model`` with every parameter but the rotations moved off its
+    init (an untrained head would score 0.5 everywhere)."""
+    for name, t in M._store_arrays(model):
+        if not name.startswith("rot."):
+            t.values = t.values + 0.3 * rng.normal(size=t.shape)
+    return model
+
+
+def token_model(n, overrides, seed):
+    """A model moved off its init, and a batch."""
+    rng = np.random.default_rng(seed)
+    cfg = M.StoreConfig(**{**dict(v=8, d_s=8, d=16, seed=seed), **overrides})
+    sids = None
+    if not cfg.use_raw_ids:
+        sids = SidTable([str(i) for i in range(50)],
+                        rng.integers(cfg.v, size=(50, cfg.h)), cfg.v)
+    model = moved_off_init(M.StoreModel(cfg, TOKEN_GROUPS, TOKEN_VOCAB, sid_table=sids),
+                           rng)
+    inputs = {"static": {f: rng.integers(v, size=n) for f, v in TOKEN_VOCAB.items()},
+              "labels": rng.integers(2, size=n).astype(np.float64)}
+    if cfg.use_raw_ids:
+        inputs["raw"] = rng.integers(cfg.hash_buckets, size=n)
+    else:
+        inputs["sid"] = rng.integers(cfg.v, size=(n, cfg.h))
+    return model, inputs
+
+
+def reached_params(model, loss):
+    reached = {id(t) for t in T._toposort(loss)}
+    return [t for _, t in M._store_arrays(model) if id(t) in reached]
+
+
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("name", sorted(TOKEN_CASES))
+def test_token_node_is_the_per_op_build_bit_for_bit(name, head):
+    n, overrides = TOKEN_CASES[name]
+    model, inputs = token_model(n, overrides, seed=len(name))
+
+    def run(build):
+        out = build(model, inputs)
+        loss = head_loss(out, head)
+        return out.values, T.grad(loss, reached_params(model, loss))
+
+    got, want = run(M.StoreModel.build_tokens), run(graph_build_tokens)
+    assert same_bits(got[0], want[0]) and got[0].strides == want[0].strides
+    assert same_grads(got[1], want[1])
+    # the frozen view's forward: the same bits, and no backward
+    frozen = model.frozen().build_tokens(inputs)
+    assert frozen._backward is None and same_bits(frozen.values, want[0])
+
+
+def test_token_node_has_the_token_parents():
+    model, inputs = token_model(8, dict(h=3), seed=0)
+    out = model.build_tokens(inputs)
+    c = out._parents[0]
+    assert out._parents[1:] == tuple(model.sid_tables + model.bank.mats
+                                     + [model.proj_w, model.proj_b])
+    assert same_bits(c.values, model.static_block(inputs).values)
+    raw, inputs = token_model(8, dict(h=3, use_raw_ids=True, use_rotation=False), seed=0)
+    assert raw.build_tokens(inputs)._parents[1:] == (raw.raw_table, raw.proj_w, raw.proj_b)
+    with pytest.raises(ValueError, match="integers"):
+        raw.build_tokens({**inputs, "raw": inputs["raw"].astype(np.float64)})
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +416,20 @@ def test_softmax_refuses_a_masked_row_at_every_length():
         x = np.zeros((2, 3, n))
         x[1, 2] = -np.inf
         with pytest.raises(FloatingPointError, match="masked to -inf"):
+            T.softmax_values(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_softmax_names_non_finite_scores_as_such(bad):
+    for n in range(1, 12):
+        x = np.zeros((2, 3, n))
+        x[0, 1, n // 2] = bad
+        x[1, 2] = -np.inf       # a masked row too: the non-finite score is named
+        with pytest.raises(FloatingPointError, match=r"non-finite scores \(NaN or \+inf\)"):
+            T.softmax_values(x)
+        x[0, 1] = -np.inf
+        x[0, 1, n // 2] = bad
+        with pytest.raises(FloatingPointError, match="non-finite scores"):
             T.softmax_values(x)
 
 
@@ -255,23 +506,40 @@ def test_a_replayed_route_scores_its_own_input():
 
 
 # ---------------------------------------------------------------------------
-# whole fits: the bytes of the composite layer norm and the argsort routing
+# whole fits and scoring: the bytes of the per-op graphs and the argsort routing
 # ---------------------------------------------------------------------------
 
-def _fit_bytes(tmp_path, tag, cfg):
+def _partitions():
     spec = SyntheticSpec(n_instances=1200, n_items=80, n_users=25,
                          n_clusters=5, seed=4)
     ds, table = gen_synthetic(spec)
     train, val = random_split(ds, val_fraction=0.25, seed=1)
     tr, va, _ = encode_features(train, val, ds.schema)
-    sids = None
-    if not cfg.use_raw_ids:
-        codes = np.random.default_rng(2).integers(0, cfg.v, size=(len(table.ids), cfg.h))
-        sids = SidTable(table.ids, codes, cfg.v)
-    model, log = M.fit(tr, va, cfg, M.default_groups(ds.schema), sid_table=sids)
+    return ds, table, tr, va
+
+
+def _sids(table, cfg):
+    if cfg.use_raw_ids:
+        return None
+    codes = np.random.default_rng(2).integers(0, cfg.v, size=(len(table.ids), cfg.h))
+    return SidTable(table.ids, codes, cfg.v)
+
+
+def _fit_bytes(tmp_path, tag, cfg, mp):
+    """The saved model's bytes, the log, and the node count of the first
+    training step's loss graph."""
+    ds, table, tr, va = _partitions()
+    sizes, grad = [], T.grad
+
+    def counted(loss, params):
+        sizes.append(len(T._toposort(loss)))
+        return grad(loss, params)
+    mp.setattr(T, "grad", counted)
+    model, log = M.fit(tr, va, cfg, M.default_groups(ds.schema),
+                       sid_table=_sids(table, cfg))
     path = tmp_path / f"{tag}.strm"
     M.save_store(path, model)
-    return path.read_bytes(), json.dumps(log, sort_keys=True)
+    return path.read_bytes(), json.dumps(log, sort_keys=True), sizes[0]
 
 
 FITS = {
@@ -285,16 +553,76 @@ FITS = {
 }
 
 
+def fits_config(name):
+    return M.StoreConfig(**{**dict(h=3, v=8, d=16, d_s=8, epochs=2, batch_size=31,
+                                   lr=3e-3, seed=0), **FITS[name]})
+
+
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_fit_writes_the_reference_bytes(name, tmp_path, monkeypatch):
     # 900 training rows in batches of 31: every epoch ends on one row; a
     # batch of 512, as in the workloads, shows a reduction order that
     # follows memory layout, which the small batches hid
-    cfg = M.StoreConfig(**{**dict(h=3, v=8, d=16, d_s=8, epochs=2, batch_size=31,
-                                  lr=3e-3, seed=0), **FITS[name]})
-    got = _fit_bytes(tmp_path, "new", cfg)
-    monkeypatch.setattr(T, "layer_norm", graph_layer_norm)
-    monkeypatch.setattr(A, "moba_route", argsort_route)
-    want = _fit_bytes(tmp_path, "ref", cfg)
+    cfg = fits_config(name)
+    with monkeypatch.context() as mp:
+        got = _fit_bytes(tmp_path, "new", cfg, mp)
+    with monkeypatch.context() as mp:
+        per_op_references(mp)
+        want = _fit_bytes(tmp_path, "ref", cfg, mp)
     assert got[0] == want[0]
     assert got[1] == want[1]
+    # the reference really ran the per-op graphs: per position a lookup,
+    # rotation, concat, affine and reshape, and per layer an add and the
+    # 17-op norm, where the library runs one node each
+    assert want[2] == got[2] + 5 * cfg.h + 17 * cfg.n_layers
+
+
+@pytest.fixture(scope="module")
+def scoring_data():
+    ds, table, tr, _ = _partitions()
+    return ds, table, tr
+
+
+def scoring_model(name, scoring_data):
+    """A FITS model moved off its init, and its inputs for 900 rows."""
+    ds, table, tr = scoring_data
+    cfg = fits_config(name)
+    model = moved_off_init(M.StoreModel(cfg, M.default_groups(ds.schema), tr.vocab_sizes,
+                                        sid_table=_sids(table, cfg)),
+                           np.random.default_rng(len(name)))
+    return model, M.prepare_inputs(model, tr)
+
+
+@pytest.mark.parametrize("batch_size", [31, 512, 1024])
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_predict_is_the_per_op_forward_bit_for_bit(name, batch_size, scoring_data,
+                                                   monkeypatch):
+    # 900 rows: the last batch holds 1, 388 or all 900 rows
+    model, inputs = scoring_model(name, scoring_data)
+    got = M.predict(model, inputs, batch_size)
+    per_op_references(monkeypatch)
+    want = np.concatenate([model.forward(M.slice_inputs(inputs, idx))[0].values
+                           for idx in batch_iter(900, batch_size)])
+    assert len(got) == 900 and same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_predict_builds_no_backward(name, scoring_data, monkeypatch):
+    model, inputs = scoring_model(name, scoring_data)
+    kept, result = [], T._result
+
+    def counted(values, parents, backward):
+        out = result(values, parents, backward)
+        kept.append(out._backward is not None)
+        return out
+    monkeypatch.setattr(T, "_result", counted)
+    M.predict(model, inputs, 512)
+    assert len(kept) > 20 and not any(kept)
+    # the model itself still trains: its forward keeps every node's backward
+    kept.clear()
+    model.forward(M.slice_inputs(inputs, np.arange(64)))
+    assert len(kept) > 20 and all(kept)
+    # and the view holds the model's own arrays
+    view = model.frozen()
+    for (_, t), (_, v) in zip(M._store_arrays(model), M._store_arrays(view)):
+        assert v.values is t.values and not v.requires_grad and t.requires_grad

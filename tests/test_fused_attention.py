@@ -116,6 +116,11 @@ CASES = {
     "one_head": dict(n=5, h=9, d=8, heads=1, block=2, rho=0.5),
     "rank2": dict(n=None, h=10, d=8, heads=2, block=3, rho=0.5),   # x[None]
     "rho1": dict(n=4, h=8, d=8, heads=2, block=2, rho=1.0),
+    # widths at which one product with [wq | wk | wv] rounds otherwise
+    # than the three projections
+    "d18_3_heads": dict(n=64, h=5, d=18, heads=3, block=2, rho=0.5),
+    "d20_4_heads": dict(n=37, h=3, d=20, heads=4, block=1, rho=0.5),
+    "d22_2_heads": dict(n=512, h=3, d=22, heads=2, block=1, rho=1.0),
 }
 
 
@@ -179,7 +184,7 @@ def test_non_finite_scores_are_refused_as_softmax_refuses_them(attend):
     params, x, _ = case_inputs(CASES["short_last_block"])
     x[2, 4, 0] = np.inf
     with np.errstate(invalid="ignore"), \
-            pytest.raises(FloatingPointError, match="masked to -inf"):
+            pytest.raises(FloatingPointError, match=r"non-finite scores \(NaN or \+inf\)"):
         attend(T.Tensor(x), params)
 
 

@@ -408,7 +408,10 @@ def fits_both_ways(data, path, monkeypatch, hash_buckets):
     for dense in (False, True):
         with monkeypatch.context() as mp:
             if dense:
+                # the token node looks the hashed ids up itself, through
+                # T.lookup_grad; the static tables go through T.embedding
                 mp.setattr(T, "embedding", dense_embedding)
+                mp.setattr(T, "lookup_grad", dense_lookup_grad)
                 mp.setattr(T, "Adam", DenseAdam)
             fitted, log = M.fit(tr, va, cfg, groups)
             lr_scores, lr_log = M.train_lr_baseline(tr, va, batch_size=128)
