@@ -25,7 +25,7 @@ outputs as ``resolved_config.json``, and ``store-rank <cmd> --config
 config).
 
 Errors print a single ``error: <reason>`` line on stderr and exit
-nonzero.
+nonzero; warnings print one ``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import argparse
 import inspect
 import json
 import sys
+import warnings
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
@@ -452,20 +453,26 @@ def build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = resolve(args.command, args)
-        COMMANDS[args.command].run(cfg, args.out)
-        _write_json(os.path.join(args.out, "resolved_config.json"),
-                    {"command": args.command, **cfg})
-        return 0
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, FloatingPointError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = resolve(args.command, args)
+            COMMANDS[args.command].run(cfg, args.out)
+            _write_json(os.path.join(args.out, "resolved_config.json"),
+                        {"command": args.command, **cfg})
+            return 0
+        except CliError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError, FloatingPointError, KeyError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Multi-expert semantic tokenization of pretrained item embeddings.
 
-K parallel expert networks (each a one-hidden-layer ``T.mlp``) encode
-a batch (n, d_p) of item embeddings into K latents, each latent snaps
-to the nearest codeword of that expert's private codebook, and a decoder
-(one more ``T.mlp``) reconstructs the batch from the SUM of the
-quantized latents.  The K codeword indices are the item's semantic ids
-(SIDs), which replace the raw item id downstream.
+K parallel expert networks (each a one-hidden-layer tanh MLP) encode a
+batch (n, d_p) of item embeddings into K latents, each latent snaps to
+the nearest codeword of that expert's private codebook, and a decoder
+(one ``T.mlp``) reconstructs the batch from the SUM of the quantized
+latents.  The K codeword indices are the item's semantic ids (SIDs),
+which replace the raw item id downstream.
 
 Quantization is non-differentiable, so the decoder input uses the
 straight-through form z + sg(s - z): forward sees the codeword, backward
@@ -16,16 +16,19 @@ matrices pushes the experts to specialize.  Any codeword unused for a
 full check interval is reseeded from a live latent so codebooks cannot
 collapse.
 
-A training step is a few fused autodiff nodes: all K experts, the
-straight-through latent sum, the VQ loss, the reconstruction loss and
-the orthogonality penalty, around the decoder's ``T.mlp``.  Each node's
-backward replays the graph of per-op nodes it stands for, product for
-product and in that graph's summation order, so values, gradients and
-fits are bit for bit that graph's.
+The K experts are one stacked network and the K codebooks one table
+(``OpmqModel``), so a training step runs each stage once for all
+experts, in a few fused autodiff nodes: the experts, the straight-through
+latent sum, the VQ loss, the reconstruction loss and the orthogonality
+penalty, around the decoder's ``T.mlp``.  Each node's backward replays
+the graph of per-expert, per-op nodes it stands for, product for product
+and in that graph's summation order, so values, gradients and fits are
+bit for bit that graph's.
 
 Embedding and SID tables share one base and one CSV layout: a header
 ``item_id,<key>=<int>...``, then a line per item.  The ``tokenizer.opmq``
-artifact holds the model's whole ``OpmqConfig``.
+artifact holds the model's whole ``OpmqConfig`` and each expert's arrays
+under its own names.
 
 A residual-quantization baseline (sequential k-means stages on
 reconstruction residuals) is included for ablation comparisons.
@@ -202,29 +205,38 @@ class OpmqConfig:
 class OpmqModel:
     """K expert encoders, K codebooks, one decoder on the latent sum.
 
-    Each expert is a tanh ``T.mlp`` d_p -> d_z with hidden width d_p;
-    the decoder is one d_z -> d_p.  The weight matrix entering the
-    orthogonality penalty is the expert's hidden layer.
+    Each expert is a tanh MLP d_p -> d_z with hidden width d_p, whose
+    hidden layer enters the orthogonality penalty; the decoder is one
+    ``T.mlp`` d_z -> d_p.  ``experts`` is one stacked network, (w1, b1,
+    w2, b2) of shapes (K, d_p, d_p), (K, d_p), (K, d_p, d_z) and
+    (K, d_z), expert k at index k of each.  ``codebooks`` is one
+    (K V, d_z) table: rows k V to k V + V - 1 are expert k's codebook.
     """
 
     def __init__(self, d_p, config, rng):
         self.d_p = d_p
         self.config = config
+        k = config.k
         self.d_z = config.d_z if config.d_z is not None else d_p
-        self.experts = [(T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)),
-                         T.glorot(rng, (d_p, self.d_z)), T.zeros((self.d_z,)))
-                        for _ in range(config.k)]
-        self.codebooks = [
-            T.Tensor(rng.normal(size=(config.v, self.d_z)) / np.sqrt(self.d_z),
-                     requires_grad=True)
-            for _ in range(config.k)
-        ]
+        # drawn expert by expert, as K separate networks would be
+        w1, w2 = zip(*[(T.glorot(rng, (d_p, d_p)).values,
+                        T.glorot(rng, (d_p, self.d_z)).values) for _ in range(k)])
+        self.experts = (T.Tensor(np.stack(w1), requires_grad=True), T.zeros((k, d_p)),
+                        T.Tensor(np.stack(w2), requires_grad=True),
+                        T.zeros((k, self.d_z)))
+        self.codebooks = T.Tensor(
+            rng.normal(size=(k * config.v, self.d_z)) / np.sqrt(self.d_z),
+            requires_grad=True)
         self.decoder = (T.glorot(rng, (self.d_z, d_p)), T.zeros((d_p,)),
                         T.glorot(rng, (d_p, d_p)), T.zeros((d_p,)))
 
     def params(self):
-        """Every parameter, in artifact layout order."""
-        return [t for _, t in _model_arrays(self)]
+        """The stacked expert layers, the codebook table, the decoder."""
+        return [*self.experts, self.codebooks, *self.decoder]
+
+    def books(self):
+        """The codebook table as a (K, V, d_z) view, expert by expert."""
+        return self.codebooks.values.reshape(self.config.k, self.config.v, self.d_z)
 
     def encode_values(self, e):
         """Expert latents, (K, n, d_z), for bulk tokenization: the experts'
@@ -232,96 +244,114 @@ class OpmqModel:
         e = np.asarray(e, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != self.d_p:
             raise ValueError(f"expected (n, {self.d_p}) embeddings, got {e.shape}")
-        return np.stack([z for _, z in _expert_layers(e, self)])
+        return _expert_layers(e, self)[1]
 
 
 def _expert_layers(x, model):
-    """Per expert, (tanh hidden layer, latent) of a batch array (n, d_p):
-    ``T.mlp``'s arithmetic, one product per expert and layer."""
-    out = []
-    for w1, b1, w2, b2 in model.experts:
-        h = np.tanh(x @ w1.values + b1.values)
-        out.append((h, h @ w2.values + b2.values))
-    return out
+    """(tanh hidden layers, latents), each (K, n, .), of a batch array
+    (n, d_p): ``T.mlp``'s arithmetic, one batched product per layer,
+    which numpy runs as one BLAS product per expert in its own shapes.
+    Biases and tanh apply in place, so a catalog's temporaries stay at
+    two (K, n, .) arrays."""
+    w1, b1, w2, b2 = (t.values for t in model.experts)
+    h = x @ w1
+    h += b1[:, None]
+    np.tanh(h, out=h)
+    z = h @ w2
+    z += b2[:, None]
+    return h, z
+
+
+def _bias_grads(g):
+    """``T.bias_grad`` of each (n, d) slice of a (K, n, d) gradient."""
+    return g.sum(axis=1) if g.shape[1] != 1 else g[:, 0]
 
 
 def _experts(x, model):
-    """The K expert MLPs as one node, (K, n, d_z), whose parents are every
-    expert parameter.  Values and gradients are bit for bit those of K
-    ``T.mlp`` graphs: the backward runs each graph's products on the same
-    operands.  A parameter takes one part here and at most one more from
-    ``orth_penalty``, and two parts add the same in either order."""
-    layers = _expert_layers(x, model)
+    """The K expert MLPs as one node, (K, n, d_z), with parents the four
+    stacked layers.  Values and gradients are bit for bit those of K
+    ``T.mlp`` graphs: the batched products run each graph's products on
+    the same operands.  A parameter takes one part here and at most one
+    more from ``orth_penalty``, which add the same in either order."""
+    h, z = _expert_layers(x, model)
+    w1, b1, w2, b2 = model.experts
 
     def bwd(g):
-        for (w1, b1, w2, b2), (a, _), gz in zip(model.experts, layers, g):
-            if w2.requires_grad:
-                w2.accumulate_grad(a.T @ gz)
-            if b2.requires_grad:
-                b2.accumulate_grad(T.bias_grad(gz))
-            if w1.requires_grad or b1.requires_grad:
-                gh = gz @ w2.values.T * (1.0 - a ** 2)
-                if w1.requires_grad:
-                    w1.accumulate_grad(x.T @ gh)
-                if b1.requires_grad:
-                    b1.accumulate_grad(T.bias_grad(gh))
-    params = [t for layer in model.experts for t in layer]
-    return T._result(np.stack([z for _, z in layers]), params, bwd)
+        if w2.requires_grad:
+            w2.accumulate_grad(np.swapaxes(h, -1, -2) @ g)
+        if b2.requires_grad:
+            b2.accumulate_grad(_bias_grads(g))
+        if w1.requires_grad or b1.requires_grad:
+            gh = g @ np.swapaxes(w2.values, -1, -2) * (1.0 - h ** 2)
+            if w1.requires_grad:
+                w1.accumulate_grad(x.T @ gh)
+            if b1.requires_grad:
+                b1.accumulate_grad(_bias_grads(gh))
+    return T._result(z, model.experts, bwd)
 
 
 def nearest_codewords(z, codebook):
-    """Batched argmin_j ||z - s_j||^2 over latents (n, d_z), first index
-    on ties: bit for bit the scan of explicit differences, ``_scan``.
+    """Batched argmin_j ||z - s_j||^2, first index on ties: bit for bit
+    the scan of explicit differences, ``_scan``.  Latents (n, d_z) search
+    one codebook (V, d_z) and give (n,) indices; stacked latents
+    (K, n, d_z) search stacked codebooks (K, V, d_z), expert k's latents
+    expert k's codebook, in one call, and give (K, n).
 
     A cheap screen settles most rows, and the scan takes the rest.  The
     screen forms f_j = ||s_j||^2 - 2 s_j . z, the squared distance less
-    ||z||^2, laid out (V, n) so that its reductions run across rows.
-    With N = ||z||^2 + max_j ||s_j||^2, f and the scan's distances are
-    each within about 2 (d_z + 2) 2^-53 N of exact, in any summation
-    order, plus 2^-1075 per product that underflows.  The scan's pick
-    thus has f within four such errors of the row's least f, and
-    ``bound`` = (d_z + 3) (2^-49 N + 2^-1071) is over twice that, so
-    the threshold, least f + ``bound``, rounds to no less than the
-    pick's f.  Every codeword with f at or below the threshold is a
-    candidate, and a row with one candidate takes it.  Every other row
-    takes the scan: one with tied or near-tied codewords, one with a NaN
-    (which has no candidate) and one with N above 2^1020, whose terms
-    could overflow.  Chunked to bound the temporaries.
+    ||z||^2, laid out (K, V, n) so that its reductions run across rows.
+    With N = ||z||^2 + max_j ||s_j||^2 (over the row's own codebook), f
+    and the scan's distances are each within about 2 (d_z + 2) 2^-53 N
+    of exact, in any summation order, plus 2^-1075 per product that
+    underflows.  The scan's pick thus has f within four such errors of
+    the row's least f, and ``bound`` = (d_z + 3) (2^-49 N + 2^-1071) is
+    over twice that, so the threshold, least f + ``bound``, rounds to no
+    less than the pick's f.  Every codeword with f at or below the
+    threshold is a candidate, and a row with one candidate takes it.
+    Every other row takes the scan of its own codebook: one with tied or
+    near-tied codewords, one with a NaN (which has no candidate) and one
+    with N above 2^1020, whose terms could overflow.  Chunked by
+    K V d_z to bound the temporaries.
     """
     z = np.asarray(z, dtype=np.float64)
     codebook = np.asarray(codebook, dtype=np.float64)
-    if codebook.ndim != 2 or codebook.shape[0] < 1:
-        raise ValueError("codebook must be a nonempty (V, d_z) matrix")
-    if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
-        raise ValueError(f"expected (n, {codebook.shape[1]}) latents, got {z.shape}")
-    v, d = codebook.shape
-    sq = np.einsum("ij,ij->i", codebook, codebook)[:, None]
-    sq_max = sq.max()
+    given = z.shape, codebook.shape
+    stacked = codebook.ndim == 3
+    if not stacked:
+        z, codebook = z[None], codebook[None]
+    if (codebook.ndim != 3 or 0 in codebook.shape or z.ndim != 3
+            or z.shape[::2] != codebook.shape[::2]):
+        raise ValueError("latents {} do not fit codebook {}: expected (n, d_z) and a "
+                         "nonempty (V, d_z), or (K, n, d_z) and (K, V, d_z)".format(*given))
+    k, v, d = codebook.shape
+    sq = np.einsum("kij,kij->ki", codebook, codebook)[..., None]
+    sq_max = sq.max(axis=1)
     scaled = -2.0 * codebook
     # candidate j at weight v + j: a row with one candidate sums to v
     # plus its index, a row with none to 0 and one with more to >= 2v
     weights = np.arange(v, 2 * v, dtype=np.float64)
-    out = np.empty(z.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 22) // (v * d))
-    for a in range(0, z.shape[0], chunk):
-        part = z[a:a + chunk]
-        f = scaled @ part.T
+    out = np.empty(z.shape[:2], dtype=np.int64)
+    chunk = max(1, (1 << 22) // (k * v * d))
+    for a in range(0, z.shape[1], chunk):
+        part = z[:, a:a + chunk]
+        f = scaled @ np.swapaxes(part, 1, 2)
         f += sq
-        norms = np.einsum("ij,ij->i", part, part) + sq_max
+        norms = np.einsum("kij,kij->ki", part, part) + sq_max
         bound = ((d + 3) * 2.0 ** -49) * norms + (d + 3) * 2.0 ** -1071
-        score = weights @ (f <= np.minimum.reduce(f, axis=0) + bound)
+        score = weights @ (f <= (np.minimum.reduce(f, axis=1) + bound)[:, None])
         settled = (score >= v) & (score < 2 * v) & (norms <= 2.0 ** 1020)
-        out[a:a + len(part)] = score - v
-        rest = np.flatnonzero(~settled)
-        if rest.size:
-            out[a + rest] = _scan(part[rest], codebook)
-    return out
+        out[:, a:a + part.shape[1]] = score - v
+        experts, rows = np.nonzero(~settled)
+        if rows.size:
+            out[experts, a + rows] = _scan(part[experts, rows], codebook[experts])
+    return out if stacked else out[0]
 
 
-def _scan(z, codebook):
-    """argmin_j ||z - s_j||^2 from explicit differences, first index on
-    ties; the (n, V, d_z) temporary is squared in place."""
-    diff = z[:, None, :] - codebook[None, :, :]
+def _scan(z, codebooks):
+    """argmin_j ||z_i - s_ij||^2 from explicit differences, first index
+    on ties, row i of z (m, d_z) searching codebooks[i] (m, V, d_z); the
+    difference is formed and squared in the gathered codebooks' place."""
+    diff = np.subtract(z[:, None, :], codebooks, out=codebooks)
     diff *= diff
     return np.argmin(diff.sum(axis=-1), axis=1)
 
@@ -330,22 +360,25 @@ def _quantize(z, model, sids):
     """(latent sum, vq_aux) of the experts node ``z`` under the (n, K)
     assignment ``sids``, one node each.
 
-    The sum is over z + sg(s - z), in expert order: forward the
-    codewords (as rounded by that form), backward the identity to z.
-    Its parents include the codebooks, which take no gradient from it.
-    vq_aux is sum_i ||sg(z_i) - s_i||^2 + beta ||z_i - sg(s_i)||^2 over
-    the batch size.  Both backwards replay the graph of per-expert ops,
-    elementwise on all experts at once: a square's two factors each add
-    their part, so d(e * e) is ``g * e + g * e``.
+    Expert k's code j is row k V + j of the codebook table, read by one
+    gather.  The sum is over z + sg(s - z), folded in expert order:
+    forward the codewords (as rounded by that form), backward the
+    identity to z.  Its parents include the table, which takes no
+    gradient from it.  vq_aux is sum_i ||sg(z_i) - s_i||^2 +
+    beta ||z_i - sg(s_i)||^2 over the batch size.  Both backwards replay
+    the graph of per-expert ops, elementwise on all experts at once (the
+    table's gradient is one ``T.lookup_grad``): a square's two factors
+    each add their part, so d(e * e) is ``g * e + g * e``.
     """
     inv_n = 1.0 / z.shape[1]
     beta = model.config.beta
-    codes = list(sids.T)
-    s = np.stack([np.take(cb.values, idx, axis=0)
-                  for cb, idx in zip(model.codebooks, codes)])
+    table = model.codebooks
+    slots = sids.T + (np.arange(model.config.k) * model.config.v)[:, None]
+    s = np.take(table.values, slots, axis=0)
     diff = z.values - s
     sq = diff * diff
-    terms = [t + t * beta for t in map(np.sum, sq)]
+    terms = sq.sum(axis=(1, 2))
+    terms += terms * beta
 
     def bwd_sum(g):
         if z.requires_grad:
@@ -357,12 +390,10 @@ def _quantize(z, model, sids):
         if z.requires_grad:
             gz = (g_code * beta) * diff
             z.accumulate_grad(gz + gz)
-        gs = g_code * diff
-        gs = -(gs + gs)
-        for cb, idx, gsi in zip(model.codebooks, codes, gs):
-            if cb.requires_grad:
-                T.lookup_grad(cb, idx, gsi)
-    parents = (z,) + tuple(model.codebooks)
+        if table.requires_grad:
+            gs = g_code * diff
+            T.lookup_grad(table, slots, -(gs + gs))
+    parents = (z, table)
     return (T._result(reduce(np.add, z.values + (s - z.values)), parents, bwd_sum),
             T._result(reduce(np.add, terms) * inv_n, parents, bwd_aux))
 
@@ -393,8 +424,7 @@ def opmq_forward(e, model, sids=None):
     z = _experts(x, model)
     n = x.shape[0]
     if sids is None:
-        sids = np.stack([nearest_codewords(zi, cb.values)
-                         for zi, cb in zip(z.values, model.codebooks)], axis=1)
+        sids = np.ascontiguousarray(nearest_codewords(z.values, model.books()).T)
     else:
         sids = np.asarray(sids, dtype=np.int64).reshape(n, model.config.k)
     quantized, aux = _quantize(z, model, sids)
@@ -404,12 +434,13 @@ def opmq_forward(e, model, sids=None):
 
 def orth_penalty(model):
     """||V V^T - I||_F^2 over the experts' flattened, L2-normalized
-    hidden-layer weights, one node.  Its backward replays the graph of
-    flatten, concat, normalize, Gram-matrix and square ops, product for
-    product and in that graph's summation order (a row takes its
-    normalized part first, then the two parts of its square)."""
-    ws = [w1 for w1, _, _, _ in model.experts]
-    m = np.stack([w.values.ravel() for w in ws])
+    hidden-layer weights, one node with parent the stacked w1.  Its
+    backward replays the graph of flatten, concat, normalize, Gram-matrix
+    and square ops, product for product and in that graph's summation
+    order (a row takes its normalized part first, then the two parts of
+    its square)."""
+    w1 = model.experts[0]
+    m = w1.values.reshape(model.config.k, -1)
     sq = (m * m).sum(axis=1, keepdims=True)
     if np.any(sq <= 0.0):
         bad = int(np.argmin(sq))
@@ -427,10 +458,8 @@ def orth_penalty(model):
             g_scale = g_scale.sum(axis=1, keepdims=True)
         g_sq = g_scale * -0.5 * sq ** -1.5
         gm = g_normed * scale + g_sq * m + g_sq * m
-        for w, gw in zip(ws, gm):
-            if w.requires_grad:
-                w.accumulate_grad(gw.reshape(w.shape))
-    return T._result((diff * diff).sum(), ws, bwd)
+        w1.accumulate_grad(gm.reshape(w1.shape))
+    return T._result((diff * diff).sum(), (w1,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +507,10 @@ def train_opmq(embeddings, cfg):
         warnings.warn(f"only {distinct} distinct embeddings for V={cfg.v} codewords")
 
     latents0 = model.encode_values(embeddings.vectors)
-    for i, cb in enumerate(model.codebooks):
+    books = model.books()
+    for i in range(cfg.k):
         pick = rng.choice(n, size=cfg.v, replace=n < cfg.v)
-        cb.values[...] = latents0[i][pick]
+        books[i] = latents0[i][pick]
 
     params = model.params()
     opt = T.Adam(params, lr=cfg.lr)
@@ -514,12 +544,12 @@ def train_opmq(embeddings, cfg):
             batches += 1
             step += 1
             if step % cfg.reinit_every == 0:
-                for i, cb in enumerate(model.codebooks):
+                for i in range(cfg.k):
                     dead = np.flatnonzero(usage[i] == 0)
                     if dead.size:
                         pick = rng.choice(len(idx), size=dead.size,
                                           replace=dead.size > len(idx))
-                        cb.values[dead] = latents[i][pick]
+                        books[i, dead] = latents[i][pick]
                 usage[:] = 0
         codes_used, perplexity = _usage_stats(epoch_usage)
         log.append({
@@ -536,9 +566,8 @@ def train_opmq(embeddings, cfg):
 def tokenize_catalog(embeddings, model):
     """Assign every item its K nearest-codeword indices."""
     latents = model.encode_values(embeddings.vectors)
-    codes = np.stack([nearest_codewords(z, cb.values)
-                      for z, cb in zip(latents, model.codebooks)], axis=1)
-    return SidTable(embeddings.ids, codes, model.config.v)
+    codes = nearest_codewords(latents, model.books())
+    return SidTable(embeddings.ids, np.ascontiguousarray(codes.T), model.config.v)
 
 
 def mean_baseline_loss(embeddings):
@@ -594,14 +623,13 @@ def train_rq_baseline(embeddings, cfg):
 # ---------------------------------------------------------------------------
 
 def _model_arrays(model):
-    arrays = []
-    for i, layer in enumerate(model.experts):
-        for name, t in zip(("w1", "b1", "w2", "b2"), layer):
-            arrays.append((f"expert{i}.{name}", t))
-    for i, cb in enumerate(model.codebooks):
-        arrays.append((f"codebook{i}", cb))
-    for name, t in zip(("w1", "b1", "w2", "b2"), model.decoder):
-        arrays.append((f"decoder.{name}", t))
+    """(name, Tensor) of each artifact array, in file order; an expert's
+    arrays view its slices of the stacked parameters."""
+    names = ("w1", "b1", "w2", "b2")
+    arrays = [(f"expert{i}.{name}", T.Tensor(t.values[i]))
+              for i in range(model.config.k) for name, t in zip(names, model.experts)]
+    arrays += [(f"codebook{i}", T.Tensor(book)) for i, book in enumerate(model.books())]
+    arrays += [(f"decoder.{name}", t) for name, t in zip(names, model.decoder)]
     return arrays
 
 

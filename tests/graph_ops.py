@@ -60,15 +60,18 @@ def narrow(a, axis, start, length):
 
 
 def unstack(a):
-    """The slices ``a[0], a[1], ...`` of a rank-3 tensor, each a rank-2
-    node whose backward fills its slice of a zero gradient."""
-    if a.ndim != 3:
-        raise ValueError("unstack needs a rank-3 tensor")
+    """The slices ``a[0], a[1], ...`` of a tensor, each a node whose
+    backward hands ``a`` a gradient holding its own in that slice and
+    -0.0 elsewhere.  -0.0 is addition's identity (x + -0.0 is x for
+    every x, +0.0 included), so the parts of all slices sum to each
+    slice's gradient, bit for bit."""
+    if a.ndim < 1:
+        raise ValueError("unstack needs a tensor of rank >= 1")
 
     def part(i):
         def bwd(g):
             if a.requires_grad:
-                full = np.zeros_like(a.values)
+                full = np.full_like(a.values, -0.0)
                 full[i] = g
                 a.accumulate_grad(full)
         return T._result(a.values[i], (a,), bwd)

@@ -222,13 +222,14 @@ def test_04_nearest_codeword_exact_and_penalty_values():
 
     cfg = OpmqConfig(k=2, v=4)
     ortho = OpmqModel(4, cfg, np.random.default_rng(0))
-    for i, (w1, _, _, _) in enumerate(ortho.experts):
-        w1.values[:] = 0.0
-        w1.values[i, i] = 1.0
+    w1 = ortho.experts[0].values
+    w1[:] = 0.0
+    for i in range(cfg.k):
+        w1[i, i, i] = 1.0
     assert float(orth_penalty(ortho).values) < 1e-12
 
     dup = OpmqModel(4, cfg, np.random.default_rng(0))
-    dup.experts[1][0].values[:] = dup.experts[0][0].values
+    dup.experts[0].values[1] = dup.experts[0].values[0]
     assert abs(float(orth_penalty(dup).values) - 2.0) < 1e-12
     elapsed_under(t0, 60)
 

@@ -19,7 +19,8 @@ from storerank.tokenizer import (OpmqConfig, OpmqModel, opmq_forward,
                                  orth_penalty, save_opmq, tokenize_catalog,
                                  train_opmq)
 
-from test_fused_tokenizer import graph_opmq_forward, graph_orth_penalty
+from test_fused_tokenizer import (graph_opmq_forward, graph_orth_penalty,
+                                  leaf_copies)
 
 
 def four_op_affine(x, w, b):
@@ -176,17 +177,19 @@ class TestGraphShrinks:
 
     def test_tokenizer_step_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
         model = OpmqModel(small["table"].dim, OpmqConfig(), np.random.default_rng(0))
+        copies = leaf_copies(model)
 
-        def step(forward, penalty):
-            _, _, recon, aux, _ = forward(small["table"].vectors[:32], model)
+        def step(forward, penalty, m):
+            _, _, recon, aux, _ = forward(small["table"].vectors[:32], m)
             return graph_size(T.add(T.add(recon, aux),
-                                    T.mul(penalty(model), 0.01)))
+                                    T.mul(penalty(m), 0.01)))
 
-        graph, fused = (step(graph_opmq_forward, graph_orth_penalty),
-                        step(opmq_forward, orth_penalty))
+        graph, fused = (step(graph_opmq_forward, graph_orth_penalty, copies),
+                        step(opmq_forward, orth_penalty, model))
         monkeypatch.setattr(T, "affine", four_op_affine)
-        four_op = step(graph_opmq_forward, graph_orth_penalty)
-        # the graph: K = 3 experts + decoder, 8 layers; the fused step
-        # keeps two of them, the decoder's, as affine nodes
+        four_op = step(graph_opmq_forward, graph_orth_penalty, copies)
+        # the graph: K = 3 experts + decoder, 8 layers, on 19 leaves; the
+        # fused step keeps two of them, the decoder's, as affine nodes,
+        # and its stacked experts and codebook table are 9 leaves
         assert (four_op, graph) == (125, 101)
-        assert (step(opmq_forward, orth_penalty), fused) == (36, 30)
+        assert (step(opmq_forward, orth_penalty, model), fused) == (26, 20)

@@ -323,6 +323,18 @@ class TestTokenizerCommands:
         rms = [rec["rms"] for rec in log]
         assert rms == sorted(rms, reverse=True)
 
+    def test_a_warning_is_one_line(self, tmp_path, capsys):
+        # 60 distinct items for 61 codewords: the quantizer warns, and the
+        # run goes on
+        emb = tmp_path / "emb.csv"
+        rows = np.random.default_rng(0).normal(size=(60, 4))
+        write_embeddings(emb, EmbeddingTable(np.arange(60), rows))
+        assert run("train-tokenizer", "--embeddings", str(emb), "--v", "61",
+                   "--epochs", "1", "--out", str(tmp_path / "tok")) == 0
+        assert capsys.readouterr().err == (
+            "warning: only 60 distinct embeddings for V=61 codewords\n")
+        assert (tmp_path / "tok" / "tokenizer.opmq").exists()
+
     def test_a_bad_embeddings_header_is_one_error_line(self, tmp_path, capsys):
         emb = tmp_path / "emb.csv"
         for dim in ("0", "x", "-2"):

@@ -4,12 +4,17 @@
 below are the graphs of per-op nodes (a ``T.mlp`` per expert, per expert
 an embedding lookup, straight-through and squared-error ops, and the
 flatten / normalize / Gram ops of the penalty) that the experts,
-quantize, reconstruction-loss and penalty nodes replace.  The nodes
-claim the same arithmetic, so every case compares values and gradients
-with exact equality, down to the bytes of a saved quantizer.
+quantize, reconstruction-loss and penalty nodes replace.  The graph runs
+on K separate networks: on ``leaf_copies`` of each expert's slices of
+the stacked parameters, whose gradients are compared with the slices of
+the stacked gradients, or, in a whole fit, on ``G.unstack`` nodes over
+the stacked leaves.  The nodes claim the same arithmetic, so every case
+compares values and gradients with exact equality, down to the bytes of
+a saved quantizer.
 """
 
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,23 +34,47 @@ from test_tokenizer import explicit_scan
 # the per-op graph reference
 # ---------------------------------------------------------------------------
 
-def graph_encode_experts(x, model):
+def leaf_copies(model):
+    """The model as K separate networks: per expert, a leaf copy of its
+    slice of each stacked layer and of its codebook; the decoder is the
+    model's own."""
+    def leaf(a):
+        return T.Tensor(a.copy(), requires_grad=True)
+    return SimpleNamespace(
+        config=model.config, decoder=model.decoder,
+        experts=[tuple(leaf(t.values[i]) for t in model.experts)
+                 for i in range(model.config.k)],
+        codebooks=[leaf(book) for book in model.books()])
+
+
+def expert_parts(model):
+    """Per expert, its (w1, b1, w2, b2) and its codebook: the leaves of
+    ``leaf_copies``, or nodes slicing an ``OpmqModel``'s stacked leaves."""
+    if not isinstance(model, OpmqModel):
+        return model.experts, model.codebooks
+    layers = list(zip(*[G.unstack(t) for t in model.experts]))
+    k, v = model.config.k, model.config.v
+    return layers, G.unstack(T.reshape(model.codebooks, (k, v, model.d_z)))
+
+
+def graph_encode_experts(x, layers):
     x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    return [T.mlp(x, layer) for layer in model.experts]
+    return [T.mlp(x, layer) for layer in layers]
 
 
 def graph_opmq_forward(e, model, sids=None):
     x = T.Tensor(e)
-    latents = graph_encode_experts(x, model)
+    layers, codebooks = expert_parts(model)
+    latents = graph_encode_experts(x, layers)
     n = x.shape[0]
     if sids is None:
         sids = np.stack([tok.nearest_codewords(z.values, cb.values)
-                         for z, cb in zip(latents, model.codebooks)], axis=1)
+                         for z, cb in zip(latents, codebooks)], axis=1)
     else:
         sids = np.asarray(sids, dtype=np.int64).reshape(n, model.config.k)
     quantized, aux_terms = [], []
     for i, z in enumerate(latents):
-        s = T.embedding(model.codebooks[i], sids[:, i])
+        s = T.embedding(codebooks[i], sids[:, i])
         quantized.append(T.add(z, G.stop_gradient(T.sub(s, z))))
         code_err = T.sub(G.stop_gradient(z), s)
         commit_err = T.sub(z, G.stop_gradient(s))
@@ -60,8 +89,9 @@ def graph_opmq_forward(e, model, sids=None):
 
 
 def graph_orth_penalty(model):
+    layers, _ = expert_parts(model)
     m = T.concat([T.reshape(w1, (1, w1.values.size))
-                  for w1, _, _, _ in model.experts], axis=0)
+                  for w1, _, _, _ in layers], axis=0)
     sq = T.tsum(T.mul(m, m), axis=1, keepdims=True)
     if np.any(sq.values <= 0.0):
         bad = int(np.argmin(sq.values))
@@ -70,6 +100,11 @@ def graph_orth_penalty(model):
     gram = T.matmul(normed, G.transpose_last(normed))
     diff = T.sub(gram, T.Tensor(np.eye(model.config.k)))
     return T.tsum(T.mul(diff, diff))
+
+
+def per_expert_scan(z, codebooks):
+    """``explicit_scan`` expert by expert, for the stacked search."""
+    return np.stack([explicit_scan(zi, cb) for zi, cb in zip(z, codebooks)])
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +120,50 @@ def same_grads(got, want):
     return all(type(g) is type(w) and same_bits(g, w) for g, w in zip(got, want))
 
 
+def stand_ins(model, copies):
+    """{id of a stacked parameter: its stand-ins in ``copies``}: each
+    expert's slice of a layer or its codebook, in expert order; a
+    decoder layer stands for itself."""
+    out = {id(t): [layer[j] for layer in copies.experts]
+           for j, t in enumerate(model.experts)}
+    out[id(model.codebooks)] = copies.codebooks
+    out.update({id(t): [t] for t in model.decoder})
+    return out
+
+
+def expert_slices(g, p, model):
+    """The gradient ``g`` of the stacked parameter ``p``, expert by
+    expert, in the form a separate network's gradient takes: a
+    ``RowSparse`` codebook gradient gives one ``RowSparse`` per expert."""
+    k, v = model.config.k, model.config.v
+    if p is not model.codebooks:
+        return list(g) if any(p is t for t in model.experts) else [g]
+    if not isinstance(g, T.RowSparse):
+        return [g[i * v:(i + 1) * v] for i in range(k)]
+    mine = [(g.rows >= i * v) & (g.rows < (i + 1) * v) for i in range(k)]
+    return [T.RowSparse(g.rows[m] - i * v, g.values[m], (v,) + g.shape[1:])
+            for i, m in enumerate(mine)]
+
+
+def grads_match(model, copies, loss, ref_loss):
+    """The gradients of ``loss`` with respect to the model's stacked
+    parameters it reaches, sliced by expert, against those of
+    ``ref_loss`` with respect to their stand-ins in ``copies``: the same
+    leaves reached, and the same bits and types."""
+    reached = {id(t) for t in T._toposort(loss)}
+    params = [p for p in model.params() if id(p) in reached]
+    ref_reached = {id(t) for t in T._toposort(ref_loss)}
+    ref_params = [c for p in params for c in stand_ins(model, copies)[id(p)]]
+    assert params and all(id(c) in ref_reached for c in ref_params)
+    assert len(ref_params) == sum(
+        id(c) in ref_reached for cs in stand_ins(model, copies).values() for c in cs)
+    got = [s for p, g in zip(params, T.grad(loss, params))
+           for s in expert_slices(g, p, model)]
+    want = T.grad(ref_loss, ref_params)
+    assert len(got) == len(want)
+    return same_grads(got, want)
+
+
 def trained_model(d_p, cfg, seed):
     """A model whose codebooks sit on latents of a random batch, so a
     batch spreads over many codes, and whose weights are not at init."""
@@ -93,8 +172,8 @@ def trained_model(d_p, cfg, seed):
     for t in model.params():
         t.values[...] += 0.1 * rng.normal(size=t.shape)
     pool = rng.normal(size=(64, d_p))
-    for cb, z in zip(model.codebooks, model.encode_values(pool)):
-        cb.values[...] = z[rng.choice(64, size=cfg.v, replace=cfg.v > 64)]
+    for book, z in zip(model.books(), model.encode_values(pool)):
+        book[...] = z[rng.choice(64, size=cfg.v, replace=cfg.v > 64)]
     return model
 
 
@@ -135,7 +214,8 @@ class TestStepBitwise:
     def test_values_match_graph(self, case):
         model, batch = case
         got = step(opmq_forward, orth_penalty, batch, model)
-        want = step(graph_opmq_forward, graph_orth_penalty, batch, model)
+        want = step(graph_opmq_forward, graph_orth_penalty, batch,
+                    leaf_copies(model))
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:4] + got[5:], want[1:4] + want[5:]):
             assert same_bits(g.values, w.values)
@@ -145,55 +225,55 @@ class TestStepBitwise:
     @pytest.mark.parametrize("part", ["total", "loss_recon", "aux", "orth"])
     def test_grads_match_graph(self, case, part):
         model, batch = case
-        params = model.params()
+        copies = leaf_copies(model)
 
-        def grads(forward, penalty):
-            _, _, loss_recon, aux, _, orth, total = step(forward, penalty,
-                                                         batch, model)
-            loss = {"total": total, "loss_recon": loss_recon, "aux": aux,
+        def loss(forward, penalty, m):
+            _, _, loss_recon, aux, _, orth, total = step(forward, penalty, batch, m)
+            return {"total": total, "loss_recon": loss_recon, "aux": aux,
                     "orth": orth}[part]
-            reached = {id(t) for t in T._toposort(loss)}
-            return T.grad(loss, [p for p in params if id(p) in reached])
 
-        got = grads(opmq_forward, orth_penalty)
-        want = grads(graph_opmq_forward, graph_orth_penalty)
-        assert len(got) == len(want) > 0
-        assert same_grads(got, want)
+        assert grads_match(model, copies, loss(opmq_forward, orth_penalty, model),
+                           loss(graph_opmq_forward, graph_orth_penalty, copies))
 
     def test_codebook_grads_are_row_sparse_below_v(self):
         n, d_p, kw = CASES["batch_below_v"]
         model = trained_model(d_p, OpmqConfig(**kw), seed=3)
         batch = np.random.default_rng(0).normal(size=(n, d_p))
         total = step(opmq_forward, orth_penalty, batch, model)[-1]
-        grads = T.grad(total, model.codebooks)
-        assert all(isinstance(g, T.RowSparse) for g in grads)
+        (g,) = T.grad(total, [model.codebooks])
+        assert isinstance(g, T.RowSparse)
+        assert g.shape == (3 * 16, d_p) and 3 <= len(g.rows) <= 3 * n
 
     def test_frozen_assignment_is_replayed(self, case):
         model, batch = case
         sids = np.random.default_rng(1).integers(0, model.config.v,
                                                   size=(len(batch), model.config.k))
+        copies = leaf_copies(model)
         got = opmq_forward(batch, model, sids=sids)
-        want = graph_opmq_forward(batch, model, sids=sids)
-        params = model.params()
-        assert same_grads(T.grad(T.add(got[2], got[3]), params),
-                          T.grad(T.add(want[2], want[3]), params))
+        want = graph_opmq_forward(batch, copies, sids=sids)
+        assert grads_match(model, copies, T.add(got[2], got[3]),
+                           T.add(want[2], want[3]))
 
     def test_encode_experts_matches_graph(self, case):
         # the experts node (sliced here by per-expert nodes, to take each
         # latent's gradient) and the graph-free encode_values
         model, batch = case
+        copies = leaf_copies(model)
         got = G.unstack(tok._experts(batch, model))
-        want = graph_encode_experts(batch, model)
-        head = [T.Tensor(np.random.default_rng(i).normal(size=z.shape))
+        want = graph_encode_experts(batch, copies.experts)
+        head = [np.random.default_rng(i).normal(size=z.shape)
                 for i, z in enumerate(want)]
-        leaves = [t for layer in model.experts for t in layer]
+        for h in head:
+            # -0.0 gradients: a one-row batch's bias gradient keeps them
+            h[:, 0] = -0.0
+        head = [T.Tensor(h) for h in head]
 
         def loss(latents):
             return reduce(T.add, [T.tsum(T.mul(T.tanh(z), h))
                                   for z, h in zip(latents, head)])
         for g, w in zip(got, want):
             assert same_bits(g.values, w.values)
-        assert same_grads(T.grad(loss(got), leaves), T.grad(loss(want), leaves))
+        assert grads_match(model, copies, loss(got), loss(want))
         assert same_bits(model.encode_values(batch),
                          np.stack([z.values for z in want]))
 
@@ -204,14 +284,14 @@ class TestGraphSize:
         model = trained_model(d_p, OpmqConfig(**kw), seed=0)
         batch = np.random.default_rng(0).normal(size=(n, d_p))
 
-        def closures(forward, penalty):
-            total = step(forward, penalty, batch, model)[-1]
+        def closures(forward, penalty, m):
+            total = step(forward, penalty, batch, m)[-1]
             return sum(node._backward is not None for node in T._toposort(total))
 
         # experts, quantized sum, aux, the decoder's 3, recon loss,
         # penalty and the 3 ops of the total
-        assert (closures(graph_opmq_forward, graph_orth_penalty),
-                closures(opmq_forward, orth_penalty)) == (71, 11)
+        assert (closures(graph_opmq_forward, graph_orth_penalty, leaf_copies(model)),
+                closures(opmq_forward, orth_penalty, model)) == (71, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +347,7 @@ def test_train_opmq_matches_the_scan_and_per_parameter_adam(
         return path.read_bytes(), log, tokenize_catalog(table, model).codes
 
     got = run(tmp_path / "shipped.opmq")
-    monkeypatch.setattr(tok, "nearest_codewords", explicit_scan)
+    monkeypatch.setattr(tok, "nearest_codewords", per_expert_scan)
     monkeypatch.setattr(T, "Adam", DenseAdam)
     monkeypatch.setattr(T, "lookup_grad", dense_lookup_grad)
     want = run(tmp_path / "reference.opmq")

@@ -45,11 +45,11 @@ def make_model(d_p=4, k=2, v=4, seed=0, **kw):
 
 
 def set_identity_expert(model, i):
-    w1, b1, w2, b2 = model.experts[i]
-    w1.values[...] = np.eye(w1.shape[0])
-    b1.values[...] = 0.0
-    w2.values[...] = np.eye(w2.shape[0], w2.shape[1])
-    b2.values[...] = 0.0
+    w1, b1, w2, b2 = (t.values[i] for t in model.experts)
+    w1[...] = np.eye(w1.shape[0])
+    b1[...] = 0.0
+    w2[...] = np.eye(w2.shape[0], w2.shape[1])
+    b2[...] = 0.0
 
 
 class TestEmbeddingTable:
@@ -163,8 +163,8 @@ class TestEncodeExperts:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3))
         outs = m.encode_values(x)
-        for z, (w1, b1, w2, b2) in zip(outs, m.experts):
-            want = np.tanh(x @ w1.values + b1.values) @ w2.values + b2.values
+        for z, (w1, b1, w2, b2) in zip(outs, zip(*(t.values for t in m.experts))):
+            want = np.tanh(x @ w1 + b1) @ w2 + b2
             assert np.max(np.abs(z - want)) < 1e-6
 
     def test_dimension_mismatch(self):
@@ -312,6 +312,87 @@ class TestNearestCodeword:
             nearest_codewords(np.ones(2), np.zeros((4, 2)))
 
 
+def per_expert_search(z, books):
+    """The 2-D ``nearest_codewords`` call, expert by expert."""
+    return np.stack([nearest_codewords(zi, book) for zi, book in zip(z, books)])
+
+
+class TestStackedSearch:
+    """``nearest_codewords`` on (K, n, d_z) latents and (K, V, d_z)
+    codebooks: expert k's latents search expert k's codebook, in one
+    call, bit for bit the 2-D call expert by expert."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fallback_rows_of_one_expert_scan_that_experts_codebook(
+            self, monkeypatch):
+        rng = np.random.default_rng(21)
+        books = rng.normal(size=(3, 8, 4))
+        z = rng.normal(size=(3, 50, 4))
+        books[1, 5] = books[1, 2]
+        z[1, 0] = books[1, 2]                    # a tie
+        z[1, 1, 2] = np.nan                      # a NaN latent
+        z[1, 2] = [2.0 ** 511, 0.3, -0.2, 0.1]   # a norm above 2^1020
+        scanned, scan = [], tok._scan
+
+        def counting_scan(rows, codebooks):
+            scanned.extend(np.array_equal(cb, books[1]) for cb in codebooks)
+            return scan(rows, codebooks)
+        monkeypatch.setattr(tok, "_scan", counting_scan)
+        got = nearest_codewords(z, books)
+        assert got.shape == (3, 50) and len(scanned) >= 3 and all(scanned)
+        assert np.array_equal(got, per_expert_search(z, books))
+        assert got[1, :3].tolist() == [2, 0, explicit_scan(z[1, 2:3], books[1])[0]]
+
+    def test_rows_across_a_chunk_boundary(self):
+        # K V d_z = 14400: chunks of 291 rows, close calls in each
+        rng = np.random.default_rng(22)
+        z, books = map(np.stack, zip(*[close_calls(rng, 700, 300, 16)
+                                       for _ in range(3)]))
+        got = nearest_codewords(z, books)
+        assert np.array_equal(got, per_expert_search(z, books))
+        assert np.array_equal(got, np.stack([explicit_scan(zi, b)
+                                             for zi, b in zip(z, books)]))
+
+    @pytest.mark.parametrize("k, v", [(1, 12), (3, 1), (1, 1)])
+    def test_one_expert_or_one_codeword(self, k, v):
+        rng = np.random.default_rng(23)
+        books = rng.normal(size=(k, v, 5))
+        z = rng.normal(size=(k, 40, 5))
+        z[:, ::4] = books[:, :1]
+        got = nearest_codewords(z, books)
+        assert np.array_equal(got, per_expert_search(z, books))
+        if v == 1:
+            assert not got.any()
+
+    def test_errors(self):
+        for z, book in [((2, 4, 2), (3, 5, 2)), ((4, 2), (3, 5, 2)),
+                        ((3, 4, 2), (3, 0, 2)), ((3, 4, 2), (3, 5, 1)),
+                        ((3, 4, 0), (3, 5, 0)), ((4, 0), (5, 0))]:
+            with pytest.raises(ValueError, match=fr"latents \({z[0]}, .* do not "
+                                                 fr"fit codebook \({book[0]}, "):
+                nearest_codewords(np.ones(z), np.zeros(book))
+
+    def test_tokenize_catalog_matches_a_per_expert_search(self):
+        table = cluster_table(n=120)
+        model, _ = train_opmq(table, OpmqConfig(k=3, v=8, epochs=2, seed=5))
+        want = per_expert_search(model.encode_values(table.vectors), model.books())
+        codes = tokenize_catalog(table, model).codes
+        assert np.array_equal(codes, want.T) and codes.flags.c_contiguous
+
+    def test_one_step_searches_once_over_nine_parameters(self, monkeypatch):
+        calls, search = [], tok.nearest_codewords
+
+        def counting(z, codebook):
+            calls.append(z.shape)
+            return search(z, codebook)
+        monkeypatch.setattr(tok, "nearest_codewords", counting)
+        m = make_model(d_p=4, k=3, v=5)
+        opmq_forward(np.random.default_rng(24).normal(size=(6, 4)), m)
+        assert calls == [(3, 6, 4)]
+        for k in (1, 3, 8):
+            assert len(make_model(k=k).params()) == 9
+
+
 class TestOpmqForward:
     def test_perfect_reconstruction_gives_zero_loss(self):
         # identity expert, a codebook holding its latent, and a decoder
@@ -322,7 +403,7 @@ class TestOpmqForward:
         w1.values[...] = 0.0
         b1.values[...] = 0.0
         b2.values[...] = [1.0, 2.0]
-        m.codebooks[0].values[...] = np.array([np.tanh([1.0, 2.0]), [9.0, 9.0]])
+        m.books()[0] = np.array([np.tanh([1.0, 2.0]), [9.0, 9.0]])
         sids, recon, loss, aux, _ = opmq_forward(np.array([1.0, 2.0])[None], m)
         assert sids.tolist() == [[0]]
         assert np.array_equal(recon.values, [[1.0, 2.0]])
@@ -332,7 +413,7 @@ class TestOpmqForward:
         m = make_model(d_p=3, k=2, v=4, seed=11)
         x = np.random.default_rng(12).normal(size=(5, 3))
         _, _, loss, _, _ = opmq_forward(x, m)
-        grads = T.grad(loss, m.codebooks)
+        grads = T.grad(loss, [m.codebooks])
         for g in grads:
             assert np.all(g == 0.0)
 
@@ -344,9 +425,9 @@ class TestOpmqForward:
         x = np.random.default_rng(14).normal(size=(2, 3))
         sids = opmq_forward(x, m)[0]
         latents0 = m.encode_values(x)
-        offsets = [m.codebooks[i].values[sids[:, i]] - latents0[i]
+        offsets = [m.books()[i][sids[:, i]] - latents0[i]
                    for i in range(m.config.k)]
-        leaves = [t for layer in m.experts for t in layer] + list(m.decoder)
+        leaves = list(m.experts) + list(m.decoder)
 
         def build_surrogate():
             latents = G.unstack(tok._experts(x, m))
@@ -390,37 +471,38 @@ class TestOrthPenalty:
 
     def test_duplicated_experts_give_two(self):
         m = make_model(d_p=3, k=2, seed=16)
-        w1a = m.experts[0][0]
-        m.experts[1][0].values[...] = w1a.values
+        w1 = m.experts[0].values
+        w1[1] = w1[0]
         assert abs(orth_penalty(m).values - 2.0) < 1e-12
 
     def test_orthogonal_weights_give_zero(self):
         m = make_model(d_p=2, k=2)
-        m.experts[0][0].values[...] = [[1.0, 0.0], [0.0, 0.0]]
-        m.experts[1][0].values[...] = [[0.0, 1.0], [0.0, 0.0]]
+        m.experts[0].values[...] = [[[1.0, 0.0], [0.0, 0.0]],
+                                    [[0.0, 1.0], [0.0, 0.0]]]
         assert abs(orth_penalty(m).values) < 1e-12
 
     def test_invariant_to_positive_rescaling(self):
         m = make_model(d_p=3, k=3, seed=17)
         before = orth_penalty(m).values
-        m.experts[1][0].values[...] *= 3.7
+        m.experts[0].values[1] *= 3.7
         assert abs(orth_penalty(m).values - before) < 1e-12
 
     def test_zero_norm_weights_rejected(self):
         m = make_model(d_p=2, k=2)
-        m.experts[0][0].values[...] = 0.0
+        m.experts[0].values[0] = 0.0
         with pytest.raises(ValueError):
             orth_penalty(m)
 
     def test_gradient_flows_to_experts(self):
         m = make_model(d_p=2, k=2, seed=18)
-        m.experts[1][0].values[...] = m.experts[0][0].values
-        g = T.grad(orth_penalty(m), [m.experts[0][0]])[0]
-        assert np.any(g != 0.0)
+        w1 = m.experts[0]
+        w1.values[1] = w1.values[0]
+        g = T.grad(orth_penalty(m), [w1])[0]
+        assert np.any(g[0] != 0.0)
 
     def test_penalty_matches_fd(self):
         m = make_model(d_p=2, k=2, seed=20)
-        leaves = [m.experts[0][0], m.experts[1][0]]
+        leaves = [m.experts[0]]
         got = T.grad(orth_penalty(m), leaves)
         want = fd_grad(lambda: orth_penalty(m), leaves)
         for g, w in zip(got, want):
@@ -476,9 +558,9 @@ class TestTrainOpmq:
         m2, _ = train_opmq(table, cfg)
         for a, b in zip(m1.params(), m2.params()):
             assert np.array_equal(a.values, b.values)
-        for cb in m1.codebooks:
-            assert np.all(np.isfinite(cb.values))
-            assert np.all(np.any(cb.values != 0.0, axis=1))
+        for cb in m1.books():
+            assert np.all(np.isfinite(cb))
+            assert np.all(np.any(cb != 0.0, axis=1))
 
     def test_warns_when_fewer_distinct_than_v(self):
         table = EmbeddingTable([0, 1, 2], np.ones((3, 2)))
