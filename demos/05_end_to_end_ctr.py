@@ -7,10 +7,10 @@ cannot see those interactions.  The same pipeline is available from the
 command line:
 
     store-rank gen-synthetic --n-instances 40000 --out runs/data
-    store-rank train-tokenizer --embeddings runs/data/embeddings.csv --out runs/tok
-    store-rank tokenize --embeddings runs/data/embeddings.csv \
+    store-rank train-tokenizer --embeddings runs/data/embeddings.stre --out runs/tok
+    store-rank tokenize --embeddings runs/data/embeddings.stre \
         --tokenizer runs/tok/tokenizer.opmq --out runs/sids
-    store-rank train --data runs/data/data.strd --sids runs/sids/sids.csv \
+    store-rank train --data runs/data/data.strd --sids runs/sids/sids.strs \
         --epochs 2 --out runs/model
     store-rank eval --model runs/model/model.strm --data runs/data/data.strd \
         --out runs/eval

@@ -6,9 +6,11 @@ holds the caller's fields plus ``arrays``: ``[name, dtype, shape, byte
 length, CRC32]`` per array.  Writes are atomic (``<path>.tmp``, then a
 rename).  A read fails with a ``ValueError`` that starts with the path
 and names the case: bad magic, truncated, corrupt or trailing bytes.
-A config dataclass stored in a header is rebuilt by ``config``, and
-``typed`` checks another header field's type; any other failure to
-rebuild an object from a file is named by ``named``.
+A config dataclass stored in a header is rebuilt by ``config``,
+``typed`` checks another header field's type and ``take`` an array's
+dtype; any other failure to rebuild an object from a file is named by
+``named``.  ``write_text`` writes text outputs atomically too: no other
+module writes files.
 """
 
 import contextlib
@@ -29,13 +31,23 @@ def write(path, magic, header, arrays):
     meta = dict(header, arrays=[[name, a.dtype.str, list(a.shape), a.nbytes,
                                  zlib.crc32(a)] for name, a in arrays])
     text = json.dumps(meta, sort_keys=True).encode()
+    _replace(path, [magic + b"\n", b"%08x " % zlib.crc32(text) + text + b"\n",
+                    *(a for _, a in arrays)])
+
+
+def write_text(path, lines):
+    """Write the strings ``lines`` as utf-8, atomically as ``write`` does."""
+    _replace(path, (line.encode() for line in lines))
+
+
+def _replace(path, chunks):
+    """Write ``chunks`` to ``<path>.tmp``, then rename it over ``path``; a
+    failure removes the temp file and leaves ``path`` as it was."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(magic + b"\n")
-            f.write(b"%08x " % zlib.crc32(text) + text + b"\n")
-            for _, a in arrays:
-                f.write(a)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -92,7 +104,7 @@ def named(path):
 
 def restore(path, arrays, tensors):
     """Copy ``arrays`` into a rebuilt model's ``(name, Tensor)`` pairs,
-    which must have the same names and shapes in the same order."""
+    which must have the same names, shapes and dtypes in the same order."""
     got = [(name, a.shape) for name, a in arrays.items()]
     want = [(name, t.values.shape) for name, t in tensors]
     for g, w in itertools.zip_longest(got, want):
@@ -100,7 +112,17 @@ def restore(path, arrays, tensors):
             raise ValueError(f"{path}: file holds array {g} where the model "
                              f"layout has {w}")
     for name, t in tensors:
-        t.values[...] = arrays[name]
+        t.values[...] = take(path, arrays, name, t.values.dtype)
+
+
+def take(path, arrays, name, dtype):
+    """Pop ``arrays[name]`` if it holds ``dtype``, its writer's dtype; else
+    a ``ValueError`` that starts with the path and names the array."""
+    a = arrays.pop(name)
+    if a.dtype != np.dtype(dtype):
+        raise ValueError(f"{path}: array {name!r} holds {a.dtype.str}, "
+                         f"expected {np.dtype(dtype).str}")
+    return a
 
 
 def typed(path, header, key, kind):

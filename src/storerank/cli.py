@@ -47,6 +47,7 @@ import warnings
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
+from . import artifact
 from .attention import bench_attention
 from .data import (SyntheticSpec, encode_features, gen_synthetic,
                    load_dataset_cache, random_split, save_dataset_cache)
@@ -192,24 +193,18 @@ def _out_dir(path):
 
 
 def _write_json(path, obj):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifact.write_text(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_jsonl(path, records):
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    artifact.write_text(path, [json.dumps(r, sort_keys=True) + "\n" for r in records])
 
 
 def _write_csv(path, columns, rows):
     """A header line, then one line per row dict; floats in repr form."""
-    with open(path, "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                             else str(row[c]) for c in columns) + "\n")
+    lines = [columns, *([repr(r[c]) if isinstance(r[c], float) else str(r[c])
+                         for c in columns] for r in rows)]
+    artifact.write_text(path, [",".join(line) + "\n" for line in lines])
 
 
 def _require(path, what):
@@ -226,7 +221,7 @@ def cmd_gen_synthetic(cfg, out):
     ds, table = gen_synthetic(_config(SyntheticSpec, cfg))
     out = _out_dir(out)
     save_dataset_cache(os.path.join(out, "data.strd"), ds)
-    write_embeddings(os.path.join(out, "embeddings.csv"), table)
+    write_embeddings(os.path.join(out, "embeddings.stre"), table)
     print(f"wrote {len(ds)} instances, {len(table.ids)} item embeddings to {out}")
 
 
@@ -242,7 +237,7 @@ def cmd_train_tokenizer(cfg, out):
     if cfg["backend"] == "opmq":
         save_opmq(os.path.join(out, "tokenizer.opmq"), model)
     else:
-        write_sids(os.path.join(out, "sids.csv"), sids)
+        write_sids(os.path.join(out, "sids.strs"), sids)
     _write_jsonl(os.path.join(out, "tokenizer_log.jsonl"), log)
     print(f"trained {cfg['backend']} tokenizer on {len(table.ids)} items -> {out}")
 
@@ -251,7 +246,7 @@ def cmd_tokenize(cfg, out):
     table = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
     model = load_opmq(_require(cfg["tokenizer"], "tokenizer artifact"))
     sids = tokenize_catalog(table, model)
-    write_sids(os.path.join(_out_dir(out), "sids.csv"), sids)
+    write_sids(os.path.join(_out_dir(out), "sids.strs"), sids)
     print(f"tokenized {len(sids)} items -> {out}")
 
 
@@ -345,6 +340,10 @@ def cmd_sweep(cfg, out):
                                       "n_layers": n_layers, "rho": rho})
                 for epochs in epochs_grid for k in k_grid
                 for n_layers in layers_grid for rho in rho_grid]
+    tags = [f"epochs{c.epochs}_k{c.h}_L{c.n_layers}_rho{c.rho:g}" for c in settings]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise CliError(f"two sweep settings share the log tag {tag}")
     tables = {}     # K -> SID table; the --sids file serves K = --h
     if cfg["sids"] and cfg["h"] in k_grid:
         tables[cfg["h"]] = read_sids(_require(cfg["sids"], "SID file"))
@@ -372,10 +371,8 @@ def cmd_sweep(cfg, out):
         return tables[k]
 
     summary = []
-    for config in settings:
+    for config, tag in zip(settings, tags):
         _, log = fit(tr, va, config, groups, sid_table=sid_table_for(config.h))
-        tag = (f"epochs{config.epochs}_k{config.h}_L{config.n_layers}"
-               f"_rho{config.rho:g}")
         _write_jsonl(os.path.join(logs_dir, tag + ".jsonl"), log)
         last = log[-1]
         summary.append({"epochs": config.epochs, "k_sid": config.h,

@@ -311,10 +311,10 @@ def load_dataset_cache(path):
     with artifact.named(path):
         schema = DatasetSchema([(n, r) for n, r in artifact.typed(
             path, header, "schema", [(str, str)])])
-        labels = arrays[schema.label_col]
+        labels = artifact.take(path, arrays, schema.label_col, "<i1")
         cols = {}
         for name in schema.feature_cols:
-            blob = arrays[name].tobytes().decode("utf-8")
+            blob = artifact.take(path, arrays, name, np.uint8).tobytes().decode("utf-8")
             vals = blob.split("\n") if labels.size else []
             cols[name] = np.asarray(vals, dtype=object)
         return Dataset(schema, cols, labels)

@@ -524,7 +524,8 @@ def load_store(path):
         sid_table = None
         if header["sid_ids"] is not None:
             sid_table = SidTable(artifact.typed(path, header, "sid_ids", [str]),
-                                 arrays.pop("sid_codes"), config.v)
+                                 artifact.take(path, arrays, "sid_codes", "<i8"),
+                                 config.v)
         model = StoreModel(config, groups,
                            artifact.typed(path, header, "vocab_sizes", {str: int}),
                            sid_table=sid_table)

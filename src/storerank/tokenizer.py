@@ -25,10 +25,10 @@ the graph of per-expert, per-op nodes it stands for, product for product
 and in that graph's summation order, so values, gradients and fits are
 bit for bit that graph's.
 
-Embedding and SID tables share one base and one CSV layout: a header
-``item_id,<key>=<int>...``, then a line per item.  The ``tokenizer.opmq``
-artifact holds the model's whole ``OpmqConfig`` and each expert's arrays
-under its own names.
+Embedding and SID tables share one base, and each is an ``artifact``
+container: item ids in the header, rows as one array (``<f8`` ``vectors``,
+or ``<i8`` ``codes`` with V in the header).  ``tokenizer.opmq`` holds the
+model's whole ``OpmqConfig`` and each expert's arrays under its own names.
 
 A residual-quantization baseline (sequential k-means stages on
 reconstruction residuals) is included for ablation comparisons.
@@ -36,7 +36,7 @@ reconstruction residuals) is included for ablation comparisons.
 
 from __future__ import annotations
 
-import re
+import copy
 import warnings
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -48,6 +48,8 @@ from . import tensor as T
 from .options import check_finite
 
 OPMQ_MAGIC = b"OPMQ2"
+EMBEDDINGS_MAGIC = b"STRE1"
+SIDS_MAGIC = b"STRS1"
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +59,7 @@ OPMQ_MAGIC = b"OPMQ2"
 class _ItemTable:
     """Item ids, one per row of a 2-d array, and their row index.
 
-    Ids are kept as strings so tables read from CSV compare equal to
+    Ids are kept as strings so tables read from a file compare equal to
     tables built from integer ids in memory.
     """
 
@@ -111,67 +113,35 @@ class SidTable(_ItemTable):
         return self.codes.shape[1]
 
 
-def _write_table(path, header, ids, rows, fmt):
-    """CSV: ``item_id`` then ``key=<int>`` per ``header`` item, then one
-    ``id,value...`` line per item, each value formatted by ``fmt``."""
-    with open(path, "w") as f:
-        f.write("item_id" + "".join(f",{k}={n}" for k, n in header.items()) + "\n")
-        for item, row in zip(ids, rows):
-            f.write(item + "," + ",".join(map(fmt, row)) + "\n")
-
-
-def _read_table(path, keys, cast):
-    """(header values, ids, rows) of a ``_write_table`` CSV with header
-    ``keys``; the first key's value is the row width, and each value is
-    parsed by ``cast``.  Errors name the file and line."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        match = re.fullmatch("item_id" + "".join(f",{k}=(0*[1-9][0-9]*)"
-                                                 for k in keys), header)
-        if match is None:
-            want = "item_id" + "".join(f",{k}=<int >= 1>" for k in keys)
-            raise ValueError(f"{path}:1: bad header {header!r}, expected {want}")
-        values = [int(g) for g in match.groups()]
-        width = values[0]
-        ids, rows = [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != width + 1:
-                raise ValueError(f"{path}:{lineno}: expected {width + 1} "
-                                 f"fields, got {len(parts)}")
-            ids.append(parts[0])
-            try:
-                rows.append(np.array([cast(p) for p in parts[1:]], dtype=cast))
-            except (ValueError, OverflowError) as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    return values, ids, np.array(rows, dtype=cast).reshape(len(ids), width)
-
-
 def write_embeddings(path, table):
-    """CSV with header ``item_id,dim=<d_p>``; values use shortest
-    round-trip float formatting so rewrites are byte-identical."""
-    _write_table(path, {"dim": table.dim}, table.ids, table.vectors,
-                 lambda x: repr(float(x)))
+    """Write the table as an ``artifact`` container: the item ids in the
+    header, then the (n, d_p) ``<f8`` ``vectors``."""
+    artifact.write(path, EMBEDDINGS_MAGIC, {"ids": table.ids},
+                   [("vectors", np.asarray(table.vectors, dtype="<f8"))])
 
 
 def read_embeddings(path):
-    _, ids, vectors = _read_table(path, ("dim",), float)
-    if not ids:
-        raise ValueError(f"{path}: no items")
+    header, arrays = artifact.read(path, EMBEDDINGS_MAGIC)
     with artifact.named(path):
-        return EmbeddingTable(ids, vectors)
+        ids = artifact.typed(path, header, "ids", [str])
+        if not ids:
+            raise ValueError(f"{path}: no items")
+        return EmbeddingTable(ids, artifact.take(path, arrays, "vectors", "<f8"))
 
 
 def write_sids(path, table):
-    """CSV with header ``item_id,K=<K>,V=<V>``."""
-    _write_table(path, {"K": table.k, "V": table.v}, table.ids, table.codes,
-                 lambda c: str(int(c)))
+    """Write the table as an ``artifact`` container: the item ids and V
+    in the header, then the (n, K) ``<i8`` ``codes``."""
+    artifact.write(path, SIDS_MAGIC, {"ids": table.ids, "v": table.v},
+                   [("codes", np.asarray(table.codes, dtype="<i8"))])
 
 
 def read_sids(path):
-    (_, v), ids, codes = _read_table(path, ("K", "V"), int)
+    header, arrays = artifact.read(path, SIDS_MAGIC)
     with artifact.named(path):
-        return SidTable(ids, codes, v)
+        return SidTable(artifact.typed(path, header, "ids", [str]),
+                        artifact.take(path, arrays, "codes", "<i8"),
+                        artifact.typed(path, header, "v", int))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +207,12 @@ class OpmqModel:
     def books(self):
         """The codebook table as a (K, V, d_z) view, expert by expert."""
         return self.codebooks.values.reshape(self.config.k, self.config.v, self.d_z)
+
+    def frozen(self):
+        """A view of the model on the same arrays, held in leaves that
+        need no gradient, so no node of its forward keeps a backward."""
+        return copy.deepcopy(self, {id(t): T.Tensor(t.values)
+                                    for t in self.params()})
 
     def encode_values(self, e):
         """Expert latents, (K, n, d_z), for bulk tokenization: the experts'
@@ -556,7 +532,7 @@ def train_opmq(embeddings, cfg):
             "epoch": epoch + 1,
             "loss": tot_sum / batches,
             "loss_recon": recon_sum / batches,
-            "orth_penalty": float(orth_penalty(model).values),
+            "orth_penalty": float(orth_penalty(model.frozen()).values),
             "codes_used": codes_used,
             "usage_perplexity": perplexity,
         })

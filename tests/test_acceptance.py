@@ -435,20 +435,20 @@ def test_10_cli_reruns_are_byte_identical(tmp_path):
 
     def one_round(root):
         _run_cli(*gen, "--out", str(root / "data"))
-        _run_cli(*tok, "--embeddings", str(root / "data" / "embeddings.csv"),
+        _run_cli(*tok, "--embeddings", str(root / "data" / "embeddings.stre"),
                  "--out", str(root / "tok"))
         _run_cli("tokenize", "--embeddings",
-                 str(root / "data" / "embeddings.csv"),
+                 str(root / "data" / "embeddings.stre"),
                  "--tokenizer", str(root / "tok" / "tokenizer.opmq"),
                  "--out", str(root / "sids"))
         _run_cli(*trn, "--data", str(root / "data" / "data.strd"),
-                 "--sids", str(root / "sids" / "sids.csv"),
+                 "--sids", str(root / "sids" / "sids.strs"),
                  "--out", str(root / "run"))
         _run_cli("eval", "--model", str(root / "run" / "model.strm"),
                  "--data", str(root / "data" / "data.strd"),
                  "--out", str(root / "ev"))
         _run_cli(*sweep, "--data", str(root / "data" / "data.strd"),
-                 "--sids", str(root / "sids" / "sids.csv"),
+                 "--sids", str(root / "sids" / "sids.strs"),
                  "--out", str(root / "sw"))
         _run_cli(*bench, "--out", str(root / "bench"))
 

@@ -1,21 +1,27 @@
-"""Damage checks for the one container behind model.strm, tokenizer.opmq
-and data.strd: every cut and every flipped bit must be named, with the
-path, as a ValueError, and a failed write must leave the old file."""
+"""Damage checks for the one container behind model.strm, tokenizer.opmq,
+data.strd and the embedding and SID tables: every cut and every flipped
+bit must be named, with the path, as a ValueError, and a failed write,
+of a container or of a text output, must leave the old file."""
 
+import ast
 import errno
 import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import storerank
 from storerank import artifact
+from storerank.cli import _write_jsonl
 from storerank.data import (SyntheticSpec, gen_synthetic, load_dataset_cache,
                             save_dataset_cache)
 from storerank.model import StoreConfig, StoreModel, default_groups, load_store, \
     save_store
-from storerank.tokenizer import OpmqConfig, OpmqModel, SidTable, load_opmq, \
-    save_opmq
+from storerank.tokenizer import (EmbeddingTable, OpmqConfig, OpmqModel, SidTable,
+                                 load_opmq, read_embeddings, read_sids, save_opmq,
+                                 write_embeddings, write_sids)
 
 
 def small_dataset():
@@ -38,11 +44,29 @@ def small_opmq():
     return OpmqModel(3, OpmqConfig(k=2, v=4), np.random.default_rng(0))
 
 
+def small_embeddings():
+    return EmbeddingTable(np.arange(10),
+                          np.random.default_rng(3).normal(size=(10, 3)))
+
+
+def small_sids():
+    return SidTable(np.arange(10),
+                    np.random.default_rng(4).integers(4, size=(10, 2)), 4)
+
+
+def epoch_log():
+    return [{"epoch": e, "train_loss": 0.5 / e} for e in (1, 2, 3)]
+
+
 FORMATS = {
     "model.strm": (small_store, save_store, load_store),
     "tokenizer.opmq": (small_opmq, save_opmq, load_opmq),
     "data.strd": (small_dataset, save_dataset_cache, load_dataset_cache),
+    "embeddings.stre": (small_embeddings, write_embeddings, read_embeddings),
+    "sids.strs": (small_sids, write_sids, read_sids),
 }
+# every file the program writes goes through the same atomic write
+WRITTEN = {**FORMATS, "epoch_log.jsonl": (epoch_log, _write_jsonl, None)}
 
 
 @pytest.fixture(params=sorted(FORMATS))
@@ -111,12 +135,16 @@ def test_payload_bit_flips_are_named(saved):
     assert not bad, f"{len(bad)} of {spots.size} payload flips escaped: {bad[:5]}"
 
 
-def test_failed_write_keeps_previous_file(saved, monkeypatch):
-    path, blob, _ = saved
-    make, save, _ = FORMATS[path.name]
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
+    make, save, _ = WRITTEN[name]
+    path = tmp_path / name
+    save(path, make())
+    blob = path.read_bytes()
 
     class FullDisk:
-        """Takes the magic line, then fails as a full disk would."""
+        """Takes the first chunk (a magic line, or a text output's first
+        line), then fails as a full disk would."""
 
         def __init__(self, name, mode):
             self.f = open(name, mode)
@@ -254,3 +282,23 @@ def test_a_checksummed_header_that_is_not_a_container_header_is_named(
     with pytest.raises(ValueError) as e:
         load_opmq(path)
     assert str(e.value).startswith(f"{path}: ")
+
+
+def writes_a_file(call):
+    """Whether ``call`` is an ``open`` (a name or an attribute) whose mode,
+    positional or keyword, is not a constant that only reads."""
+    func = call.func
+    if getattr(func, "id", getattr(func, "attr", None)) != "open":
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_only_the_artifact_module_opens_a_file_for_writing():
+    package = Path(storerank.__file__).parent
+    writers = sorted(f"{path.name}:{node.lineno}"
+                     for path in package.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and writes_a_file(node))
+    assert writers and all(w.startswith("artifact.py:") for w in writers), writers

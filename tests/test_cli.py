@@ -14,8 +14,10 @@ import storerank
 from storerank import artifact
 from storerank.cli import BENCH_COLUMNS, build_parser, main
 from storerank.data import load_dataset_cache
-from storerank.tokenizer import (EmbeddingTable, SidTable, read_embeddings,
-                                 read_sids, write_embeddings, write_sids)
+from storerank.model import STORE_MAGIC
+from storerank.tokenizer import (EMBEDDINGS_MAGIC, SIDS_MAGIC, EmbeddingTable,
+                                 SidTable, read_embeddings, read_sids,
+                                 write_embeddings, write_sids)
 
 
 def run(*argv):
@@ -36,10 +38,10 @@ def workspace(tmp_path_factory):
                "--n-items", "120", "--n-users", "40", "--n-clusters", "6",
                "--seed", "5") == 0
     tok = root / "tok"
-    assert run("train-tokenizer", "--embeddings", str(data / "embeddings.csv"),
+    assert run("train-tokenizer", "--embeddings", str(data / "embeddings.stre"),
                "--out", str(tok), "--epochs", "15", "--seed", "0") == 0
     sids = root / "sids"
-    assert run("tokenize", "--embeddings", str(data / "embeddings.csv"),
+    assert run("tokenize", "--embeddings", str(data / "embeddings.stre"),
                "--tokenizer", str(tok / "tokenizer.opmq"),
                "--out", str(sids)) == 0
     return root
@@ -54,7 +56,7 @@ class TestErrors:
     def test_raw_id_with_sids_rejected_before_compute(self, tmp_path, capsys):
         # the data path does not even exist; validation must fire first
         code = run("train", "--data", str(tmp_path / "absent.strd"),
-                   "--sids", str(tmp_path / "absent.csv"), "--raw-id",
+                   "--sids", str(tmp_path / "absent.strs"), "--raw-id",
                    "--out", str(tmp_path / "out"))
         assert code == 2
         assert "forbids" in capsys.readouterr().err
@@ -67,7 +69,7 @@ class TestErrors:
         assert "--sids" in capsys.readouterr().err
 
     def test_missing_artifact_is_one_line(self, tmp_path, capsys):
-        code = run("tokenize", "--embeddings", str(tmp_path / "nope.csv"),
+        code = run("tokenize", "--embeddings", str(tmp_path / "nope.stre"),
                    "--tokenizer", str(tmp_path / "nope.opmq"),
                    "--out", str(tmp_path / "out"))
         assert code == 2
@@ -103,14 +105,14 @@ def test_bad_numbers_and_config_types_end_in_one_error_line(tmp_path, capsys):
     commands = {
         "gen-synthetic": ([], {"n_instances": 300, "n_items": 40, "n_users": 12,
                                "n_clusters": 4, "seed": 1}, data),
-        "train-tokenizer": (["--embeddings", str(data / "embeddings.csv")],
+        "train-tokenizer": (["--embeddings", str(data / "embeddings.stre")],
                             {"epochs": 2, "v": 4}, tok),
         "train": (["--data", str(data / "data.strd"),
-                   "--sids", str(sids / "sids.csv")],
+                   "--sids", str(sids / "sids.strs")],
                   {"v": 4, "d": 8, "d_s": 4, "d_g": 4, "emb_dim": 2},
                   tmp_path / "model"),
         "sweep": (["--data", str(data / "data.strd"),
-                   "--sids", str(sids / "sids.csv")],
+                   "--sids", str(sids / "sids.strs")],
                   {"v": 4, "d": 8, "d_s": 4, "d_g": 4, "emb_dim": 2},
                   tmp_path / "sweep"),
         "bench-attention": ([], {"h_values": [16], "d_model": 8, "n_heads": 2,
@@ -123,7 +125,7 @@ def test_bad_numbers_and_config_types_end_in_one_error_line(tmp_path, capsys):
         base.write_text(json.dumps(cfg))
         assert run(name, *flags, "--config", str(base), "--out", str(out)) == 0
         if name == "train-tokenizer":
-            assert run("tokenize", "--embeddings", str(data / "embeddings.csv"),
+            assert run("tokenize", "--embeddings", str(data / "embeddings.stre"),
                        "--tokenizer", str(tok / "tokenizer.opmq"),
                        "--out", str(sids)) == 0
         variants = [["--config", str(base), a.option_strings[0], value]
@@ -163,7 +165,7 @@ def test_an_empty_number_list_is_one_error_line(workspace, tmp_path, capsys,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(body))
     data = ["--data", str(workspace / "data" / "data.strd"), "--sids",
-            str(workspace / "sids" / "sids.csv")] if command == "sweep" else []
+            str(workspace / "sids" / "sids.strs")] if command == "sweep" else []
     out = tmp_path / "out"
     assert run(command, *data, *flags, "--config", str(cfg),
                "--out", str(out)) == 2
@@ -183,7 +185,7 @@ class TestConfigTypes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
         flags = {"train-tokenizer": ["--embeddings", str(workspace / "data" /
-                                                         "embeddings.csv")],
+                                                         "embeddings.stre")],
                  "train": ["--data", str(workspace / "data" / "data.strd"),
                            "--raw-id"]}[command]
         assert run(command, *flags, "--config", str(cfg),
@@ -198,7 +200,7 @@ class TestConfigTypes:
                        '"epochs": 1}\n')
         out = tmp_path / "out"
         assert run("train-tokenizer", "--embeddings",
-                   str(workspace / "data" / "embeddings.csv"),
+                   str(workspace / "data" / "embeddings.stre"),
                    "--config", str(cfg), "--out", str(out)) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert (resolved["lr"], resolved["d_z"], resolved["preset"]) == (1, 4, None)
@@ -216,7 +218,7 @@ class TestConfigTypes:
                   else ["--" + key.replace("_", "-"), "nan"])
         inputs = {"gen-synthetic": [],
                   "train-tokenizer": ["--embeddings", str(workspace / "data" /
-                                                          "embeddings.csv")],
+                                                          "embeddings.stre")],
                   "train": ["--data", str(workspace / "data" / "data.strd"),
                             "--raw-id"]}[command]
         out = tmp_path / "out"
@@ -259,7 +261,7 @@ class TestConfigResolution:
     def test_presets_set_quantizer_scale(self, tmp_path, workspace):
         out = tmp_path / "out"
         assert run("train-tokenizer",
-                   "--embeddings", str(workspace / "data" / "embeddings.csv"),
+                   "--embeddings", str(workspace / "data" / "embeddings.stre"),
                    "--out", str(out), "--preset", "public",
                    "--epochs", "2") == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
@@ -269,7 +271,7 @@ class TestConfigResolution:
         data = workspace / "data"
         out = tmp_path / "tok"
         assert run("train-tokenizer", "--embeddings",
-                   str(data / "embeddings.csv"), "--out", str(out),
+                   str(data / "embeddings.stre"), "--out", str(out),
                    "--preset", "public", "--k", "2", "--v", "4",
                    "--epochs", "1") == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
@@ -294,7 +296,7 @@ class TestGenSynthetic:
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("gen-synthetic", "--out", str(a), *args) == 0
         assert run("gen-synthetic", "--out", str(b), *args) == 0
-        for name in ("data.strd", "embeddings.csv", "resolved_config.json"):
+        for name in ("data.strd", "embeddings.stre", "resolved_config.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_cache_loads_back(self, workspace):
@@ -309,15 +311,15 @@ class TestTokenizerCommands:
         assert log[0]["epoch"] == 1 and "loss_recon" in log[0]
 
     def test_sids_cover_catalog(self, workspace):
-        table = read_sids(str(workspace / "sids" / "sids.csv"))
+        table = read_sids(str(workspace / "sids" / "sids.strs"))
         assert len(table) == 120 and table.k == 3 and table.v == 16
 
     def test_rq_backend_writes_sids_directly(self, workspace, tmp_path):
         out = tmp_path / "rq"
         assert run("train-tokenizer",
-                   "--embeddings", str(workspace / "data" / "embeddings.csv"),
+                   "--embeddings", str(workspace / "data" / "embeddings.stre"),
                    "--out", str(out), "--backend", "rq") == 0
-        table = read_sids(str(out / "sids.csv"))
+        table = read_sids(str(out / "sids.strs"))
         assert len(table) == 120
         log = read_lines(out / "tokenizer_log.jsonl")
         rms = [rec["rms"] for rec in log]
@@ -326,7 +328,7 @@ class TestTokenizerCommands:
     def test_a_warning_is_one_line(self, tmp_path, capsys):
         # 60 distinct items for 61 codewords: the quantizer warns, and the
         # run goes on
-        emb = tmp_path / "emb.csv"
+        emb = tmp_path / "emb.stre"
         rows = np.random.default_rng(0).normal(size=(60, 4))
         write_embeddings(emb, EmbeddingTable(np.arange(60), rows))
         assert run("train-tokenizer", "--embeddings", str(emb), "--v", "61",
@@ -336,14 +338,15 @@ class TestTokenizerCommands:
         assert (tmp_path / "tok" / "tokenizer.opmq").exists()
 
     def test_a_bad_embeddings_header_is_one_error_line(self, tmp_path, capsys):
-        emb = tmp_path / "emb.csv"
-        for dim in ("0", "x", "-2"):
-            emb.write_text(f"item_id,dim={dim}\n1,0.5\n")
+        emb = tmp_path / "emb.stre"
+        vectors = [("vectors", np.full((2, 2), 0.5))]
+        for ids, says in ((["1", 2], "ids[1] must be of type str, got 2"),
+                          (5, "ids must be a list, got 5")):
+            artifact.write(emb, EMBEDDINGS_MAGIC, {"ids": ids}, vectors)
             assert run("train-tokenizer", "--embeddings", str(emb),
                        "--out", str(tmp_path / "tok"), "--epochs", "1") == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {emb}:1: bad header ")
-            assert err.count("\n") == 1
+            assert capsys.readouterr().err == f"error: {emb}: {says}\n"
+        assert not (tmp_path / "tok").exists()
 
     def test_a_tokenizer_config_that_does_not_fit_is_named(
             self, workspace, tmp_path, capsys):
@@ -365,7 +368,7 @@ class TestTokenizerCommands:
             artifact.write(path, b"OPMQ2", bad, list(arrays.items()))
             capsys.readouterr()
             assert run("tokenize",
-                       "--embeddings", str(workspace / "data" / "embeddings.csv"),
+                       "--embeddings", str(workspace / "data" / "embeddings.stre"),
                        "--tokenizer", str(path), "--out", str(tmp_path / name)) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: "), err
@@ -374,20 +377,23 @@ class TestTokenizerCommands:
 
 class TestTableErrorsNameTheFile:
     def test_a_code_outside_v(self, workspace, tmp_path, capsys):
-        sids = tmp_path / "sids.csv"
-        sids.write_text("item_id,K=2,V=4\n1,0,1\n2,7,3\n")
+        sids = tmp_path / "sids.strs"
+        artifact.write(sids, SIDS_MAGIC, {"ids": ["1", "2"], "v": 4},
+                       [("codes", np.array([[0, 1], [7, 3]], dtype="<i8"))])
         assert run("train", "--data", str(workspace / "data" / "data.strd"),
                    "--sids", str(sids), "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
         assert err == f"error: {sids}: codes outside [0, 4)\n"
 
-    @pytest.mark.parametrize("rows, reason", [
-        ("1,0.5,nan\n2,0.5,0.5\n", "non-finite embedding values"),
-        ("1,0.5,0.5\n1,0.25,0.5\n", "duplicate item ids in embedding table"),
+    @pytest.mark.parametrize("ids, rows, reason", [
+        (["1", "2"], [[0.5, np.nan], [0.5, 0.5]], "non-finite embedding values"),
+        (["1", "1"], [[0.5, 0.5], [0.25, 0.5]],
+         "duplicate item ids in embedding table"),
     ], ids=["nan", "duplicate_id"])
-    def test_a_bad_embedding_table(self, tmp_path, capsys, rows, reason):
-        emb = tmp_path / "emb.csv"
-        emb.write_text("item_id,dim=2\n" + rows)
+    def test_a_bad_embedding_table(self, tmp_path, capsys, ids, rows, reason):
+        emb = tmp_path / "emb.stre"
+        artifact.write(emb, EMBEDDINGS_MAGIC, {"ids": ids},
+                       [("vectors", np.array(rows))])
         assert run("train-tokenizer", "--embeddings", str(emb),
                    "--out", str(tmp_path / "tok"), "--epochs", "1") == 1
         assert capsys.readouterr().err == f"error: {emb}: {reason}\n"
@@ -396,7 +402,7 @@ class TestTableErrorsNameTheFile:
 class TestTrainEval:
     def train_args(self, workspace, out, *extra):
         return ["train", "--data", str(workspace / "data" / "data.strd"),
-                "--sids", str(workspace / "sids" / "sids.csv"),
+                "--sids", str(workspace / "sids" / "sids.strs"),
                 "--out", str(out), "--epochs", "1", "--batch-size", "500",
                 "--d", "16", "--d-s", "8", "--d-g", "8", "--emb-dim", "4",
                 "--seed", "0", *extra]
@@ -445,6 +451,26 @@ class TestTrainEval:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {model}: {case} ")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, dtype, want", [
+        ("proj_w", "<f4", "<f8"), ("sid_codes", "<f8", "<i8"),
+    ], ids=["float32_weights", "float_codes"])
+    def test_eval_names_an_array_of_another_dtype(self, workspace, tmp_path,
+                                                  capsys, name, dtype, want):
+        out = tmp_path / "run"
+        assert run(*self.train_args(workspace, out)) == 0
+        model = out / "model.strm"
+        header, arrays = artifact.read(model, STORE_MAGIC)
+        arrays = dict(arrays, **{name: arrays[name].astype(dtype)})
+        artifact.write(model, STORE_MAGIC, header, list(arrays.items()))
+        capsys.readouterr()
+        ev = tmp_path / "ev"
+        assert run("eval", "--model", str(model),
+                   "--data", str(workspace / "data" / "data.strd"),
+                   "--out", str(ev)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: array {name!r} holds {dtype}, expected {want}\n")
+        assert not ev.exists()
 
     def test_eval_rejects_a_foreign_dataset(self, workspace, tmp_path, capsys):
         # same items, wider static vocabularies than the model was built for
@@ -559,7 +585,7 @@ class TestSweep:
     def test_one_log_and_flops_record_per_setting(self, workspace, tmp_path):
         out = tmp_path / "sw"
         assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
-                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
                    "--out", str(out), "--rho-grid", "1,0.5,0.25",
                    "--epochs", "1", "--batch-size", "500", "--d", "16",
                    "--d-s", "8", "--d-g", "8", "--emb-dim", "4",
@@ -620,7 +646,7 @@ class TestSweep:
 
     def test_k_grid_requires_embeddings(self, workspace, tmp_path, capsys):
         code = run("sweep", "--data", str(workspace / "data" / "data.strd"),
-                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
                    "--out", str(tmp_path / "sw"), "--k-grid", "1,3")
         assert code == 2
         assert "embeddings" in capsys.readouterr().err
@@ -629,7 +655,7 @@ class TestSweep:
                                                     capsys):
         out = tmp_path / "sw"
         code = run("sweep", "--data", str(workspace / "data" / "data.strd"),
-                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
                    "--out", str(out), "--k-grid", "2")
         err = capsys.readouterr().err
         assert code == 2
@@ -697,14 +723,14 @@ class TestReplay:
         runs = {
             data: ["gen-synthetic", "--n-instances", "1500", "--n-items", "60",
                    "--n-users", "20", "--n-clusters", "4", "--seed", "2"],
-            tok: ["train-tokenizer", "--embeddings", str(data / "embeddings.csv"),
+            tok: ["train-tokenizer", "--embeddings", str(data / "embeddings.stre"),
                   "--epochs", "3", "--v", "8"],
-            rq: ["train-tokenizer", "--embeddings", str(data / "embeddings.csv"),
+            rq: ["train-tokenizer", "--embeddings", str(data / "embeddings.stre"),
                  "--backend", "rq", "--preset", "public"],
-            sids: ["tokenize", "--embeddings", str(data / "embeddings.csv"),
+            sids: ["tokenize", "--embeddings", str(data / "embeddings.stre"),
                    "--tokenizer", str(tok / "tokenizer.opmq")],
             tmp_path / "sid": ["train", "--data", str(data / "data.strd"),
-                               "--sids", str(sids / "sids.csv"), "--v", "8",
+                               "--sids", str(sids / "sids.strs"), "--v", "8",
                                "--val-fraction", "0.3", *small],
             tmp_path / "raw": ["train", "--data", str(data / "data.strd"),
                                "--raw-id", "--no-rotation", "--hash-buckets",
@@ -712,8 +738,8 @@ class TestReplay:
             tmp_path / "ev": ["eval", "--model", str(tmp_path / "sid" / "model.strm"),
                               "--data", str(data / "data.strd"), "--split", "train"],
             tmp_path / "sw": ["sweep", "--data", str(data / "data.strd"),
-                              "--sids", str(sids / "sids.csv"), "--v", "8",
-                              "--embeddings", str(data / "embeddings.csv"),
+                              "--sids", str(sids / "sids.strs"), "--v", "8",
+                              "--embeddings", str(data / "embeddings.stre"),
                               "--k-grid", "2,3", "--rho-grid", "1,0.5",
                               "--tok-epochs", "2", *small],
             tmp_path / "bench": ["bench-attention", "--h-values", "32,64",
@@ -733,7 +759,7 @@ class TestReplay:
                                       if i not in wall] for line in lines]
             assert want == got, out.name
         tok_cfg = json.loads((tok / "resolved_config.json").read_text())
-        assert tok_cfg["embeddings"] == str(data / "embeddings.csv")
+        assert tok_cfg["embeddings"] == str(data / "embeddings.stre")
 
     def test_a_config_from_another_command_is_one_error_line(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -768,12 +794,12 @@ class TestReplay:
     def test_inputs_come_from_the_config_file_alone(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "embeddings": str(workspace / "data" / "embeddings.csv"),
+            "embeddings": str(workspace / "data" / "embeddings.stre"),
             "tokenizer": str(workspace / "tok" / "tokenizer.opmq")}))
         out = tmp_path / "sids"
         assert run("tokenize", "--config", str(cfg), "--out", str(out)) == 0
-        assert (out / "sids.csv").read_bytes() == \
-            (workspace / "sids" / "sids.csv").read_bytes()
+        assert (out / "sids.strs").read_bytes() == \
+            (workspace / "sids" / "sids.strs").read_bytes()
 
     def test_eval_names_a_training_config_without_its_split(
             self, workspace, tmp_path, capsys):
@@ -827,7 +853,7 @@ class TestRefusedRunsLeaveNoOutput:
                                           command, flags):
         out = tmp_path / "out"
         assert run(command, "--data", str(workspace / "data" / "data.strd"),
-                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
                    "--out", str(out), *flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: SID table carries K=3 codes of V=16")
@@ -837,8 +863,8 @@ class TestRefusedRunsLeaveNoOutput:
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_a_sid_table_that_misses_items(self, workspace, tmp_path, capsys,
                                            command):
-        full = read_sids(workspace / "sids" / "sids.csv")
-        cut = tmp_path / "sids.csv"
+        full = read_sids(workspace / "sids" / "sids.strs")
+        cut = tmp_path / "sids.strs"
         write_sids(cut, SidTable(full.ids[:49], full.codes[:49], full.v))
         out = tmp_path / "out"
         assert run(command, "--data", str(workspace / "data" / "data.strd"),
@@ -856,16 +882,49 @@ class TestRefusedRunsLeaveNoOutput:
                                                flags, reason):
         out = tmp_path / "out"
         assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
-                   "--sids", str(workspace / "sids" / "sids.csv"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
                    "--out", str(out), *flags) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, tag", [
+        ("0.5,0.50000001", "epochs1_k3_L2_rho0.5"), ("1,1", "epochs1_k3_L2_rho1"),
+    ], ids=["near", "same"])
+    def test_sweep_settings_that_share_a_log_tag(self, workspace, tmp_path,
+                                                 capsys, grid, tag):
+        out = tmp_path / "out"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
+                   "--out", str(out), "--rho-grid", grid, "--epochs", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: two sweep settings share the log tag {tag}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, table", [
+        ("train-tokenizer", "--embeddings", "data/embeddings.stre"),
+        ("train", "--sids", "sids/sids.strs"),
+    ], ids=["embeddings", "sids"])
+    def test_a_table_cut_at_a_row_boundary(self, workspace, tmp_path, capsys,
+                                           command, flag, table):
+        blob = (workspace / table).read_bytes()
+        rows_at = blob.index(b"\n", blob.index(b"\n") + 1) + 1
+        row = (len(blob) - rows_at) // 120
+        cut = tmp_path / os.path.basename(table)
+        cut.write_bytes(blob[:rows_at + 49 * row])
+        out = tmp_path / "out"
+        data = ["--data", str(workspace / "data" / "data.strd")]
+        assert run(command, flag, str(cut), "--out", str(out), "--epochs", "1",
+                   *(data if command == "train" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: truncated in array ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--k-grid", "3,2"]], ids=["h", "k_grid"])
     def test_sweep_embeddings_that_miss_items(self, workspace, tmp_path, capsys,
                                               flags):
-        full = read_embeddings(workspace / "data" / "embeddings.csv")
-        cut = tmp_path / "embeddings.csv"
+        full = read_embeddings(workspace / "data" / "embeddings.stre")
+        cut = tmp_path / "embeddings.stre"
         write_embeddings(cut, EmbeddingTable(full.ids[:49], full.vectors[:49]))
         out = tmp_path / "out"
         assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
@@ -877,7 +936,7 @@ class TestRefusedRunsLeaveNoOutput:
 
     def test_embeddings_narrower_than_the_tokenizer(self, workspace, tmp_path,
                                                    capsys):
-        emb = tmp_path / "embeddings.csv"
+        emb = tmp_path / "embeddings.stre"
         write_embeddings(emb, EmbeddingTable(["a", "b"], np.ones((2, 8))))
         out = tmp_path / "out"
         assert run("tokenize", "--embeddings", str(emb),
@@ -889,8 +948,8 @@ class TestRefusedRunsLeaveNoOutput:
 
     @pytest.mark.parametrize("backend", ["opmq", "rq"])
     def test_an_empty_embedding_table(self, tmp_path, capsys, backend):
-        emb = tmp_path / "embeddings.csv"
-        emb.write_text("item_id,dim=4\n")
+        emb = tmp_path / "embeddings.stre"
+        write_embeddings(emb, EmbeddingTable([], np.zeros((0, 4))))
         out = tmp_path / "out"
         assert run("train-tokenizer", "--embeddings", str(emb),
                    "--backend", backend, "--out", str(out)) == 1
@@ -928,7 +987,7 @@ class TestOlderRuns:
         self.rewrite(tok, b"OPMQ2", activation="tanh", orth_weights="hidden")
         capsys.readouterr()
         assert run("tokenize", "--embeddings",
-                   str(workspace / "data" / "embeddings.csv"),
+                   str(workspace / "data" / "embeddings.stre"),
                    "--tokenizer", str(tok), "--out", str(tmp_path / "s")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tok}: ")
