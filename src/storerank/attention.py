@@ -202,11 +202,16 @@ def efficient_attention(x, params, plan=None):
     gradients are bit for bit those of that graph.  A product's bits
     follow its shapes: one product with [wq | wk | wv] has three times
     the columns and, at most widths, rounds otherwise, so Q, K and V are
-    three products, as in the graph.  They do not follow memory layout:
-    Q, K and V are strided per-head views of those products, and
-    per-head products land straight in the (n, H, d_model) layout of
-    the projections that follow.  With one-key blocks a fresh route's
-    gates are q @ k^T, the scores' own product, and are reused.
+    three products, as in the graph.  They follow the layout of the
+    operands too: ``g @ wo.T`` on a transposed view and on a contiguous
+    copy of it round differently, and so does flattening (n, H, d) @
+    (d, d) into one 2-D product, so every operand is the graph's.  They
+    do not follow where a product is written: Q, K and V are strided
+    per-head views of those products, per-head products land through
+    ``out=`` straight in the (n, H, d_model) layout of the projections
+    that follow, and k's part lands transposed.  With one-key blocks a
+    fresh route's gates are q @ k^T, the scores' own product, and are
+    reused.
     """
     if x.ndim != 3:
         raise ValueError(f"attention input must be (n, H, d_model), got shape {x.shape}")
@@ -235,20 +240,32 @@ def efficient_attention(x, params, plan=None):
         if wo.requires_grad:
             wo.accumulate_grad(merged.reshape(-1, d).T @ g.reshape(-1, d))
         go = _heads(g @ np.swapaxes(wo.values, -1, -2), heads)
-        gp = go @ np.swapaxes(v, -1, -2)
-        gs = p * (gp - T.reduce_keepdims(np.add, gp * p))
+        # the softmax backward p * (gp - sum(gp * p)), formed on gp
+        gs = go @ np.swapaxes(v, -1, -2)
+        gs -= T.reduce_keepdims(np.add, gs * p)
+        gs *= p
         gs *= scale
         gq, gk, gv = (np.empty((n, h, d)) for _ in range(3))
         np.matmul(gs, k, out=_heads(gq, heads))
-        # k's part as the graph formed it, the gradient of k^T transposed
-        # back: a product of other shapes need not round the same
-        _heads(gk, heads)[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+        # k's part as the graph formed it, the gradient of k^T, written
+        # transposed back: a product of other shapes need not round the
+        # same, but where it lands does not matter
+        np.matmul(np.swapaxes(q, -1, -2), gs,
+                  out=np.swapaxes(_heads(gk, heads), -1, -2))
         np.matmul(np.swapaxes(p, -1, -2), go, out=_heads(gv, heads))
         # x takes the q, k, v parts in that order, one addition each, as
-        # from the graph's three projection nodes: float sums depend on order
+        # from the graph's three projection nodes: float sums depend on
+        # order.  The q part is an array of its own, which x may keep as
+        # its first gradient; the k and v parts share one scratch buffer
+        scratch = None
         for w, gw in zip((wq, wk, wv), (gq, gk, gv)):
             if x.requires_grad:
-                x.accumulate_grad(gw @ np.swapaxes(w.values, -1, -2))
+                wt = np.swapaxes(w.values, -1, -2)
+                if w is wq:
+                    x.accumulate_grad(gw @ wt)
+                else:
+                    scratch = np.matmul(gw, wt, out=scratch)
+                    x.accumulate_grad(scratch)
             if w.requires_grad:
                 w.accumulate_grad(xv.reshape(-1, d).T @ gw.reshape(-1, d))
     return T._result(merged @ wo.values, (x, wq, wk, wv, wo), bwd), plan

@@ -15,8 +15,9 @@ embedding repeated at every position, leaving every other component
 untouched, so code-vs-raw comparisons isolate the tokenization.
 
 The token build is one autodiff node (``_tokens``), each layer an
-attention node and one residual + LayerNorm node, all bit for bit the
-per-op graphs they replace.  Training and scoring run the one
+attention node and one residual + LayerNorm node, the readout one node
+(``_readout``) and the loss one more (``bce_loss``), all bit for bit
+the per-op graphs they replace.  Training and scoring run the one
 ``forward``: ``predict`` runs it on a frozen view of the model, whose
 leaves need no gradient, so no node keeps a backward and the fused
 nodes work in place.
@@ -176,6 +177,32 @@ def _tokens(c, lookups, mats, proj_w, proj_b):
     return T._result(out, parents, bwd)
 
 
+def _readout(x, head_w, head_b):
+    """Click probabilities (n,) from the (n, H, d) sequence x as one
+    node: the mean over the H tokens, the (d, 1) head affine and a
+    sigmoid.  Parents x, head_w and head_b.
+
+    Bit for bit the graph ``sigmoid(reshape(affine(tmean(x, axis=1),
+    head_w, head_b), (n,)))``: the same products and elementwise steps,
+    and the same arrays handed to each parent.
+    """
+    n, h = x.shape[:2]
+    pooled = x.values.sum(axis=1) * (1.0 / h)
+    out = T.sigmoid_values((pooled @ head_w.values + head_b.values).reshape(n))
+
+    def bwd(g):
+        # the sigmoid's gradient, as the affine takes it
+        gz = (g * out * (1.0 - out)).reshape(n, 1)
+        if x.requires_grad:
+            gp = (gz @ head_w.values.T) * (1.0 / h)
+            x.accumulate_grad(np.broadcast_to(np.expand_dims(gp, 1), x.shape))
+        if head_w.requires_grad:
+            head_w.accumulate_grad(pooled.T @ gz)
+        if head_b.requires_grad:
+            head_b.accumulate_grad(T.bias_grad(gz))
+    return T._result(out, (x, head_w, head_b), bwd)
+
+
 class StoreModel:
     """Token builder plus attention stack; all parameters live in Tensors.
 
@@ -279,9 +306,7 @@ class StoreModel:
             x = T.layer_norm(a, g, b, residual=x)
             if not np.all(np.isfinite(x.values)):
                 raise FloatingPointError(f"non-finite output after layer {li}")
-        logits = T.affine(T.tmean(x, axis=1), self.head_w, self.head_b)
-        probs = T.sigmoid(T.reshape(logits, (logits.shape[0],)))
-        return probs, used
+        return _readout(x, self.head_w, self.head_b), used
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +315,28 @@ class StoreModel:
 
 def bce_loss(probs, labels):
     """Mean binary cross-entropy, probabilities clipped to [1e-7, 1-1e-7]
-    (the same guard the logloss metric uses)."""
+    (the same guard the logloss metric uses), as one node.
+
+    Bit for bit the graph ``-mean(y log p + (1-y) log(1-p))`` on
+    ``p = clip(probs)``: its elementwise steps in its order, and inside
+    the clip's bounds the gradient its two paths through p sum to.
+    """
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != probs.shape:
         raise ValueError(f"labels shape {y.shape} vs probs {probs.shape}")
     if y.size and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    p = T.clip(probs, 1e-7, 1.0 - 1e-7)
-    pos = T.mul(T.Tensor(y), T.log(p))
-    neg = T.mul(T.Tensor(1.0 - y), T.log(T.sub(T.Tensor(np.ones_like(y)), p)))
-    return T.mul(T.tmean(T.add(pos, neg)), -1.0)
+    lo, hi = 1e-7, 1.0 - 1e-7
+    p = np.clip(probs.values, lo, hi)
+    q = 1.0 - p
+    inv_n = 1.0 / y.size
+    loss = ((y * np.log(p) + (1.0 - y) * np.log(q)).sum() * inv_n) * -1.0
+
+    def bwd(g):
+        gm = (g * -1.0) * inv_n
+        gp = (gm * y) / p + -((gm * (1.0 - y)) / q)
+        probs.accumulate_grad(gp * ((probs.values >= lo) & (probs.values <= hi)))
+    return T._result(loss, (probs,), bwd)
 
 
 def total_loss(model, inputs, labels, plans=None):

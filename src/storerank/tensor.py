@@ -20,9 +20,10 @@ The one gradient that is not a dense array is that of an embedding
 table (a leaf) with more rows than a batch looks up: ``embedding``
 hands it back as a ``RowSparse`` (sorted distinct rows plus their
 summed values), and ``Adam`` updates only the rows that can move.  It
-keeps the moments of such a table for just the rows touched so far, in
-one compact array in first-touch order, and turns them into dense
-moments once every row is touched or a dense gradient arrives.  It gives
+keeps the moments and values of such a table for just the rows touched
+so far, in compact arrays in first-touch order, adds gradient terms to
+just the rows a step looks up, and turns the moments dense once every
+row is touched or a dense gradient arrives.  It gives
 bit for bit what the dense gradient would give, and ``np.asarray`` turns
 a ``RowSparse`` into exactly that dense gradient.  The lookups' sums,
 dense or row-sparse, are one ``np.bincount``.  The dense moments of
@@ -31,9 +32,15 @@ in one elementwise update on the concatenated gradients.
 
 A node keeps the first gradient a backward closure hands it without a
 copy when it is a fresh array (writeable float64, owning its memory);
-a view, a read-only or another-dtype array is copied.  No gradient is
-ever summed onto in place, so one array may reach two nodes, and
-``grad`` gives each parameter an array of its own.
+a view, a read-only or another-dtype array is copied.  A kept array
+may be shared (``add`` hands one array to both parents), so a node
+sums a later gradient in place only into an array it owns: the copy
+it made of a first gradient, or the result of an earlier sum.  It does
+so only when both summands are C-ordered arrays of one shape, so the
+sum has the layout, and the bits, of the out-of-place one; any other
+sum, and any sum with a ``RowSparse``, is made out of place.
+Each first gradient sets whether the node owns it, and ``grad`` gives
+each parameter an array of its own.
 
 The graph is held alive by ordinary Python references: every op result
 keeps a tuple of its parents and a backward closure.  ``grad`` (and
@@ -59,7 +66,8 @@ class Tensor:
     module-level ops and carry a backward closure.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_owns_grad", "_parents",
+                 "_backward")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(values, dtype=np.float64)
@@ -68,6 +76,7 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._owns_grad = False
         self._parents = _parents
         self._backward = _backward
 
@@ -85,14 +94,20 @@ class Tensor:
     def accumulate_grad(self, g):
         if self.grad is None:
             # keep a RowSparse or a fresh array (writeable float64 owning
-            # its memory) as handed over, since no gradient is summed onto
-            # in place; copy a view, a read-only or another-dtype array
-            owned = isinstance(g, RowSparse) or (
+            # its memory) as handed over, shared perhaps, so not owned;
+            # copy a view, a read-only or another-dtype array, and own it
+            fresh = isinstance(g, RowSparse) or (
                 type(g) is np.ndarray and g.base is None
                 and g.dtype == np.float64 and g.flags.writeable)
-            self.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
+            self.grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
+            self._owns_grad = not fresh
+        elif (self._owns_grad and type(g) is np.ndarray
+              and g.dtype == np.float64 and g.shape == self.grad.shape
+              and g.flags.c_contiguous and self.grad.flags.c_contiguous):
+            np.add(self.grad, g, out=self.grad)
         else:
             self.grad = self.grad + g
+            self._owns_grad = not isinstance(self.grad, RowSparse)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -202,19 +217,17 @@ def mul(a, b):
     return _result(a.values * b.values, (a, b), bwd)
 
 
-def log(a):
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.values)
-    return _result(np.log(a.values), (a,), bwd)
-
-
 def tanh(a):
     out_vals = np.tanh(a.values)
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - out_vals ** 2))
+            # g * (1 - out**2) in one array, out's layout, which is the
+            # product's own when g shares it
+            dt = out_vals ** 2
+            np.subtract(1.0, dt, out=dt)
+            a.accumulate_grad(np.multiply(
+                g, dt, out=dt if g.strides == dt.strides else None))
     return _result(out_vals, (a,), bwd)
 
 
@@ -224,17 +237,6 @@ def sigmoid(a):
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * out_vals * (1.0 - out_vals))
-    return _result(out_vals, (a,), bwd)
-
-
-def clip(a, lo, hi):
-    """Clamp values to [lo, hi]; gradient passes through only inside the bounds."""
-    out_vals = np.clip(a.values, lo, hi)
-    passthrough = (a.values >= lo) & (a.values <= hi)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * passthrough)
     return _result(out_vals, (a,), bwd)
 
 
@@ -425,8 +427,10 @@ def softmax_values(x, axis=-1):
         if np.any(np.isnan(m) | (m == np.inf)):
             raise FloatingPointError("softmax: non-finite scores (NaN or +inf)")
         raise FloatingPointError("softmax: a full slice is masked to -inf")
-    e = np.exp(x - m)
-    return e / reduce_keepdims(np.add, e, axis)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    e /= reduce_keepdims(np.add, e, axis)
+    return e
 
 
 def reduce_keepdims(ufunc, x, axis=-1):
@@ -511,16 +515,22 @@ def layer_norm(x, gamma, beta, residual=None, eps=1e-5):
             g_sq = (gn * centered).sum(axis=-1, keepdims=True) * -0.5 \
                 * ve ** -1.5 * inv_d
             part = g_sq * centered
-            gc = np.multiply(gn, inv_std, order="C") + part + part
-            gy = gc + (-gc).sum(axis=-1, keepdims=True) * inv_d
+            gc = np.multiply(gn, inv_std, order="C")
+            gc += part
+            gc += part
+            # part, g_sq times the C-ordered centred rows, is C-ordered
+            # as -gc is, so the row sum's bits are -gc's
+            gc += np.negative(gc, out=part).sum(axis=-1, keepdims=True) * inv_d
             for p in summands:
-                p.accumulate_grad(gy)
+                p.accumulate_grad(gc)
         for p, gp in ((gamma, g * normed), (beta, g)):
             if p.requires_grad:
                 for ax in lifted:
                     gp = gp.sum(axis=ax, keepdims=True)
                 p.accumulate_grad(gp.reshape(d))
-    return _result(normed * gamma.values + beta.values, parents, bwd)
+    out = normed * gamma.values
+    out += beta.values
+    return _result(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -600,39 +610,44 @@ def grad(loss, params):
 # ---------------------------------------------------------------------------
 
 class _RowMoments:
-    """Adam moments of the rows of a table that gradients have touched.
+    """Adam moments, and values, of the rows of a table that gradients
+    have touched.
 
-    Slot s holds the moments of row ``rows[s]``, for the first ``n``
-    slots, in first-touch order; ``slot[r]`` is row r's slot, -1 while r
-    is untouched.  The arrays grow geometrically and are zero past ``n``.
+    Slot s holds the moments and the value of row ``rows[s]``, for the
+    first ``n`` slots, in first-touch order; ``slot[r]`` is row r's
+    slot, -1 while r is untouched.  A row's value is read from the table
+    when the row gets its slot.  The arrays grow geometrically and are
+    zero past ``n``.
     """
 
-    __slots__ = ("slot", "rows", "m", "v", "n")
+    __slots__ = ("slot", "rows", "m", "v", "w", "n")
 
     def __init__(self, shape):
         self.slot = np.full(shape[0], -1, dtype=np.int64)
         self.rows = np.zeros(0, dtype=np.int64)
         self.m = np.zeros((0,) + shape[1:])
         self.v = np.zeros((0,) + shape[1:])
+        self.w = np.zeros((0,) + shape[1:])
         self.n = 0
 
-    def touch(self, rows):
-        """Give slots to the untouched of ``rows`` (distinct, ascending);
-        return the touched rows by slot."""
+    def touch(self, rows, table):
+        """Give slots to the untouched of ``rows`` (distinct, ascending),
+        holding their values in ``table``; return the touched count."""
         new = rows[self.slot[rows] < 0]
         n = self.n + new.size
         if n > self.rows.size:
             cap = max(n, 2 * self.rows.size)
             grown = []
-            for a in (self.rows, self.m, self.v):
+            for a in (self.rows, self.m, self.v, self.w):
                 b = np.zeros((cap,) + a.shape[1:], dtype=a.dtype)
                 b[:self.n] = a[:self.n]
                 grown.append(b)
-            self.rows, self.m, self.v = grown
+            self.rows, self.m, self.v, self.w = grown
         self.slot[new] = np.arange(self.n, n)
         self.rows[self.n:n] = new
+        self.w[self.n:n] = table[new]
         self.n = n
-        return self.rows[:n]
+        return n
 
     def dense(self, shape):
         """The moments as dense arrays of the table's ``shape``."""
@@ -654,6 +669,16 @@ class Adam:
     leaves absent rows alone).  Once every row has been touched, or a
     dense gradient arrives, the moments are scattered into dense arrays
     and the parameter takes the dense update for good.
+
+    The touched rows' step splits present rows (this gradient's) from
+    absent ones: every slot's moments decay, only the present ones take
+    a gradient term, and ``m += 0.0`` over every slot gives an absent
+    row the sign the dense path's ``+ (1-b1)*0`` gives its zero; ``v``
+    is never -0.0, so it needs no such term.  The rows' values are kept
+    in their slots too, so the decrement is taken there and the rows
+    are scattered into the table once.  Those copies stay right only
+    while ``step`` is the one writer of the rows: code that writes a
+    parameter's rows between steps goes through ``write_rows``.
 
     The dense moments of all parameters live in one flat pair of arrays,
     each parameter's at its own span, so one ``_advance`` on the
@@ -700,6 +725,17 @@ class Adam:
         return (self._m[a:b].reshape(shape).copy(),
                 self._v[a:b].reshape(shape).copy())
 
+    def write_rows(self, param, rows, values):
+        """Set ``param.values[rows] = values`` between steps, and the
+        copies ``step`` keeps of the rows it has touched."""
+        param.values[rows] = values
+        held = self._rows[next(i for i, p in enumerate(self.params)
+                               if p is param)]
+        if held is not None:
+            slots = held.slot[rows]
+            present = slots >= 0
+            held.w[slots[present]] = param.values[rows[present]]
+
     def _advance(self, m, v, g, t):
         """Update the moments m, v in place; return the parameter decrement.
 
@@ -707,13 +743,19 @@ class Adam:
         ``v = b2*v + ((1-b2)*g)*g`` and ``(lr*(m/c1)) / (sqrt(v/c2)+eps)``
         with ``c = 1-b**t``, computed into two scratch arrays.
         """
-        a, b = np.empty_like(g), np.empty_like(g)
+        a = np.empty_like(g)
         m *= self.beta1
         m += np.multiply(g, 1 - self.beta1, out=a)
         v *= self.beta2
         np.multiply(g, 1 - self.beta2, out=a)
         a *= g
         v += a
+        return self._decrement(m, v, t, a)
+
+    def _decrement(self, m, v, t, a):
+        """``_advance``'s decrement from the updated moments, with ``a``
+        as scratch."""
+        b = np.empty_like(a)
         np.divide(v, 1 - self.beta2 ** t, out=a)
         np.sqrt(a, out=a)
         a += self.eps
@@ -721,6 +763,26 @@ class Adam:
         b *= self.lr
         b /= a
         return b
+
+    def _advance_rows(self, p, held, g, t):
+        """``_advance`` on the touched rows of ``p``, of which ``g``
+        (a ``RowSparse``) names the present ones, then the rows'
+        decremented values scattered into the table."""
+        n = held.n
+        m, v, w = held.m[:n], held.v[:n], held.w[:n]
+        present = held.slot[g.rows]
+        m *= self.beta1
+        gm = m[present]
+        gm += g.values * (1 - self.beta1)
+        m += 0.0        # an absent row's -0.0 turns +0.0, as in the dense path
+        m[present] = gm
+        v *= self.beta2
+        gv = np.multiply(g.values, 1 - self.beta2)
+        gv *= g.values
+        gv += v[present]
+        v[present] = gv
+        w -= self._decrement(m, v, t, np.empty_like(m))
+        p.values[held.rows[:n]] = w
 
     def step(self, grads):
         if len(grads) != len(self.params):
@@ -731,19 +793,13 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         joining = {}
-        for i, (p, g, rows) in enumerate(zip(self.params, grads, self._rows)):
-            if rows is None:
+        for i, (p, g, held) in enumerate(zip(self.params, grads, self._rows)):
+            if held is None:
                 continue
-            if isinstance(g, RowSparse):
-                touched = rows.touch(g.rows)
-                n = touched.size
-                if n < len(p.values):
-                    g_rows = np.zeros((n,) + g.shape[1:])
-                    g_rows[rows.slot[g.rows]] = g.values
-                    p.values[touched] -= self._advance(
-                        rows.m[:n], rows.v[:n], g_rows, t)
-                    continue
-            joining[i] = rows.dense(p.values.shape)
+            if isinstance(g, RowSparse) and held.touch(g.rows, p.values) < len(p.values):
+                self._advance_rows(p, held, g, t)
+                continue
+            joining[i] = held.dense(p.values.shape)
             self._rows[i] = None
         if joining:
             self._lay_out(joining)

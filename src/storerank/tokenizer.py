@@ -525,7 +525,8 @@ def train_opmq(embeddings, cfg):
                     if dead.size:
                         pick = rng.choice(len(idx), size=dead.size,
                                           replace=dead.size > len(idx))
-                        books[i, dead] = latents[i][pick]
+                        opt.write_rows(model.codebooks, i * cfg.v + dead,
+                                       latents[i][pick])
                 usage[:] = 0
         codes_used, perplexity = _usage_stats(epoch_usage)
         log.append({

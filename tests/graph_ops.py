@@ -1,10 +1,12 @@
 """Per-op autodiff nodes that only the tests' reference graphs use.
 
-The fused nodes of ``storerank`` (attention, layer norm, the tokenizer
-step) are proved exact against graphs of small per-op nodes.  Most of
-those ops are the library's own; the ones below serve nothing but those
-references and the gradient checks on them, so they live here.  Each is
-built with ``tensor._result`` exactly as a library op is.
+The fused nodes of ``storerank`` (attention, layer norm, the readout,
+the loss, the tokenizer step) are proved exact against graphs of small
+per-op nodes.  Most of those ops are the library's own; the ones below
+serve nothing but those references and the gradient checks on them, so
+they live here.  Each is built with ``tensor._result`` exactly as a
+library op is.  ``accumulate_out_of_place`` is the engine's gradient
+sum as it was before nodes summed in place, the reference for that.
 """
 
 import numpy as np
@@ -29,6 +31,24 @@ def exp(a):
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * out_vals)
+    return T._result(out_vals, (a,), bwd)
+
+
+def log(a):
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g / a.values)
+    return T._result(np.log(a.values), (a,), bwd)
+
+
+def clip(a, lo, hi):
+    """Clamp values to [lo, hi]; gradient passes through only inside the bounds."""
+    out_vals = np.clip(a.values, lo, hi)
+    passthrough = (a.values >= lo) & (a.values <= hi)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * passthrough)
     return T._result(out_vals, (a,), bwd)
 
 
@@ -99,3 +119,16 @@ def stop_gradient(a):
     the graph for ``grad``'s reachability check.
     """
     return T.Tensor(a.values, requires_grad=False, _parents=(a,), _backward=None)
+
+
+def accumulate_out_of_place(self, g):
+    """``Tensor.accumulate_grad`` with every later part summed into a
+    new array: a fresh first array (or ``RowSparse``) is kept, anything
+    else copied, and each sum is ``grad + g``."""
+    if self.grad is None:
+        fresh = isinstance(g, T.RowSparse) or (
+            type(g) is np.ndarray and g.base is None
+            and g.dtype == np.float64 and g.flags.writeable)
+        self.grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
+    else:
+        self.grad = self.grad + g

@@ -164,16 +164,17 @@ def graph_size(loss):
 
 class TestGraphShrinks:
     def test_sid_forward_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
-        # 2 fuser MLPs (4 layers) and the head; the H = 3 token
-        # projections run inside the token node
+        # 2 fuser MLPs (4 layers); the H = 3 token projections run
+        # inside the token node and the head inside the readout node
         model = StoreModel(StoreConfig(), default_groups(small["schema"]),
                            small["tr"].vocab_sizes, sid_table=small["sids"])
         inputs = slice_inputs(prepare_inputs(model, small["tr"]), np.arange(64))
         new = graph_size(total_loss(model, inputs, inputs["labels"])[0])
         monkeypatch.setattr(T, "affine", four_op_affine)
         ref = graph_size(total_loss(model, inputs, inputs["labels"])[0])
-        # the tokens are one node, and each residual + layer norm
-        assert (ref, new) == (95, 80) and ref - new == 3 * 5
+        # the tokens are one node, each residual + layer norm, the
+        # readout and the loss
+        assert (ref, new) == (76, 64) and ref - new == 3 * 4
 
     def test_tokenizer_step_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
         model = OpmqModel(small["table"].dim, OpmqConfig(), np.random.default_rng(0))

@@ -5,11 +5,16 @@ as one node, and ``graph_residual_norm`` that composite after the
 residual ``add`` that the node takes as a fourth parent.
 ``graph_build_tokens`` is the per-op token build (per position a lookup,
 a rotation, a concat, an affine and a reshape, then a concat) that
-``model._tokens`` runs as one node.  ``argsort_route`` is the
-stable-argsort routing that ``moba_route`` does without sorting under 8
-blocks.  All claim the same bits: values, every gradient, block
-selections, the scores of ``predict``'s graph-free forward and whole
-fits down to the bytes of a saved model and its log.
+``model._tokens`` runs as one node.  ``graph_readout`` (mean-pool, head
+affine, sigmoid) and ``graph_bce_loss`` (clip, two logs, the weighted
+mean) are the graphs ``model._readout`` and ``model.bce_loss`` run as
+one node each.  ``argsort_route`` is the stable-argsort routing that
+``moba_route`` does without sorting under 8 blocks.  The whole-fit
+reference also sums every gradient out of place
+(``graph_ops.accumulate_out_of_place``) and trains on dense table
+gradients with the dense Adam.  All claim the same bits: values, every
+gradient, block selections, the scores of ``predict``'s graph-free
+forward and whole fits down to the bytes of a saved model and its log.
 """
 
 import json
@@ -27,6 +32,7 @@ from storerank.tokenizer import SidTable
 
 import graph_ops as G
 from test_fused_attention import CASES, case_inputs, graph_efficient_attention
+from test_sparse_grad import DenseAdam, dense_lookup_grad
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +75,33 @@ def graph_build_tokens(model, inputs):
     return T.concat(toks, axis=1)
 
 
+def graph_readout(x, head_w, head_b):
+    """``model._readout`` as the per-op graph."""
+    logits = T.affine(T.tmean(x, axis=1), head_w, head_b)
+    return T.sigmoid(T.reshape(logits, (logits.shape[0],)))
+
+
+def graph_bce_loss(probs, labels):
+    """``model.bce_loss`` as the per-op graph."""
+    y = np.asarray(labels, dtype=np.float64)
+    p = G.clip(probs, 1e-7, 1.0 - 1e-7)
+    pos = T.mul(T.Tensor(y), G.log(p))
+    neg = T.mul(T.Tensor(1.0 - y), G.log(T.sub(T.Tensor(np.ones_like(y)), p)))
+    return T.mul(T.tmean(T.add(pos, neg)), -1.0)
+
+
 def per_op_references(mp):
-    """Route a model through the per-op graphs and the argsort routing."""
+    """Route a model through the per-op graphs and the argsort routing,
+    summing every gradient out of place, and train it on dense table
+    gradients with the dense Adam."""
     mp.setattr(T, "layer_norm", graph_residual_norm)
     mp.setattr(M.StoreModel, "build_tokens", graph_build_tokens)
+    mp.setattr(M, "_readout", graph_readout)
+    mp.setattr(M, "bce_loss", graph_bce_loss)
     mp.setattr(A, "moba_route", argsort_route)
+    mp.setattr(T.Tensor, "accumulate_grad", G.accumulate_out_of_place)
+    mp.setattr(T, "lookup_grad", dense_lookup_grad)
+    mp.setattr(T, "Adam", DenseAdam)
 
 
 def argsort_selection(q, k, block_size, k_blocks):
@@ -294,6 +322,65 @@ def test_a_layer_is_the_per_op_layer_bit_for_bit(name, head):
     got, want = run(T.layer_norm), run(graph_residual_norm)
     assert same_bits(got[0], want[0])
     assert same_grads(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# the readout and the loss: one node each, the per-op graphs' bits
+# ---------------------------------------------------------------------------
+
+def readout_leaves(n, seed, layout):
+    """x (n, 3, 8) in a C, F or transposed-view layout, and a head
+    large enough that some probabilities fall outside the loss's clip."""
+    rng = np.random.default_rng(seed)
+    xv = rng.normal(size=(n, 3, 8))
+    if layout == "F":
+        xv = np.asfortranarray(xv)
+    elif layout == "transposed":
+        xv = np.swapaxes(np.ascontiguousarray(np.swapaxes(xv, 1, 2)), 1, 2)
+    return [T.Tensor(xv, requires_grad=True),
+            T.Tensor(rng.normal(scale=20.0, size=(8, 1)), requires_grad=True),
+            T.Tensor(rng.normal(size=1), requires_grad=True)]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("n", [1, 31, 512])
+def test_readout_node_is_the_per_op_graph_bit_for_bit(n, head, layout):
+    def run(readout):
+        leaves = readout_leaves(n, n, layout)
+        out = readout(*leaves)
+        return out.values, T.grad(head_loss(T.reshape(out, (n, 1)), head), leaves)
+
+    got, want = run(M._readout), run(graph_readout)
+    assert same_bits(got[0], want[0])
+    assert same_grads(got[1], want[1])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+@pytest.mark.parametrize("n", [1, 31, 512])
+def test_bce_node_is_the_per_op_graph_bit_for_bit(n, layout):
+    labels = np.random.default_rng(n + 1).integers(0, 2, size=n).astype(float)
+
+    def run(readout, loss):
+        leaves = readout_leaves(n, n, layout)
+        probs = readout(*leaves)
+        out = loss(probs, labels)
+        return probs.values, out.values, T.grad(out, leaves)
+
+    got = run(M._readout, M.bce_loss)
+    want = run(graph_readout, graph_bce_loss)
+    if n > 1:       # the clip cuts some rows off, in both tails
+        assert (got[0] < 1e-7).any() and (got[0] > 1.0 - 1e-7).any()
+    assert same_bits(got[1], want[1])
+    assert same_grads(got[2], want[2])
+
+
+def test_readout_and_loss_are_one_node_each():
+    x, w, b = readout_leaves(4, 0, "C")
+    probs = M._readout(x, w, b)
+    assert probs._parents == (x, w, b)
+    assert M.bce_loss(probs, np.ones(4))._parents == (probs,)
+    assert len(T._toposort(graph_bce_loss(graph_readout(x, w, b), np.ones(4)))) == 3 + 5 + 13
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +659,10 @@ def test_fit_writes_the_reference_bytes(name, tmp_path, monkeypatch):
     assert got[0] == want[0]
     assert got[1] == want[1]
     # the reference really ran the per-op graphs: per position a lookup,
-    # rotation, concat, affine and reshape, and per layer an add and the
-    # 17-op norm, where the library runs one node each
-    assert want[2] == got[2] + 5 * cfg.h + 17 * cfg.n_layers
+    # rotation, concat, affine and reshape, per layer an add and the
+    # 17-op norm, the readout's 5 nodes and the loss's 13 (3 of them
+    # constant leaves), where the library runs one node each
+    assert want[2] == got[2] + 5 * cfg.h + 17 * cfg.n_layers + 4 + 12
 
 
 @pytest.fixture(scope="module")
@@ -620,8 +708,9 @@ def test_predict_builds_no_backward(name, scoring_data, monkeypatch):
     assert len(kept) > 20 and not any(kept)
     # the model itself still trains: its forward keeps every node's backward
     kept.clear()
-    model.forward(M.slice_inputs(inputs, np.arange(64)))
-    assert len(kept) > 20 and all(kept)
+    probs = model.forward(M.slice_inputs(inputs, np.arange(64)))[0]
+    nodes = [t for t in T._toposort(probs) if t._parents]
+    assert len(kept) == len(nodes) > 15 and all(kept)
     # and the view holds the model's own arrays
     view = model.frozen()
     for (_, t), (_, v) in zip(M._store_arrays(model), M._store_arrays(view)):

@@ -332,7 +332,11 @@ def test_train_opmq_matches_graph(tmp_path, monkeypatch, n, cfg):
     (300, OpmqConfig(epochs=4, seed=2, reinit_every=5, batch_size=64)),
     # a batch below V: row-sparse codebook gradients
     (60, OpmqConfig(k=2, v=24, epochs=3, seed=3, batch_size=8, d_z=5)),
-], ids=["clustered", "batch_below_v"])
+    # and reseeding every 3 steps, which writes codebook rows that
+    # Adam steps row by row
+    (60, OpmqConfig(k=2, v=24, epochs=3, seed=3, batch_size=8, d_z=5,
+                    reinit_every=3)),
+], ids=["clustered", "batch_below_v", "batch_below_v_reseeding"])
 def test_train_opmq_matches_the_scan_and_per_parameter_adam(
         tmp_path, monkeypatch, n, cfg):
     """A fit with the screened search, the flat Adam and the bincount

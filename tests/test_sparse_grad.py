@@ -65,6 +65,9 @@ class DenseAdam:
             p.values -= dense_advance(m, v, g, t, self.lr, self.beta1,
                                       self.beta2, self.eps)
 
+    def write_rows(self, param, rows, values):
+        param.values[rows] = values
+
 
 @pytest.fixture
 def rng():
@@ -327,6 +330,53 @@ class TestOptimizers:
         for i in range(2):
             m, v = new.moments(i)
             assert same_bits(m, ref.m[i]) and same_bits(v, ref.v[i])
+
+    def test_an_absent_row_takes_the_dense_sign_of_zero(self):
+        """Row 5 gets g = -1e-310 once and is absent for 400 steps: its
+        first moment decays to -0.0, and the dense update's ``+ 0.0``
+        term turns that into +0.0.  At beta1 = 0.9 the moment would not
+        reach zero in 400 steps, and ``np.array_equal`` takes -0.0 for
+        0.0, so the lower beta1 and ``tobytes``."""
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(1000, 4))
+        grads = [T.RowSparse(np.array([5, 7]),
+                             np.stack([np.full(4, -1e-310), rng.normal(size=4)]),
+                             start.shape)]
+        grads += [T.RowSparse(np.array([7]), rng.normal(size=(1, 4)), start.shape)
+                  for _ in range(400)]
+        runs = []
+        for make, as_grad in ((T.Adam, lambda g: g), (DenseAdam, np.asarray)):
+            table = T.Tensor(start.copy(), requires_grad=True)
+            opt = make([table], lr=0.05, beta1=0.3)
+            for g in grads:
+                opt.step([as_grad(g)])
+            runs.append((table.values, opt))
+        (got, new), (want, ref) = runs
+        assert ref.m[0][5].tobytes() == np.zeros(4).tobytes()
+        m, v = new.moments(0)
+        assert got.tobytes() == want.tobytes()
+        assert m.tobytes() == ref.m[0].tobytes() and v.tobytes() == ref.v[0].tobytes()
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_rows_written_between_steps_are_the_ones_stepped(self, held):
+        """``write_rows`` sets rows that steps have touched (held) or not;
+        the next steps move them from the written values, as the dense
+        reference does."""
+        steps = [[1, 4], [4, 6], [2], [1, 6]]
+        rows = np.array([4, 6]) if held else np.array([0, 3])
+        runs = []
+        for make, embed in ((T.Adam, T.embedding), (DenseAdam, dense_embedding)):
+            rng = np.random.default_rng(6)
+            table = T.Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+            opt = make([table], lr=0.05)
+            for k, idx in enumerate(map(np.asarray, steps)):
+                if k == 2:
+                    opt.write_rows(table, rows, rng.normal(size=(2, 3)))
+                loss = T.tsum(T.mul(embed(table, idx),
+                                    T.Tensor(rng.normal(size=(idx.size, 3)))))
+                opt.step(T.grad(loss, [table]))
+            runs.append(table.values)
+        assert same_bits(runs[0], runs[1])
 
 
 class TestFlatMoments:

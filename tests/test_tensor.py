@@ -44,7 +44,7 @@ class TestElementwise:
 
     def test_pow_exp_log(self, rng):
         a = leaf(rng, (4,), lo=0.5, hi=1.5)
-        check_grads(lambda: T.tsum(T.log(G.exp(G.power(a, 3.0)))), [a])
+        check_grads(lambda: T.tsum(G.log(G.exp(G.power(a, 3.0)))), [a])
         check_grads(lambda: T.tsum(G.power(a, -0.5)), [a])
 
     def test_tanh_sigmoid(self, rng):
@@ -60,7 +60,7 @@ class TestElementwise:
 
     def test_clip_masks_gradient(self):
         a = T.Tensor([-2.0, 0.0, 2.0], requires_grad=True)
-        loss = T.tsum(T.clip(a, -1.0, 1.0))
+        loss = T.tsum(G.clip(a, -1.0, 1.0))
         (g,) = T.grad(loss, [a])
         assert np.array_equal(g, [0.0, 1.0, 0.0])
 
@@ -284,6 +284,66 @@ class TestGradApi:
         (g,) = T.grad(T.tsum(a), [a])
         g[0, 0] = 5.0
         assert g.tolist() == [[5.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+
+
+class TestInPlaceSums:
+    """A node sums later gradient parts in place only into an array it
+    owns; every gradient is the out-of-place engine's, byte for byte."""
+
+    @staticmethod
+    def shared_graph(rng):
+        """add hands one array to p and q, which then take three and two
+        later parts; a view, a broadcast and an F-ordered part among them."""
+        a, b = leaf(rng, (4, 3)), leaf(rng, (4, 3))
+        w = [T.Tensor(rng.normal(size=(4, 3))) for _ in range(4)]
+        p, q = T.mul(a, w[0]), T.mul(b, w[1])
+        s = T.add(p, q)
+        terms = [T.tsum(T.mul(s, w[2])),
+                 T.tsum(T.mul(p, w[3])),
+                 T.tsum(T.reshape(p, (3, 4))),
+                 T.tsum(T.mul(G.transpose_last(T.reshape(p, (3, 4))),
+                              T.Tensor(np.ones((4, 3))))),
+                 T.tsum(T.mul(q, q)),
+                 T.tsum(T.tmean(q, axis=0))]
+        loss = terms[0]
+        for t in terms[1:]:
+            loss = T.add(loss, t)
+        return loss, [a, b], (p, q)
+
+    def grads_both_ways(self, rng_seed, monkeypatch, calls=1):
+        out = []
+        for engine in ("in_place", "out_of_place"):
+            with monkeypatch.context() as mp:
+                if engine == "out_of_place":
+                    mp.setattr(T.Tensor, "accumulate_grad", G.accumulate_out_of_place)
+                loss, leaves, _ = self.shared_graph(np.random.default_rng(rng_seed))
+                out.append([T.grad(loss, leaves) for _ in range(calls)])
+        return out
+
+    def test_one_array_handed_to_two_parents_that_take_later_parts(self, monkeypatch):
+        loss, leaves, (p, q) = self.shared_graph(np.random.default_rng(7))
+        firsts, accumulate = {}, T.Tensor.accumulate_grad
+
+        def spy(self, g):
+            if self.grad is None and self in (p, q):
+                firsts[id(self)] = g
+            accumulate(self, g)
+        monkeypatch.setattr(T.Tensor, "accumulate_grad", spy)
+        T.grad(loss, leaves)
+        monkeypatch.undo()
+        # the case at hand: both kept one shared array first
+        assert firsts[id(p)] is firsts[id(q)]
+        got, want = self.grads_both_ways(7, monkeypatch)
+        for g, w in zip(got[0], want[0]):
+            assert g.strides == w.strides and g.tobytes() == w.tobytes()
+
+    def test_grad_twice_on_one_graph(self, monkeypatch):
+        got, want = self.grads_both_ways(8, monkeypatch, calls=2)
+        # read after both calls: the second wrote nothing into the first's
+        for calls in (got, want):
+            for g1, g2, w in zip(calls[0], calls[1], want[0]):
+                assert g1 is not g2
+                assert g1.tobytes() == w.tobytes() == g2.tobytes()
 
 
 class TestOptimizers:
