@@ -22,12 +22,14 @@ need no gradient (a frozen model scoring) the node keeps no backward.
 
 ``dense_core`` / ``sparse_core`` are graph-free numpy kernels for the
 wall-clock race at long sequences (``bench_attention``, asserted by
-``test_08c``).  The sparse one gathers the selected (query, block)
-pairs into per-block panels so all contractions stay batched; its time
+``test_08c``).  The sparse one is MoBA's block loop: each key block
+scores only the queries that selected it, and each query carries its
+softmax across its blocks as a running max, sum and output.  Its time
 at full selection is the fair comparator for its time at rho < 1.
 They stay beside the node because a CPU does not reward gathering at
-any H measured so far: short sequences pay for the gather, and long
-ones run faster as two dense BLAS GEMMs than gathered or masked.
+any H measured so far: short sequences pay for the per-block gathers,
+and long ones run faster as two dense BLAS GEMMs than gathered or
+masked.
 
 Scores are scaled by 1/sqrt(d_head).  Attention here is non-causal: the
 tokens are features of one instance, not a temporal sequence.
@@ -92,13 +94,6 @@ class RoutingPlan:
     allowed: np.ndarray
     gates: np.ndarray
     block_size: int
-
-    @property
-    def block_ids(self):
-        """(..., H, k_blocks) int: each query's selected blocks, ascending."""
-        lead, n_blocks = self.allowed.shape[:-1], self.allowed.shape[-1]
-        flat = np.flatnonzero(self.allowed).reshape(*lead, -1)
-        return flat - np.arange(0, self.allowed.size, n_blocks).reshape(*lead, 1)
 
 
 def _block_means(k, block_size):
@@ -297,34 +292,10 @@ def attention_flops(h, d_model, n_heads, block_size, k_blocks, include_projectio
 # graph-free kernels for the wall-clock benchmark
 # ---------------------------------------------------------------------------
 
-def _scratch(pool, name, shape):
-    """Work buffer ``name`` of ``shape``, a view of the front of a flat
-    buffer in the dict ``pool`` that only grows.
-
-    Freshly mmapped pages cost more to fault in than these kernels spend
-    computing, so repeated calls (the benchmark takes a min over repeats)
-    pass one pool and do not reallocate their large temporaries, even
-    when calls of two shapes alternate (the benchmark interleaves half
-    and full selection).  Zero-filled only on allocation: panel pad slots
-    may later hold stale values from earlier calls of any shape, which
-    is fine because they are finite and never gathered.  Never returned
-    to the caller; every kernel's result is freshly allocated.
-    """
-    size = math.prod(shape)
-    buf = pool.get(name)
-    if buf is None or buf.size < size:
-        buf = pool[name] = np.zeros(size)
-    return buf[:size].reshape(shape)
-
-
-def dense_core(q, k, v, pool=None):
-    """Stable softmax attention on raw (n_heads, H, d_head) arrays;
-    ``pool`` (a dict) keeps the work buffers across calls."""
-    pool = {} if pool is None else pool
-    n_heads, h, dh = q.shape
-    s = _scratch(pool, "dense.scores", (n_heads, h, h))
-    np.matmul(q, np.swapaxes(k, 1, 2), out=s)
-    s *= 1.0 / math.sqrt(dh)
+def dense_core(q, k, v):
+    """Stable softmax attention on raw (n_heads, H, d_head) arrays."""
+    s = q @ np.swapaxes(k, 1, 2)
+    s *= 1.0 / math.sqrt(q.shape[-1])
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     out = s @ v
@@ -332,81 +303,41 @@ def dense_core(q, k, v, pool=None):
     return out
 
 
-def sparse_core(q, k, v, block_size, k_blocks, pool=None):
+def sparse_core(q, k, v, block_size, k_blocks):
     """Routed block-sparse attention on raw (n_heads, H, d_head) arrays.
 
-    The selected (query, block) pairs of all heads are grouped by block
-    into padded per-block panels, so the score and value contractions
-    run as matmuls over full panels and the softmax touches only the
-    selected scores.  Work scales with k_blocks * B selected keys per
-    query (plus panel-padding slack), not with H.  Panel pad rows hold
-    stale values from previous calls; they are computed over but never
-    gathered back.  Agrees with dense_core at full selection to ~1e-12.
-    ``pool`` (a dict) keeps the work buffers across calls.
+    MoBA's block loop: per head, each key block scores only the queries
+    that selected it, and each query carries its softmax across its
+    blocks as a running max m, sum l and output o, rescaled by
+    exp(m - m') whenever the max grows to m'.  A ones column appended to
+    v makes l the last column of o's product.  Work scales with
+    k_blocks * B selected keys per query, not with H.  A short last
+    block is a shorter slice; every query keeps its own block, so every
+    l is positive.  Agrees with dense_core at full selection to ~1e-12.
     """
-    pool = {} if pool is None else pool
     n_heads, h, dh = q.shape
-    nb = -(-h // block_size)
-    plan = moba_route(q, k, block_size, k_blocks)
-    sel = plan.block_ids
-
-    # pair p = (head e, query i, slot c) in row-major order; panel id e*nb + block
-    groups = (sel + nb * np.arange(n_heads)[:, None, None]).ravel()
-    order = np.argsort(groups, kind="stable")
-    counts = np.bincount(groups, minlength=n_heads * nb)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    total = groups.size
-    # row of each pair within its (padded) panel, in natural pair order
-    pos = np.empty(total, dtype=np.intp)
-    pos[order] = np.arange(total) - np.repeat(starts, counts)
-    rows = int(counts.max())
-    slot = groups * rows + pos                          # flat pair position
-
-    pq_key = ("pair_query", n_heads * h, k_blocks)
-    pair_query = pool.get(pq_key)
-    if pair_query is None:
-        pair_query = pool[pq_key] = np.repeat(np.arange(n_heads * h), k_blocks)
-
-    qpairs = _scratch(pool, "sparse.qpairs", (total, dh))
-    np.take(q.reshape(-1, dh), pair_query, axis=0, out=qpairs, mode="clip")
-    qpairs *= 1.0 / math.sqrt(dh)
-    qbuf = _scratch(pool, "sparse.qbuf", (n_heads * nb, rows, dh))
-    qbuf.reshape(-1, dh)[slot] = qpairs
-
-    # keys/values by block, zero-padded when the last block is short
-    pad = nb * block_size - h
-    if pad:
-        kb = _scratch(pool, "sparse.kpad", (n_heads, nb * block_size, dh))
-        vb = _scratch(pool, "sparse.vpad", (n_heads, nb * block_size, dh))
-        kb[:, :h], kb[:, h:] = k, 0.0
-        vb[:, :h], vb[:, h:] = v, 0.0
-    else:
-        kb, vb = k, v
-    kb = kb.reshape(n_heads * nb, block_size, dh)
-    vb = vb.reshape(n_heads * nb, block_size, dh)
-
-    scores = _scratch(pool, "sparse.scores", (n_heads * nb, rows, block_size))
-    np.matmul(qbuf, np.swapaxes(kb, 1, 2), out=scores)
-
-    # softmax in compact query layout (heads * h, k_blocks * B)
-    sq = _scratch(pool, "sparse.probs", (total, block_size))
-    np.take(scores.reshape(-1, block_size), slot, axis=0, out=sq, mode="clip")
-    if pad:
-        sq[(sel == nb - 1).ravel(), -pad:] = -np.inf    # pad keys are not real
-    compact = sq.reshape(n_heads * h, k_blocks * block_size)
-    compact -= compact.max(axis=-1, keepdims=True)
-    np.exp(compact, out=compact)
-    denom = compact.sum(axis=-1)
-
-    scores.reshape(-1, block_size)[slot] = sq
-    contrib = _scratch(pool, "sparse.contrib", (n_heads * nb, rows, dh))
-    for g in range(n_heads * nb):                       # 2-d gemms beat batched here
-        np.matmul(scores[g], vb[g], out=contrib[g])
-    opairs = _scratch(pool, "sparse.opairs", (total, dh))
-    np.take(contrib.reshape(-1, dh), slot, axis=0, out=opairs, mode="clip")
-    out = opairs.reshape(n_heads * h, k_blocks, dh).sum(axis=1)
-    out /= denom[:, None]
-    return out.reshape(n_heads, h, dh)
+    allowed = moba_route(q, k, block_size, k_blocks).allowed
+    qs = q * (1.0 / math.sqrt(dh))
+    v1 = np.concatenate((v, np.ones((n_heads, h, 1))), axis=-1)
+    out = np.empty_like(qs)
+    for e in range(n_heads):
+        m = np.full(h, -np.inf)
+        ol = np.zeros((h, dh + 1))         # [o | l] per query
+        for j, b0 in enumerate(range(0, h, block_size)):
+            rows = np.flatnonzero(allowed[e, :, j])
+            # (B, rows): a query's max is a reduction over B full rows,
+            # cheaper than over each query's B-long row
+            s = k[e, b0:b0 + block_size] @ qs[e, rows].T
+            c = m[rows]
+            m_new = np.maximum(c, s.max(axis=0))
+            m[rows] = m_new
+            s -= m_new
+            np.exp(s, out=s)
+            c -= m_new
+            np.exp(c, out=c)                # exp(m - m'), 0 on a first block
+            ol[rows] = ol[rows] * c[:, None] + s.T @ v1[e, b0:b0 + block_size]
+        out[e] = ol[:, :dh] / ol[:, dh:]
+    return out
 
 
 def bench_attention(h, d_model=256, n_heads=4, block_size=32, rho=0.5,
@@ -427,15 +358,16 @@ def bench_attention(h, d_model=256, n_heads=4, block_size=32, rho=0.5,
     if min(h, d_model, n_heads, block_size, repeats) < 1 or d_model % n_heads:
         raise ValueError("h, d_model, n_heads, block_size and repeats must "
                          "be >= 1, and n_heads must divide d_model")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     dh = d_model // n_heads
     q, k, v = (rng.normal(size=(n_heads, h, dh)) for _ in range(3))
     kb = k_blocks_for(h, block_size, rho)
     n_blocks = -(-h // block_size)
-    pool = {}       # the buffers are only worth keeping across repeats
-    calls = {"dense": lambda: dense_core(q, k, v, pool),
-             "sparse": lambda: sparse_core(q, k, v, block_size, kb, pool=pool),
-             "full": lambda: sparse_core(q, k, v, block_size, n_blocks, pool=pool)}
+    calls = {"dense": lambda: dense_core(q, k, v),
+             "sparse": lambda: sparse_core(q, k, v, block_size, kb),
+             "full": lambda: sparse_core(q, k, v, block_size, n_blocks)}
     warm = {name: fn() for name, fn in calls.items()}
     times = {name: [] for name in calls}
     for _ in range(repeats):

@@ -47,10 +47,13 @@ import warnings
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import artifact
 from .attention import bench_attention
 from .data import (SyntheticSpec, encode_features, gen_synthetic,
                    load_dataset_cache, random_split, save_dataset_cache)
+from .metrics import gauc
 from .model import (StoreConfig, check_sid_table, default_groups, evaluate,
                     fit, load_store, save_store, sid_rows)
 from .options import Opt, dataclass_options, mismatch
@@ -264,6 +267,15 @@ def _check_coverage(table, train, val):
         sid_rows(table, part.raw_items)
 
 
+def _check_val(val):
+    # fit would find AUC or GAUC undefined only after its first epoch;
+    # gauc on constant scores raises exactly when either is undefined
+    try:
+        gauc(val.labels, np.zeros(len(val)), val.groups)
+    except ValueError as e:
+        raise ValueError(f"validation split ({len(val)} rows): {e}")
+
+
 def _check_raw_id(cfg):
     # the flag contract: the raw-id ablation and a tokenizer artifact are
     # mutually exclusive, and this must fail before any data is touched
@@ -281,6 +293,7 @@ def cmd_train(cfg, out):
         sid_table = read_sids(_require(cfg["sids"], "SID file"))
         check_sid_table(sid_table, config)
     ds, tr, va = _split_encode(cfg["data"], cfg)
+    _check_val(va)
     if sid_table is not None:
         _check_coverage(sid_table, tr, va)
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])
@@ -335,11 +348,15 @@ def cmd_sweep(cfg, out):
                        "needs --embeddings to retrain the tokenizer per K")
     if not cfg["use_raw_ids"] and not (cfg["sids"] or cfg["embeddings"]):
         raise CliError("need --sids or --embeddings (or --raw-id)")
-    # every setting is built, so refused, before any is fitted
+    # every setting, and the tokenizer of every K the --sids file does
+    # not serve, is built, so refused, before any is fitted
     settings = [_config(StoreConfig, {**cfg, "epochs": epochs, "h": k,
                                       "n_layers": n_layers, "rho": rho})
                 for epochs in epochs_grid for k in k_grid
                 for n_layers in layers_grid for rho in rho_grid]
+    tok_configs = {} if cfg["use_raw_ids"] else {
+        k: OpmqConfig(k=k, v=cfg["v"], epochs=cfg["tok_epochs"], seed=cfg["seed"])
+        for k in k_grid if not (cfg["sids"] and k == cfg["h"])}
     tags = [f"epochs{c.epochs}_k{c.h}_L{c.n_layers}_rho{c.rho:g}" for c in settings]
     for tag in tags:
         if tags.count(tag) > 1:
@@ -349,10 +366,11 @@ def cmd_sweep(cfg, out):
         tables[cfg["h"]] = read_sids(_require(cfg["sids"], "SID file"))
         check_sid_table(tables[cfg["h"]], _config(StoreConfig, cfg))
     emb = None      # the catalog that every other K's SID table comes from
-    if not cfg["use_raw_ids"] and set(k_grid) - set(tables):
+    if tok_configs:
         emb = read_embeddings(_require(cfg["embeddings"], "embeddings file"))
 
     ds, tr, va = _split_encode(cfg["data"], cfg)
+    _check_val(va)
     for table in (*tables.values(), emb):
         if table is not None:
             _check_coverage(table, tr, va)
@@ -361,14 +379,10 @@ def cmd_sweep(cfg, out):
     groups = default_groups(ds.schema, emb_dim=cfg["emb_dim"], d_g=cfg["d_g"])
 
     def sid_table_for(k):
-        if cfg["use_raw_ids"]:
-            return None
-        if k not in tables:
-            tok = OpmqConfig(k=k, v=cfg["v"], epochs=cfg["tok_epochs"],
-                             seed=cfg["seed"])
-            model, _ = train_opmq(emb, tok)
+        if k in tok_configs and k not in tables:
+            model, _ = train_opmq(emb, tok_configs[k])
             tables[k] = tokenize_catalog(emb, model)
-        return tables[k]
+        return tables.get(k)
 
     summary = []
     for config, tag in zip(settings, tags):

@@ -164,6 +164,8 @@ def encode_features(train, val, schema):
 def random_split(dataset, val_fraction=0.1, seed=0):
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     n = len(dataset)
     n_val = max(1, int(round(n * val_fraction)))
     if n_val >= n:
@@ -212,6 +214,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_clusters > self.n_items:
             raise ValueError(f"n_clusters {self.n_clusters} > n_items {self.n_items}")
         if not 0.0 <= self.noise_rate < 0.5:

@@ -72,6 +72,8 @@ class StoreConfig:
 
     def __post_init__(self):
         check_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.h, self.v, self.d_s, self.d, self.n_layers, self.n_heads,
                self.block_size, self.hash_buckets, self.epochs,
                self.batch_size) < 1:

@@ -163,6 +163,8 @@ class OpmqConfig:
 
     def __post_init__(self):
         check_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         d_z = 1 if self.d_z is None else self.d_z
         if min(self.k, self.v, d_z, self.batch_size, self.epochs,
                self.reinit_every) < 1:

@@ -21,7 +21,7 @@ from storerank.attention import (
 )
 
 from oracles import fd_grad, max_rel_err, naive_attention, naive_topk_blocks
-from test_fused_attention import full_plan
+from test_fused_attention import block_ids, full_plan
 
 
 def make_params(d_model=8, n_heads=2, block_size=2, rho=0.5, seed=0):
@@ -87,7 +87,7 @@ class TestMobaRoute:
             gates = plan.gates[0]
             for i in range(h):
                 want = naive_topk_blocks(gates[i], kb, i // block)
-                assert plan.block_ids[0, i].tolist() == want
+                assert block_ids(plan)[0, i].tolist() == want
 
     def test_ties_break_toward_lower_index(self):
         # identical key blocks make every gate equal: beside its own block
@@ -97,7 +97,7 @@ class TestMobaRoute:
         q = np.random.default_rng(1).normal(size=(h, dh))
         plan = moba_route(q, k, block, 2)
         want = [[0, max(1, i // block)] for i in range(h)]
-        assert plan.block_ids[0].tolist() == want
+        assert block_ids(plan)[0].tolist() == want
 
     def test_tie_oracle_agreement_on_integer_gates(self):
         rng = np.random.default_rng(2)
@@ -110,7 +110,7 @@ class TestMobaRoute:
             plan = moba_route(q, k, block, kb)
             for i in range(h):
                 want = naive_topk_blocks(plan.gates[0, i], kb, i // block)
-                assert plan.block_ids[0, i].tolist() == want
+                assert block_ids(plan)[0, i].tolist() == want
 
     def test_own_block_forcing(self):
         # queries sit in block 0 but point straight at block 1's keys
@@ -119,15 +119,15 @@ class TestMobaRoute:
         q = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         plan = moba_route(q, k, block, 1)
         assert np.all(plan.gates[0, :2, 1] > plan.gates[0, :2, 0])
-        assert plan.block_ids[0, 0].tolist() == [0]
-        assert plan.block_ids[0, 1].tolist() == [0]
+        assert block_ids(plan)[0, 0].tolist() == [0]
+        assert block_ids(plan)[0, 1].tolist() == [0]
 
     def test_rows_sorted_distinct_contain_own(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(2, 20, 4))
         k = rng.normal(size=(2, 20, 4))
         plan = moba_route(q, k, 4, 3)
-        ids = plan.block_ids
+        ids = block_ids(plan)
         assert ids.shape == (2, 20, 3)
         assert np.all(np.diff(ids, axis=-1) > 0)
         own = np.arange(20) // 4
@@ -156,7 +156,7 @@ class TestMobaRoute:
             want = np.sort(np.argsort(-aug, axis=-1, kind="stable")[..., :kb], axis=-1)
             plan = moba_route(q, k, 1, kb)
             assert np.array_equal(plan.gates, gates)
-            assert np.array_equal(plan.block_ids, want)
+            assert np.array_equal(block_ids(plan), want)
 
     def test_k_blocks_bounds(self):
         q = np.zeros((4, 2))
@@ -176,7 +176,7 @@ class TestPlanToMask:
         mask = plan_to_mask(plan, h)
         assert mask.shape == (1, h, h)
         for i in range(h):
-            sel = set(plan.block_ids[0, i].tolist())
+            sel = set(block_ids(plan)[0, i].tolist())
             for j in range(h):
                 want = 0.0 if j // block in sel else -np.inf
                 assert mask[0, i, j] == want
@@ -269,7 +269,7 @@ class TestEfficientAttention:
             rows = np.zeros((h, 4))
             for i in range(h):
                 cols = [j for j in range(h)
-                        if j // 2 in set(plan.block_ids[0, hi, i].tolist())]
+                        if j // 2 in set(block_ids(plan)[0, hi, i].tolist())]
                 s = qh[i] @ kh[cols].T / 2.0
                 w = np.exp(s - s.max())
                 w /= w.sum()
@@ -372,10 +372,17 @@ class TestKernels:
             s = sparse_core(q, k, v, block, nb)
             assert np.max(np.abs(d - s)) < 1e-12
 
-    def test_sparse_matches_masked_graph_path(self):
+    @pytest.mark.parametrize("heads,h,dh,block,kb", [
+        (2, 13, 4, 3, 2),       # short last block
+        (1, 9, 3, 2, 3),        # one head
+        (3, 11, 5, 1, 4),       # B = 1
+        (2, 17, 4, 4, 1),       # each query only its own block
+        (2, 6, 3, 8, 1),        # B >= H: one block
+        (4, 24, 2, 6, 2),       # B divides H
+    ])
+    def test_sparse_matches_masked_graph_path(self, heads, h, dh, block, kb):
         # same routing rule, two very different implementations
         rng = np.random.default_rng(18)
-        heads, h, dh, block, kb = 2, 13, 4, 3, 2
         q, k, v = (rng.normal(size=(heads, h, dh)) for _ in range(3))
         got = sparse_core(q, k, v, block, kb)
         for e in range(heads):
@@ -390,15 +397,13 @@ class TestKernels:
     def test_scratch_reuse_is_deterministic(self):
         rng = np.random.default_rng(19)
         q, k, v = (rng.normal(size=(2, 20, 4)) for _ in range(3))
-        pool = {}
-        a = sparse_core(q, k, v, 4, 2, pool=pool).copy()
-        # different shape in between forces scratch reallocation
+        a = sparse_core(q, k, v, 4, 2).copy()
+        # calls of other shapes in between
         q2, k2, v2 = (rng.normal(size=(3, 33, 8)) for _ in range(3))
-        sparse_core(q2, k2, v2, 8, 3, pool=pool)
-        dense_core(q2, k2, v2, pool)
-        b = sparse_core(q, k, v, 4, 2, pool=pool)
+        sparse_core(q2, k2, v2, 8, 3)
+        dense_core(q2, k2, v2)
+        b = sparse_core(q, k, v, 4, 2)
         assert np.array_equal(a, b)
-        assert np.array_equal(a, sparse_core(q, k, v, 4, 2))     # no pool
 
     def test_bench_report_shape(self):
         r = bench_attention(64, d_model=32, n_heads=2, block_size=32,

@@ -934,6 +934,57 @@ class TestRefusedRunsLeaveNoOutput:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_a_retrained_tokenizer_setting_the_quantizer_refuses(
+            self, workspace, tmp_path, capsys):
+        # K = 3 comes from --sids; K = 2 is retrained with --tok-epochs 0
+        out = tmp_path / "out"
+        assert run("sweep", "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
+                   "--embeddings", str(workspace / "data" / "embeddings.stre"),
+                   "--k-grid", "3,2", "--tok-epochs", "0", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: k, v, d_z, batch_size, epochs and reinit_every must be >= 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, env, reason", [
+        ("gen-synthetic", ["--seed", "-2"], None, "seed must be >= 0, got -2"),
+        ("train-tokenizer", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ("train", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ("train", [], "-3", "seed must be >= 0, got -3"),
+        ("train", ["--split-seed", "-1"], None, "split seed must be >= 0, got -1"),
+        ("sweep", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ("bench-attention", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    ], ids=["gen_synthetic", "train_tokenizer", "train", "train_env",
+            "train_split", "sweep", "bench_attention"])
+    def test_a_negative_seed_is_refused_by_name(self, workspace, tmp_path, capsys,
+                                                monkeypatch, command, flags, env,
+                                                reason):
+        if env is not None:
+            monkeypatch.setenv("STORE_SEED", env)
+        inputs = {"train-tokenizer": ["--embeddings",
+                                      str(workspace / "data" / "embeddings.stre")],
+                  "train": ["--data", str(workspace / "data" / "data.strd"),
+                            "--sids", str(workspace / "sids" / "sids.strs")]}
+        inputs["sweep"] = inputs["train"]
+        out = tmp_path / "out"
+        assert run(command, *inputs.get(command, []), "--out", str(out),
+                   *flags) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_validation_split_of_one_label_class(self, workspace, tmp_path,
+                                                   capsys, command):
+        # 0.0001 of 3,000 rows is one validation row: one class, no AUC
+        out = tmp_path / "out"
+        assert run(command, "--data", str(workspace / "data" / "data.strd"),
+                   "--sids", str(workspace / "sids" / "sids.strs"),
+                   "--val-fraction", "0.0001", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: validation split (1 rows): gauc undefined: no group has "
+            "both classes\n")
+        assert not out.exists()
+
     def test_embeddings_narrower_than_the_tokenizer(self, workspace, tmp_path,
                                                    capsys):
         emb = tmp_path / "embeddings.stre"

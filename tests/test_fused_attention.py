@@ -84,6 +84,13 @@ def full_plan(x, params):
     return RoutingPlan(np.ones(shape, dtype=bool), np.zeros(shape), params.block_size)
 
 
+def block_ids(plan):
+    """(..., H, k_blocks) int: each query's selected blocks, ascending."""
+    lead, n_blocks = plan.allowed.shape[:-1], plan.allowed.shape[-1]
+    flat = np.flatnonzero(plan.allowed).reshape(*lead, -1)
+    return flat - np.arange(0, plan.allowed.size, n_blocks).reshape(*lead, 1)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
