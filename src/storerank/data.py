@@ -237,6 +237,12 @@ def synthetic_schema(spec):
     return DatasetSchema(cols)
 
 
+def _id_names(n):
+    """Object array of the id strings "0" ... str(n - 1), one ``str`` each:
+    a column indexed from it shares one object, and its cached hash, per id."""
+    return np.array(list(map(str, range(n))), dtype=object)
+
+
 def gen_synthetic(spec):
     """(Dataset, EmbeddingTable) with planted, learnable click structure.
 
@@ -250,7 +256,8 @@ def gen_synthetic(spec):
     item_cluster = rng.integers(spec.n_clusters, size=spec.n_items)
     vectors = centers[item_cluster] + spec.embed_noise * rng.normal(
         size=(spec.n_items, spec.d_p))
-    table = EmbeddingTable(np.arange(spec.n_items).astype(str), vectors)
+    item_names = _id_names(spec.n_items)
+    table = EmbeddingTable(item_names, vectors)
 
     user_taste = rng.integers(spec.n_user_tastes, size=spec.n_users)
     w_taste_cluster = spec.interaction_scale * rng.normal(
@@ -278,10 +285,10 @@ def gen_synthetic(spec):
         flip = rng.random(n) < spec.noise_rate
         labels = np.where(flip, 1 - labels, labels).astype(np.int8)
 
-    cols = {"item_id": items.astype(str).astype(object),
-            "user_id": users.astype(str).astype(object)}
-    for j, s in enumerate(statics):
-        cols[f"f{j}"] = s.astype(str).astype(object)
+    cols = {"item_id": item_names[items],
+            "user_id": _id_names(spec.n_users)[users]}
+    for j, (s, card) in enumerate(zip(statics, spec.static_cards)):
+        cols[f"f{j}"] = _id_names(card)[s]
     ds = Dataset(synthetic_schema(spec), cols, labels)
     ds.planted_probs = probs
     return ds, table
@@ -297,11 +304,12 @@ def save_dataset_cache(path, dataset):
     column and the ``<i1`` labels, each named by its schema column."""
     arrays = []
     for name in dataset.schema.feature_cols:
-        vals = dataset.column(name)
-        if any("\n" in str(v) for v in vals):
+        texts = list(map(str, dataset.column(name)))
+        joined = "\n".join(texts)
+        # n values join with n - 1 separators: any more is inside a value
+        if joined.count("\n") > max(len(texts) - 1, 0):
             raise ValueError(f"column {name!r} contains newline values")
-        blob = "\n".join(str(v) for v in vals).encode("utf-8")
-        arrays.append((name, np.frombuffer(blob, dtype=np.uint8)))
+        arrays.append((name, np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)))
     arrays.append((dataset.schema.label_col,
                    np.asarray(dataset.labels, dtype="<i1")))
     header = {"schema": [[n, r] for n, r in dataset.schema.columns]}

@@ -68,10 +68,10 @@ class _ItemTable:
             raise ValueError(f"{what} rows must be 2-d, got shape {rows.shape}")
         if len(ids) != rows.shape[0]:
             raise ValueError(f"{len(ids)} ids but {rows.shape[0]} {what} rows")
-        self.ids = [str(i) for i in ids]
-        if len(set(self.ids)) != len(self.ids):
+        self.ids = list(map(str, ids))
+        self.index = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.index) != len(self.ids):
             raise ValueError(f"duplicate item ids in {what} table")
-        self.index = {item: row for row, item in enumerate(self.ids)}
 
     def __len__(self):
         return len(self.ids)

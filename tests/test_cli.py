@@ -699,6 +699,43 @@ def test_entry_point_pins_blas_to_one_thread_unless_set(preset):
     assert out.split() == [preset or "1"] * len(BLAS_THREAD_VARS)
 
 
+@pytest.mark.parametrize("d_model", [
+    "16",
+    # OpenBLAS computes a (32, n) @ (n, 32) weight-gradient product with
+    # other rounding on two threads than on one
+    pytest.param("32", marks=pytest.mark.xfail(
+        strict=True, reason="x.T @ g at d >= 32 rounds by BLAS thread count")),
+])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, d_model):
+    """gen-synthetic, train-tokenizer, tokenize and train, run once on one
+    BLAS thread and once on two, each in its own process, write the same
+    tokenizer, model and epoch log bytes."""
+    steps = [
+        ["gen-synthetic", "--out", "data", "--n-instances", "3000",
+         "--n-items", "120", "--n-users", "40", "--n-clusters", "6", "--seed", "5"],
+        ["train-tokenizer", "--embeddings", "data/embeddings.stre",
+         "--out", "tok", "--epochs", "5", "--seed", "0"],
+        ["tokenize", "--embeddings", "data/embeddings.stre",
+         "--tokenizer", "tok/tokenizer.opmq", "--out", "sids"],
+        ["train", "--data", "data/data.strd", "--sids", "sids/sids.strs",
+         "--out", "run", "--epochs", "1", "--batch-size", "500", "--d", d_model,
+         "--d-s", "8", "--d-g", "8", "--emb-dim", "4", "--seed", "0"],
+    ]
+    code = ("import sys; from storerank.cli import main; "
+            f"sys.exit(any(main(argv) for argv in {steps!r}))")
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, threads))
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(storerank.__file__))
+        subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+                       capture_output=True, timeout=300)
+        outputs.append({name: (cwd / name).read_bytes() for name in (
+            "tok/tokenizer.opmq", "run/model.strm", "run/epoch_log.jsonl")})
+    assert outputs[0] == outputs[1]
+
+
 class TestReplay:
     """A run's ``resolved_config.json``, given back as ``--config``,
     replays it byte for byte."""

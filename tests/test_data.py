@@ -1,5 +1,7 @@
 """Datasets, encoding, splits, synthetic generation, batching, the cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from storerank.data import (
     save_dataset_cache,
     synthetic_schema,
 )
+from storerank.tokenizer import write_embeddings
 
 
 def toy_schema():
@@ -203,6 +206,37 @@ class TestGenSynthetic:
         ds, _ = gen_synthetic(spec)
         assert abs(ds.labels.mean() - ds.planted_probs.mean()) < 0.02
 
+    def test_bytes_are_pinned(self, tmp_path):
+        """The generator's dataset and embedding-table files for one small
+        spec, byte for byte: how the id strings are built must not move
+        them."""
+        ds, table = gen_synthetic(SyntheticSpec(n_instances=2000, n_items=300,
+                                                n_users=40, seed=3))
+        save_dataset_cache(tmp_path / "data.strd", ds)
+        write_embeddings(tmp_path / "embeddings.stre", table)
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("data.strd", "embeddings.stre")}
+        assert digest == {
+            "data.strd":
+                "f1b1ed05cb5d1ee1ffb7b281bf327b73a08e760cb27abe0f84f1644f1b7cbb10",
+            "embeddings.stre":
+                "0c15d7ce7d94a90013e1a7bf040c088595a85cdaffe640ad7f6b7da1b33a2255"}
+
+    def test_rows_of_one_id_share_one_string(self):
+        """One ``str`` object per id, shared by its rows and the table,
+        hashes once for every vocabulary and index lookup downstream."""
+        ds, table = gen_synthetic(SyntheticSpec(n_instances=600, n_items=40,
+                                                n_users=10, seed=5))
+        for name in ds.schema.feature_cols:
+            col = ds.column(name)
+            assert col.dtype == object
+            first = {}
+            for v in col:
+                assert type(v) is str
+                assert first.setdefault(v, v) is v, name
+        items = {v: v for v in ds.column("item_id")}
+        assert all(items[i] is i for i in table.ids if i in items)
+
     def test_cluster_structure_in_embeddings(self):
         spec = SyntheticSpec(n_instances=10, n_items=400, n_clusters=4,
                              embed_noise=0.01, seed=4)
@@ -255,6 +289,23 @@ class TestDatasetCache:
         save_dataset_cache(p1, ds)
         save_dataset_cache(p2, ds)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_newline_value_is_refused_and_nothing_is_written(self, tmp_path):
+        ds = toy_dataset(["1,a,d,0", "0,b,d,1"])
+        ds.columns["device_id"] = np.array(["d", "a\nb"], dtype=object)
+        p = tmp_path / "d.strd"
+        with pytest.raises(ValueError) as err:
+            save_dataset_cache(p, ds)
+        assert str(err.value) == "column 'device_id' contains newline values"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_dataset_round_trips(self, tmp_path):
+        ds = self.make().subset(np.array([], dtype=np.int64))
+        p = tmp_path / "d.strd"
+        save_dataset_cache(p, ds)
+        back = load_dataset_cache(p)
+        assert len(back) == 0
+        assert all(back.column(n).size == 0 for n in ds.schema.feature_cols)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.strd"

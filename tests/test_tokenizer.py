@@ -68,6 +68,20 @@ class TestEmbeddingTable:
         assert t.ids == ["5"] and 5 in t
         assert np.array_equal(t.vectors[t.index["5"]], [1.0])
 
+    @pytest.mark.parametrize("given", [
+        [3, 10, 0], np.array(["3", "10", "0"]),
+        np.array(["3", "10", "0"], dtype=object), ["3", "10", "0"]])
+    def test_every_id_form_gives_the_same_strings_and_index(self, given):
+        for t in (EmbeddingTable(given, np.zeros((3, 2))),
+                  SidTable(given, np.zeros((3, 2)), 4)):
+            assert t.ids == ["3", "10", "0"]
+            assert all(type(i) is str for i in t.ids)
+            assert t.index == {"3": 0, "10": 1, "0": 2}
+
+    def test_ids_equal_only_as_strings_are_duplicates(self):
+        with pytest.raises(ValueError, match="^duplicate item ids in embedding table$"):
+            EmbeddingTable([1, "1"], np.zeros((2, 3)))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable([1], [[np.nan]])
