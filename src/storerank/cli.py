@@ -14,10 +14,10 @@ the keys of its ``resolved_config.json`` all derive from that.
 
 Configuration precedence, lowest to highest: built-in defaults, then a
 ``--preset`` (K and V), then a JSON config file (``--config``), then
-explicit command-line flags, then the STORE_SEED environment variable
-for the seed field.  A config file may set any option, input paths
-included; each value must have its option's type and choices.  A number
-list is comma text ("1,2,4") or a JSON list, from a flag or a file.
+explicit command-line flags.  A config file may set any option, input
+paths included; each value must have its option's type and choices.  A
+number list is comma text ("1,2,4") or a JSON list, from a flag or a
+file.
 Every command writes the fully resolved configuration next to its
 outputs as ``resolved_config.json``, and ``store-rank <cmd> --config
 <run>/resolved_config.json --out <dir>`` replays the run byte for byte
@@ -141,8 +141,8 @@ def _read_config(path, command, options):
 
 
 def resolve(command, args):
-    """Merge defaults <- preset <- config file <- explicit flags <- STORE_SEED
-    over ``command``'s options, then parse its number lists and require
+    """Merge defaults <- preset <- config file <- explicit flags over
+    ``command``'s options, then parse its number lists and require
     its inputs.  A ``preset`` (from a flag or the file) sets the
     command's (K, V) keys."""
     cmd = COMMANDS[command]
@@ -156,12 +156,6 @@ def resolve(command, args):
         merged.update(zip(cmd.preset_keys, PRESETS[preset]))
     merged.update(from_file)
     merged.update(flags)
-    if "seed" in merged and os.environ.get("STORE_SEED"):
-        try:
-            merged["seed"] = int(os.environ["STORE_SEED"])
-        except ValueError:
-            raise CliError(f"STORE_SEED must be an integer, got "
-                           f"{os.environ['STORE_SEED']!r}")
     for k, opt in cmd.options.items():
         if opt.many and merged[k] is not None:
             merged[k] = _numbers(merged[k], opt.kind)

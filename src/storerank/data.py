@@ -22,7 +22,7 @@ import numpy as np
 
 from . import artifact
 from . import tensor as T
-from .options import check_finite
+from .options import check_config
 from .tokenizer import EmbeddingTable
 
 ROLES = ("high_cardinality_item", "static", "group_key", "label")
@@ -213,9 +213,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_config(self)
         if self.n_clusters > self.n_items:
             raise ValueError(f"n_clusters {self.n_clusters} > n_items {self.n_items}")
         if not 0.0 <= self.noise_rate < 0.5:

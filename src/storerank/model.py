@@ -15,12 +15,11 @@ embedding repeated at every position, leaving every other component
 untouched, so code-vs-raw comparisons isolate the tokenization.
 
 The token build is one autodiff node (``_tokens``), each layer an
-attention node and one residual + LayerNorm node, the readout one node
-(``_readout``) and the loss one more (``bce_loss``), all bit for bit
-the per-op graphs they replace.  Training and scoring run the one
-``forward``: ``predict`` runs it on a frozen view of the model, whose
-leaves need no gradient, so no node keeps a backward and the fused
-nodes work in place.
+attention node and one residual + LayerNorm node, the readout, the loss
+and the diversity penalty one node each, all bit for bit the per-op
+graphs they replace.  Training and scoring run the one ``forward``:
+``predict`` runs it on a frozen view of the model, whose leaves need no
+gradient, so no node keeps a backward and the fused nodes work in place.
 
 Training alternates within each step: the dense parameters take an Adam
 step while the rotation matrices take a plain gradient step followed by
@@ -41,7 +40,7 @@ from .attention import AttentionParams, attention_flops, efficient_attention, \
     k_blocks_for
 from .data import batch_iter
 from .metrics import auc, gauc, logloss
-from .options import check_finite
+from .options import check_config
 from .rotation import FeatureGroup, GroupConfig, GroupFuser, RotationBank, \
     diversity_penalty, rotation_step
 from .tokenizer import SidTable
@@ -71,9 +70,7 @@ class StoreConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_config(self)
         if min(self.h, self.v, self.d_s, self.d, self.n_layers, self.n_heads,
                self.block_size, self.hash_buckets, self.epochs,
                self.batch_size) < 1:

@@ -4,8 +4,8 @@ An ``Opt`` declares one value: its default, type and choices.
 ``dataclass_options`` gives an ``Opt`` per field of a config dataclass,
 from the field's default and annotated type.  ``mismatch`` is the check
 every value read from a file passes, whether a CLI config file or the
-config an artifact header carries.  ``check_finite`` is the refusal of
-a NaN or infinite float field that each config dataclass makes.
+config an artifact header carries.  ``check_config`` is the refusal of
+a bad float or seed field that each config dataclass makes.
 """
 
 from __future__ import annotations
@@ -72,9 +72,11 @@ def mismatch(key, value, opt):
     return f"{key} must be {want}, got {value!r}"
 
 
-def check_finite(config):
-    """Refuse, by name, a NaN or infinite float field of ``config``."""
+def check_config(config):
+    """Refuse a NaN or infinite float field by name, then a negative seed."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")

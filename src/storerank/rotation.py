@@ -173,20 +173,32 @@ def rotate(c, bank, i):
 
 
 def diversity_penalty(bank):
-    """-lam * sum_{i<j} ||R_i - R_j||_F^2 as a graph scalar.
+    """-lam * sum_{i<j} ||R_i - R_j||_F^2 as one node over the K
+    rotations.  Always <= 0; zero iff all matrices coincide (or K = 1).
+    Minimizing it maximizes pairwise separation.
 
-    Always <= 0; zero iff all matrices coincide (or K = 1).  Minimizing
-    it maximizes pairwise separation.
+    Bit for bit the per-pair graph (sub, mul and tsum per pair, an add
+    chain, the scale by -lam): the squares sum in (i, j) order, and the
+    backward takes the pairs in that order, handing R_i a square's two
+    equal parts p + p and R_j their negation.
     """
     if bank.k < 2:
         return T.Tensor(0.0)
-    total = None
-    for i in range(bank.k):
-        for j in range(i + 1, bank.k):
-            d = T.sub(bank.mats[i], bank.mats[j])
-            sq = T.tsum(T.mul(d, d))
-            total = sq if total is None else T.add(total, sq)
-    return T.mul(total, -bank.lam)
+    neg_lam = -bank.lam
+    pairs = [(a, b, a.values - b.values)
+             for i, a in enumerate(bank.mats) for b in bank.mats[i + 1:]]
+    # from 0, which adds exactly: no square is -0.0
+    total = sum((d * d).sum() for _, _, d in pairs)
+
+    def bwd(g):
+        for a, b, d in pairs:
+            p = g * neg_lam * d
+            p += p
+            if a.requires_grad:
+                a.accumulate_grad(p)
+            if b.requires_grad:
+                b.accumulate_grad(-p)
+    return T._result(total * neg_lam, bank.mats, bwd)
 
 
 def rotation_step(bank, grads, lr=0.01):

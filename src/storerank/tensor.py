@@ -385,10 +385,10 @@ def affine(x, w, b):
 
 
 def bias_grad(g):
-    """The gradient of a bias row added to each row of a (n, d) output
-    whose gradient is ``g``.  One row passes as is, as in the four ops:
-    a sum over one row would turn -0.0 into 0.0."""
-    return g.sum(axis=0) if len(g) != 1 else g[0]
+    """The gradient of a bias row added to each row of a (..., n, d)
+    output whose gradient is ``g``.  One row passes as is, as in the four
+    ops: a sum over one row would turn -0.0 into 0.0."""
+    return g.sum(axis=-2) if g.shape[-2] != 1 else g[..., 0, :]
 
 
 def mlp(x, layer):

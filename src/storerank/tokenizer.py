@@ -45,7 +45,7 @@ import numpy as np
 
 from . import artifact
 from . import tensor as T
-from .options import check_finite
+from .options import check_config
 
 OPMQ_MAGIC = b"OPMQ2"
 EMBEDDINGS_MAGIC = b"STRE1"
@@ -162,9 +162,7 @@ class OpmqConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_config(self)
         d_z = 1 if self.d_z is None else self.d_z
         if min(self.k, self.v, d_z, self.batch_size, self.epochs,
                self.reinit_every) < 1:
@@ -240,11 +238,6 @@ def _expert_layers(x, model):
     return h, z
 
 
-def _bias_grads(g):
-    """``T.bias_grad`` of each (n, d) slice of a (K, n, d) gradient."""
-    return g.sum(axis=1) if g.shape[1] != 1 else g[:, 0]
-
-
 def _experts(x, model):
     """The K expert MLPs as one node, (K, n, d_z), with parents the four
     stacked layers.  Values and gradients are bit for bit those of K
@@ -258,13 +251,13 @@ def _experts(x, model):
         if w2.requires_grad:
             w2.accumulate_grad(np.swapaxes(h, -1, -2) @ g)
         if b2.requires_grad:
-            b2.accumulate_grad(_bias_grads(g))
+            b2.accumulate_grad(T.bias_grad(g))
         if w1.requires_grad or b1.requires_grad:
             gh = g @ np.swapaxes(w2.values, -1, -2) * (1.0 - h ** 2)
             if w1.requires_grad:
                 w1.accumulate_grad(x.T @ gh)
             if b1.requires_grad:
-                b1.accumulate_grad(_bias_grads(gh))
+                b1.accumulate_grad(T.bias_grad(gh))
     return T._result(z, model.experts, bwd)
 
 

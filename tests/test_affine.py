@@ -174,7 +174,7 @@ class TestGraphShrinks:
         ref = graph_size(total_loss(model, inputs, inputs["labels"])[0])
         # the tokens are one node, each residual + layer norm, the
         # readout and the loss
-        assert (ref, new) == (76, 64) and ref - new == 3 * 4
+        assert (ref, new) == (65, 53) and ref - new == 3 * 4
 
     def test_tokenizer_step_loses_three_nodes_per_dense_layer(self, small, monkeypatch):
         model = OpmqModel(small["table"].dim, OpmqConfig(), np.random.default_rng(0))

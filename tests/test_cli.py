@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,12 +84,6 @@ class TestErrors:
                    "--out", str(tmp_path / "out"))
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
-
-    def test_bad_seed_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STORE_SEED", "not-a-number")
-        code = run("gen-synthetic", "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "STORE_SEED" in capsys.readouterr().err
 
 
 def subcommand(name):
@@ -249,14 +244,27 @@ class TestConfigResolution:
         assert resolved["seed"] == 1
         assert resolved["command"] == "gen-synthetic"
 
-    def test_env_seed_beats_flags(self, tmp_path, monkeypatch):
+    def test_no_environment_variable_sets_the_seed(self, tmp_path, monkeypatch):
+        def gen(out):
+            assert run("gen-synthetic", "--out", str(out), "--n-instances", "200",
+                       "--n-items", "20", "--n-users", "5", "--n-clusters", "4",
+                       "--seed", "3") == 0
+            resolved = json.loads((out / "resolved_config.json").read_text())
+            return resolved["seed"], (out / "data.strd").read_bytes()
+
+        plain = gen(tmp_path / "plain")
         monkeypatch.setenv("STORE_SEED", "77")
-        out = tmp_path / "out"
-        assert run("gen-synthetic", "--out", str(out), "--n-instances", "200",
-                   "--n-items", "20", "--n-users", "5", "--n-clusters", "4",
-                   "--seed", "3") == 0
-        resolved = json.loads((out / "resolved_config.json").read_text())
-        assert resolved["seed"] == 77
+        assert gen(tmp_path / "env") == plain and plain[0] == 3
+
+    def test_only_the_blas_thread_defaults_read_the_environment(self):
+        package = Path(storerank.__file__).parent
+        uses = sorted(f"{path.name}: {line.strip()}"
+                      for path in package.glob("*.py")
+                      for line in path.read_text().splitlines()
+                      if re.search(r"\b(environ|getenv)\b", line))
+        assert uses == [f'cli.py: os.environ.setdefault("{var}", "1")'
+                        for var in ("MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "OPENBLAS_NUM_THREADS")]
 
     def test_presets_set_quantizer_scale(self, tmp_path, workspace):
         out = tmp_path / "out"
@@ -983,21 +991,17 @@ class TestRefusedRunsLeaveNoOutput:
             "error: k, v, d_z, batch_size, epochs and reinit_every must be >= 1\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, flags, env, reason", [
-        ("gen-synthetic", ["--seed", "-2"], None, "seed must be >= 0, got -2"),
-        ("train-tokenizer", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
-        ("train", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
-        ("train", [], "-3", "seed must be >= 0, got -3"),
-        ("train", ["--split-seed", "-1"], None, "split seed must be >= 0, got -1"),
-        ("sweep", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
-        ("bench-attention", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
-    ], ids=["gen_synthetic", "train_tokenizer", "train", "train_env",
-            "train_split", "sweep", "bench_attention"])
+    @pytest.mark.parametrize("command, flags, reason", [
+        ("gen-synthetic", ["--seed", "-2"], "seed must be >= 0, got -2"),
+        ("train-tokenizer", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("train", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("train", ["--split-seed", "-1"], "split seed must be >= 0, got -1"),
+        ("sweep", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("bench-attention", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["gen_synthetic", "train_tokenizer", "train", "train_split", "sweep",
+            "bench_attention"])
     def test_a_negative_seed_is_refused_by_name(self, workspace, tmp_path, capsys,
-                                                monkeypatch, command, flags, env,
-                                                reason):
-        if env is not None:
-            monkeypatch.setenv("STORE_SEED", env)
+                                                command, flags, reason):
         inputs = {"train-tokenizer": ["--embeddings",
                                       str(workspace / "data" / "embeddings.stre")],
                   "train": ["--data", str(workspace / "data" / "data.strd"),

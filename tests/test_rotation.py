@@ -1,12 +1,34 @@
-"""Feature-group fusion and orthogonal rotation bank checks."""
+"""Feature-group fusion and orthogonal rotation bank checks.
+
+``graph_diversity_penalty`` is the per-pair graph (per pair a sub, a mul
+and a tsum, an add chain, then the scale by -lam) that
+``diversity_penalty`` runs as one node.  The node claims the same
+arithmetic, so its value, every gradient and whole fits down to the
+bytes of a saved model and its log are compared with exact equality.
+"""
 
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
+from storerank import model as M
 from storerank import rotation as R
 from storerank import tensor as T
 from oracles import fd_grad, max_rel_err
+from test_exact_layer import _fit_bytes, _partitions, _sids, same_bits
+
+
+def graph_diversity_penalty(bank):
+    """``R.diversity_penalty`` as the per-pair graph."""
+    if bank.k < 2:
+        return T.Tensor(0.0)
+    total = None
+    for i in range(bank.k):
+        for j in range(i + 1, bank.k):
+            d = T.sub(bank.mats[i], bank.mats[j])
+            sq = T.tsum(T.mul(d, d))
+            total = sq if total is None else T.add(total, sq)
+    return T.mul(total, -bank.lam)
 
 
 @pytest.fixture
@@ -189,6 +211,82 @@ class TestDiversityPenalty:
         want = fd_grad(lambda: R.diversity_penalty(bank), bank.mats)
         for g, fd in zip(got, want):
             assert max_rel_err(g, fd) < 1e-6
+
+
+def penalty_run(penalty, bank, first_part):
+    """The penalty's value and, when there is a graph to differentiate,
+    every rotation's gradient.  With ``first_part`` each rotation first
+    takes a gradient from a rotated block, as the token node gives it in
+    a fit: ``add(task, penalty)`` runs the task's backward first."""
+    div = penalty(bank)
+    if not first_part:
+        return div.values, (T.grad(div, bank.mats) if bank.k > 1 else [])
+    c = np.cos(np.arange(5 * bank.dim)).reshape(5, bank.dim)
+    task = None
+    for i in range(bank.k):
+        part = T.tsum(T.mul(R.rotate(T.Tensor(c), bank, i), T.Tensor(c[::-1] * (i + 1))))
+        task = part if task is None else T.add(task, part)
+    return div.values, T.grad(T.add(task, div), bank.mats)
+
+
+class TestDiversityNode:
+    @pytest.mark.parametrize("first_part", [False, True], ids=["alone", "after_part"])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 2.5])
+    @pytest.mark.parametrize("k, dim", [(1, 3), (2, 8), (3, 32), (5, 3), (8, 8), (32, 32)])
+    def test_node_is_the_per_pair_graph_bit_for_bit(self, k, dim, lam, first_part):
+        bank = R.RotationBank(k=k, dim=dim, seed=k + dim, lam=lam)
+        # off the manifold too, so no pair difference is special
+        for i, m in enumerate(bank.mats):
+            m.values = m.values + np.sin(np.arange(dim * dim) + i).reshape(dim, dim)
+        got = penalty_run(R.diversity_penalty, bank, first_part)
+        want = penalty_run(graph_diversity_penalty, bank, first_part)
+        assert same_bits(got[0], want[0])
+        assert len(got[1]) == len(want[1]) == (k if first_part or k > 1 else 0)
+        for g, w in zip(got[1], want[1]):
+            assert g.strides == w.strides and same_bits(g, w)
+
+    def test_node_has_the_rotations_as_parents(self):
+        bank = R.RotationBank(k=4, dim=3, seed=0)
+        div = R.diversity_penalty(bank)
+        assert list(div._parents) == bank.mats
+        assert len(T._toposort(div)) == bank.k + 1
+        assert len(T._toposort(graph_diversity_penalty(bank))) == bank.k + 4 * 6
+
+
+STEP_CONFIGS = {
+    # the sid_public workload's model
+    "sid_public": dict(h=3, v=16, lr=3e-3, batch_size=512, epochs=2, seed=0),
+    "h8": dict(h=8, v=8, d=16, d_s=8, lr=3e-3, batch_size=128, epochs=2, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CONFIGS))
+def test_fit_with_the_node_writes_the_per_pair_bytes(name, tmp_path, monkeypatch):
+    cfg = M.StoreConfig(**STEP_CONFIGS[name])
+    with monkeypatch.context() as mp:
+        got = _fit_bytes(tmp_path, "new", cfg, mp)
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "diversity_penalty", graph_diversity_penalty)
+        want = _fit_bytes(tmp_path, "ref", cfg, mp)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    # the reference really ran the per-pair graph: 4 nodes per pair
+    # where the library runs one node
+    pairs = cfg.h * (cfg.h - 1) // 2
+    assert want[2] == got[2] + 4 * pairs - 1
+
+
+@pytest.mark.parametrize("h", [3, 8])
+def test_a_step_graph_does_not_grow_with_k(h):
+    ds, table, tr, _ = _partitions()
+    cfg = M.StoreConfig(h=h)
+    model = M.StoreModel(cfg, M.default_groups(ds.schema), tr.vocab_sizes,
+                         sid_table=_sids(table, cfg))
+    inputs = M.slice_inputs(M.prepare_inputs(model, tr), np.arange(64))
+    loss = M.total_loss(model, inputs, inputs["labels"])[0]
+    # fuser MLPs, tokens, per layer attention and residual norm, the
+    # readout, the loss, the penalty and the total
+    assert sum(1 for t in T._toposort(loss) if t._parents) == 20
 
 
 class TestRotationStep:
